@@ -35,6 +35,9 @@ _STREAMS = {
     "dropout": 8,
 }
 
+# one probability field per transform, e.g. "hflip_p"
+_PROB_FIELDS = tuple(f"{name}_p" for name in _STREAMS)
+
 _BLUR_MIN_SIGMA = 1e-3
 
 
@@ -63,18 +66,8 @@ class AugmentPolicy:
     dropout_max_size: int = 32
 
     def __post_init__(self) -> None:
-        probs = {
-            "hflip_p": self.hflip_p,
-            "vflip_p": self.vflip_p,
-            "rotate_p": self.rotate_p,
-            "affine_p": self.affine_p,
-            "brightness_p": self.brightness_p,
-            "contrast_p": self.contrast_p,
-            "noise_p": self.noise_p,
-            "blur_p": self.blur_p,
-            "dropout_p": self.dropout_p,
-        }
-        for name, p in probs.items():
+        for name in _PROB_FIELDS:
+            p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {p}")
         magnitudes = (
@@ -93,6 +86,11 @@ class AugmentPolicy:
             raise ValueError("sigmas must be >= 0")
         if self.dropout_max_holes < 0 or self.dropout_max_size < 0:
             raise ValueError("dropout bounds must be >= 0")
+
+    @property
+    def active(self) -> bool:
+        """True when any transform can fire, i.e. some probability is above 0."""
+        return any(getattr(self, name) > 0.0 for name in _PROB_FIELDS)
 
 
 def default_policy() -> AugmentPolicy:

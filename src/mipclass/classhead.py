@@ -15,7 +15,8 @@ bit-deterministic given the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -238,39 +239,43 @@ class TrainResult:
     loss_trace: np.ndarray  # per-epoch full-data loss, f64
     weights: ClassWeights
     config: TrainConfig
-    extras: dict = field(default_factory=dict)
 
 
 def train_head(
-    features: np.ndarray,
+    features: np.ndarray | Callable[[int], np.ndarray],
     labels: np.ndarray,
     cfg: TrainConfig,
     weights: ClassWeights,
 ) -> TrainResult:
-    """Momentum SGD from zero-initialized params; deterministic in cfg.seed."""
-    feats = np.asarray(features, dtype=np.float64)
+    """Momentum SGD from zero-initialized params; deterministic in cfg.seed.
+
+    ``features`` is one (N, D) matrix used every epoch, or a callable
+    ``epoch -> (N, D)`` matrix (e.g. freshly augmented inputs per epoch).
+    """
     labs = np.asarray(labels, dtype=np.int64)
-    if feats.ndim != 2 or feats.shape[0] != labs.shape[0]:
-        raise DimMismatch(f"features {feats.shape} vs labels {labs.shape}")
-    n, dim = feats.shape
-    W = np.zeros((dim, N_CLASSES))
+    fixed = None if callable(features) else np.asarray(features, dtype=np.float64)
+
+    def epoch_features(epoch: int) -> np.ndarray:
+        feats = fixed if fixed is not None else np.asarray(features(epoch), dtype=np.float64)
+        if feats.ndim != 2 or feats.shape[0] != labs.shape[0]:
+            raise DimMismatch(f"features {feats.shape} vs labels {labs.shape}")
+        return feats
+
+    feats = epoch_features(0)
+    W = np.zeros((feats.shape[1], N_CLASSES))
     b = np.zeros(N_CLASSES)
     vW = np.zeros_like(W)
     vb = np.zeros_like(b)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     trace = np.empty(cfg.epochs, dtype=np.float64)
     for epoch in range(cfg.epochs):
+        if epoch:
+            feats = epoch_features(epoch)
         lr = lr_schedule(epoch, cfg)
-        perm = rng.permutation(n)
+        perm = rng.permutation(labs.shape[0])
         sgd_epoch(W, b, vW, vb, feats, labs, weights, lr, cfg.momentum, cfg.batch, perm)
         trace[epoch] = weighted_ce(forward(feats, HeadParams(W, b)), labs, weights).value
-    return TrainResult(
-        params=HeadParams(W, b),
-        loss_trace=trace,
-        weights=weights,
-        config=cfg,
-        extras={"n_samples": int(n), "feature_dim": int(dim)},
-    )
+    return TrainResult(params=HeadParams(W, b), loss_trace=trace, weights=weights, config=cfg)
 
 
 def sgd_epoch(
@@ -286,11 +291,7 @@ def sgd_epoch(
     batch_size: int,
     perm: np.ndarray,
 ) -> None:
-    """One epoch of momentum-SGD mini-batches, updating arrays in place.
-
-    Exposed separately so callers can swap the feature matrix between
-    epochs (e.g. re-augmented inputs) while keeping one optimizer state.
-    """
+    """One epoch of momentum-SGD mini-batches, updating arrays in place."""
     for start in range(0, perm.shape[0], batch_size):
         idx = perm[start : start + batch_size]
         dW, db = grad_weighted_ce(features[idx], labels[idx], HeadParams(W, b), weights)

@@ -57,9 +57,6 @@ class FoldPlan:
     def patients_in_fold(self, fold: int) -> list[str]:
         return sorted(p for p, f in self.assignment.items() if f == fold)
 
-    def validation_patients(self, fold: int) -> list[str]:
-        return self.patients_in_fold(fold)
-
     def training_patients(self, fold: int) -> list[str]:
         return sorted(p for p, f in self.assignment.items() if f != fold)
 

@@ -81,11 +81,6 @@ class Study:
     label_left: int | None = None
     label_right: int | None = None
 
-    def label_for(self, side: str) -> int | None:
-        if side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-        return self.label_left if side == "left" else self.label_right
-
 
 @dataclass(frozen=True)
 class PhaseSet:

@@ -34,13 +34,10 @@ from .classhead import (
     class_weights,
     extract_features,
     forward,
-    lr_schedule,
-    sgd_epoch,
     train_head,
     uniform_weights,
-    weighted_ce,
 )
-from .errors import ManifestParse, MipclassError, MissingBlob, SchemaMismatch
+from .errors import IoFailure, ManifestParse, MipclassError, MissingBlob, SchemaMismatch
 from .evalkit import (
     LABEL_STRINGS,
     FoldPlan,
@@ -231,13 +228,7 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     defaults = PipelineConfig()
     if path is None:
         return defaults
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaMismatch(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise SchemaMismatch("config root must be a JSON object")
+    raw = _read_json(Path(path), "config")
     unknown = sorted(set(raw) - _CONFIG_SECTIONS)
     if unknown:
         raise SchemaMismatch(f"unknown config keys: {unknown}")
@@ -271,23 +262,6 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     )
 
 
-def _policy_active(policy: AugmentPolicy) -> bool:
-    return any(
-        getattr(policy, name) > 0.0
-        for name in (
-            "hflip_p",
-            "vflip_p",
-            "rotate_p",
-            "affine_p",
-            "brightness_p",
-            "contrast_p",
-            "noise_p",
-            "blur_p",
-            "dropout_p",
-        )
-    )
-
-
 # ---------------------------------------------------------------------------
 # shared run-directory layout
 
@@ -303,24 +277,36 @@ def _load_stack(out: Path, patient_id: str, side: str) -> MipStack:
     return stack_from_blob(read_blob(path))
 
 
+def _read_json(path: Path, what: str, hint: str = "") -> dict:
+    """Parse a JSON object file; every way it can be unreadable is a typed error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except FileNotFoundError as exc:
+        raise MissingBlob(f"no {what} at {path}{hint}") from exc
+    except OSError as exc:
+        raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:
+        raise SchemaMismatch(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise SchemaMismatch(f"{what} {path} must hold a JSON object")
+    return raw
+
+
 def _write_json(path: Path, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     _write_file(path, text.encode("utf-8"))
 
 
 def _read_folds(out: Path) -> FoldPlan:
-    path = out / "folds.json"
-    if not path.exists():
-        raise MissingBlob(f"no fold plan at {path}; run split first")
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _read_json(out / "folds.json", "fold plan", "; run split first")
     try:
         return FoldPlan(
             k=raw["k"],
             assignment=dict(raw["assignment"]),
             strat_labels=dict(raw["strat_labels"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatch(f"malformed folds.json: {exc}") from exc
 
 
@@ -430,50 +416,6 @@ def _fold_weights(weighting: str, labels: np.ndarray) -> ClassWeights:
     return class_weights(counts)
 
 
-def _train_augmented(
-    stacks: Sequence[MipStack],
-    labels: np.ndarray,
-    cfg: TrainConfig,
-    weights: ClassWeights,
-    policy: AugmentPolicy,
-    augment_seed: int,
-    pool_grid: int,
-):
-    """Training loop that redraws augmentations every epoch.
-
-    Mirrors train_head exactly (zero init, per-epoch permutation from one
-    Philox stream, momentum state carried across epochs) but rebuilds the
-    feature matrix from freshly augmented stacks before each epoch.
-    """
-    n = len(stacks)
-    dim = 4 * (1 + pool_grid * pool_grid)
-    W = np.zeros((dim, 3))
-    b = np.zeros(3)
-    vW = np.zeros_like(W)
-    vb = np.zeros_like(b)
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    trace = np.empty(cfg.epochs, dtype=np.float64)
-    for epoch in range(cfg.epochs):
-        feats = np.stack(
-            [
-                extract_features(
-                    augment(
-                        stack,
-                        derive_seed(augment_seed, stack.patient_id, stack.side, epoch),
-                        policy,
-                    ),
-                    pool_grid,
-                )
-                for stack in stacks
-            ]
-        ).astype(np.float64)
-        lr = lr_schedule(epoch, cfg)
-        perm = rng.permutation(n)
-        sgd_epoch(W, b, vW, vb, feats, labels, weights, lr, cfg.momentum, cfg.batch, perm)
-        trace[epoch] = weighted_ce(forward(feats, HeadParams(W, b)), labels, weights).value
-    return HeadParams(W, b), trace
-
-
 def _train_one_fold(
     manifest: Manifest,
     plan: FoldPlan,
@@ -487,16 +429,21 @@ def _train_one_fold(
     train_seed = derive_seed(config.seed, f"fold{fold}", weighting, 0)
     cfg = dataclasses.replace(config.train, seed=train_seed)
 
-    if _policy_active(config.policy):
-        params, trace = _train_augmented(
-            stacks, labels, cfg, weights, config.policy, config.seed, config.pool_grid
+    def stack_features(batch: Sequence[MipStack]) -> np.ndarray:
+        return np.stack([extract_features(s, config.pool_grid) for s in batch])
+
+    def epoch_features(epoch: int) -> np.ndarray:
+        # augmentations are redrawn every epoch, seeded per breast
+        return stack_features(
+            [
+                augment(s, derive_seed(config.seed, s.patient_id, s.side, epoch), config.policy)
+                for s in stacks
+            ]
         )
-    else:
-        features = np.stack(
-            [extract_features(stack, config.pool_grid) for stack in stacks]
-        ).astype(np.float64)
-        result = train_head(features, labels, cfg, weights)
-        params, trace = result.params, result.loss_trace
+
+    features = epoch_features if config.policy.active else stack_features(stacks)
+    result = train_head(features, labels, cfg, weights)
+    params, trace = result.params, result.loss_trace
 
     record = {
         "model_id": _model_id(weighting, fold),
@@ -509,7 +456,7 @@ def _train_one_fold(
         "train_class_counts": [int((labels == c).sum()) for c in range(3)],
         "class_weights": list(weights.w),
         "train_config": dataclasses.asdict(cfg),
-        "augmented": _policy_active(config.policy),
+        "augmented": config.policy.active,
         "final_loss": float(trace[-1]),
         "loss_trace": [float(v) for v in trace],
         "W": [[float(v) for v in row] for row in params.W],
@@ -541,8 +488,7 @@ def cmd_train(
 
 
 def _read_model(path: Path) -> tuple[HeadParams, dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _read_json(path, "model", "; run train first")
     missing = {"W", "b", "fold", "model_id", "pool_grid"} - raw.keys()
     if missing:
         raise SchemaMismatch(f"model file {path} lacks keys {sorted(missing)}")
@@ -566,12 +512,9 @@ def cmd_predict(
     folds = range(plan.k) if fold is None else (fold,)
     for w in weightings:
         for f in folds:
-            model_path = out / "models" / f"{_model_id(w, f)}.json"
-            if not model_path.exists():
-                raise MissingBlob(f"no model at {model_path}; run train first")
-            params, record = _read_model(model_path)
+            params, record = _read_model(out / "models" / f"{_model_id(w, f)}.json")
             predictions = []
-            for patient_id in plan.validation_patients(f):
+            for patient_id in plan.patients_in_fold(f):
                 for side in SIDES:
                     stack = _load_stack(out, patient_id, side)
                     probs = forward(extract_features(stack, record["pool_grid"]), params)

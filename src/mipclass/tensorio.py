@@ -25,6 +25,7 @@ from .errors import (
     IoFailure,
     LengthMismatch,
     NonInvertibleAffine,
+    SchemaMismatch,
     TruncatedPayload,
     UnsupportedDtype,
 )
@@ -294,5 +295,8 @@ def read_blob(path: str | os.PathLike) -> TensorBlob:
     sidecar = _sidecar_path(path)
     if os.path.exists(sidecar):
         with open(sidecar, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
+            try:
+                meta = json.load(fh)
+            except ValueError as exc:
+                raise SchemaMismatch(f"{sidecar}: sidecar is not valid JSON: {exc}") from exc
     return TensorBlob(data=np.array(data), meta=meta)

@@ -67,7 +67,6 @@ class Volume:
     data: np.ndarray
     spacing: tuple[float, float, float]
     affine: np.ndarray
-    orientation: str = ""
 
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=np.float32)
@@ -88,8 +87,11 @@ class Volume:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "affine", affine)
-        if not self.orientation:
-            object.__setattr__(self, "orientation", orientation_code(affine))
+
+    @property
+    def orientation(self) -> str:
+        """Axis code of the affine, e.g. ``"RAS"``."""
+        return orientation_code(self.affine)
 
     @property
     def shape(self) -> tuple[int, int, int]:

@@ -13,6 +13,18 @@ from mipclass.augment2d import (
 )
 from mipclass.mipbuild import PAPER_MEANS, PAPER_STDS, MipStack, normalize_stack
 
+PROB_FIELDS = (
+    "hflip_p",
+    "vflip_p",
+    "rotate_p",
+    "affine_p",
+    "brightness_p",
+    "contrast_p",
+    "noise_p",
+    "blur_p",
+    "dropout_p",
+)
+
 
 def _stack(seed=0, shape=(32, 32), normalized=False):
     rng = np.random.default_rng(seed)
@@ -32,18 +44,14 @@ class TestPolicy:
         assert policy.blur_sigma == 1.5
         assert policy.dropout_max_holes == 8
         assert policy.dropout_max_size == 32
-        for name in (
-            "hflip_p",
-            "vflip_p",
-            "rotate_p",
-            "affine_p",
-            "brightness_p",
-            "contrast_p",
-            "noise_p",
-            "blur_p",
-            "dropout_p",
-        ):
+        for name in PROB_FIELDS:
             assert getattr(policy, name) == 0.5
+
+    def test_active_iff_some_probability_is_positive(self):
+        assert not identity_policy().active
+        assert default_policy().active
+        for name in PROB_FIELDS:
+            assert AugmentPolicy(**{name: 0.1}).active, name
 
     def test_bad_probability_rejected(self):
         with pytest.raises(ValueError):

@@ -344,14 +344,17 @@ class TestTrainHead:
         assert np.abs(result.params.W).max() < 1e-20
         assert np.abs(result.params.b).max() < 1e-20
 
-    def test_same_seed_bit_identical(self):
+    @pytest.mark.parametrize("per_epoch", [False, True], ids=["matrix", "callable"])
+    def test_same_seed_bit_identical(self, per_epoch):
+        """A rerun, or the same matrix handed over per epoch, gives the same bytes."""
         feats, labels = _cluster_problem(n_per=8, seed=3)
         cfg = TrainConfig(epochs=50, batch=7, lr_max=0.01, warmup_epochs=3, seed=9)
         cw = class_weights([8, 8, 8])
         a = train_head(feats, labels, cfg, cw)
-        b = train_head(feats, labels, cfg, cw)
+        b = train_head((lambda epoch: feats) if per_epoch else feats, labels, cfg, cw)
         assert a.params.W.tobytes() == b.params.W.tobytes()
         assert a.params.b.tobytes() == b.params.b.tobytes()
+        assert a.loss_trace.tobytes() == b.loss_trace.tobytes()
 
     def test_different_seed_changes_shuffles(self):
         feats, labels = _cluster_problem(n_per=8, seed=3)

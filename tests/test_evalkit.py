@@ -67,7 +67,7 @@ class TestStratifiedKFold:
             seen.extend(plan.patients_in_fold(fold))
         assert sorted(seen) == sorted(patients)
         for fold in range(5):
-            val = set(plan.validation_patients(fold))
+            val = set(plan.patients_in_fold(fold))
             train = set(plan.training_patients(fold))
             assert val | train == set(patients)
             assert not (val & train)

@@ -5,6 +5,7 @@ the training-time label-access audit.
 
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -458,6 +459,54 @@ class TestPredictEvaluateEnsemble:
     def test_predict_without_model_is_typed_error(self, cohort):
         with pytest.raises(MissingBlob):
             cmd_predict(cohort, weighting="natural", fold=99)
+
+
+def _truncate(path: Path) -> None:
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+class TestCorruptRunDirectory:
+    """Missing or corrupt JSON in a run directory is a typed error, exit 2."""
+
+    @pytest.mark.parametrize(
+        "case, command",
+        [
+            ("missing_config", "train"),
+            ("config_is_directory", "train"),
+            ("truncated_folds", "predict"),
+            ("fold_out_of_range", "predict"),
+            ("truncated_model", "predict"),
+            ("truncated_sidecar", "train"),
+        ],
+    )
+    def test_exits_two_without_traceback(self, trained, tmp_path, case, command, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(trained, run)
+        config = _write_config(tmp_path)
+        if case == "missing_config":
+            config = tmp_path / "missing.json"
+        elif case == "config_is_directory":
+            config = tmp_path
+        elif case == "truncated_folds":
+            _truncate(run / "folds.json")
+        elif case == "fold_out_of_range":
+            folds = json.loads((run / "folds.json").read_text())
+            folds["assignment"]["p000"] = 99
+            (run / "folds.json").write_text(json.dumps(folds))
+        elif case == "truncated_model":
+            _truncate(run / "models" / "natural_fold0.json")
+        elif case == "truncated_sidecar":
+            for sidecar in (run / "stacks").glob("*.json"):
+                _truncate(sidecar)
+        argv = [command, "--out", str(run), "--weighting", "natural", "--fold", "0"]
+        if command == "train":
+            argv += ["--manifest", str(run / "manifest.csv"), "--config", str(config)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestAugmentPreview:
