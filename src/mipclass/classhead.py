@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -241,41 +241,95 @@ class TrainResult:
     config: TrainConfig
 
 
+@dataclass(frozen=True)
+class HeadSpec:
+    """One head to train: its rows of the shared feature matrix and its setup."""
+
+    rows: np.ndarray  # (n,) row indices, in training order
+    labels: np.ndarray  # (n,) int64, one per row
+    config: TrainConfig
+    weights: ClassWeights
+
+    def __post_init__(self) -> None:
+        rows = np.asarray(self.rows, dtype=np.intp)
+        labels = np.asarray(self.labels, dtype=np.int64)
+        if rows.ndim != 1 or labels.shape != rows.shape:
+            raise DimMismatch(f"rows {rows.shape} vs labels {labels.shape}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "labels", labels)
+
+
+def train_heads(
+    features: np.ndarray | Callable[[int], np.ndarray], heads: Sequence[HeadSpec]
+) -> list[TrainResult]:
+    """Momentum SGD for several heads over one shared feature source.
+
+    ``features`` is one (N, D) matrix used every epoch, or a callable
+    ``epoch -> (N, D)`` matrix (e.g. freshly augmented inputs per epoch),
+    called once per epoch for all heads.  Each head trains on its own
+    rows, from zero-initialized params, with its own momentum and a
+    Philox permutation stream keyed by its ``config.seed``; its result is
+    the same as training it alone.  All heads must share ``epochs``.
+    """
+    if not heads:
+        return []
+    epochs = {head.config.epochs for head in heads}
+    if len(epochs) > 1:
+        raise ValueError(f"heads must share one epoch count, got {sorted(epochs)}")
+
+    def head_rows(matrix: np.ndarray) -> list[np.ndarray]:
+        feats = np.asarray(matrix, dtype=np.float64)
+        if feats.ndim != 2:
+            raise DimMismatch(f"features must be (N, D), got shape {feats.shape}")
+        for head in heads:
+            if head.rows.size and not 0 <= head.rows.min() <= head.rows.max() < feats.shape[0]:
+                raise DimMismatch(f"head rows outside the {feats.shape[0]} feature rows")
+        return [feats[head.rows] for head in heads]
+
+    # a fixed matrix is sliced once; a callable is sliced every epoch
+    fixed = None if callable(features) else head_rows(features)
+    per_head = fixed if fixed is not None else head_rows(features(0))
+    W = [np.zeros((feats.shape[1], N_CLASSES)) for feats in per_head]
+    b = [np.zeros(N_CLASSES) for _ in heads]
+    vW = [np.zeros_like(w) for w in W]
+    vb = [np.zeros_like(v) for v in b]
+    rngs = [np.random.Generator(np.random.Philox(key=head.config.seed)) for head in heads]
+    traces = [np.empty(head.config.epochs, dtype=np.float64) for head in heads]
+    for epoch in range(epochs.pop()):
+        if epoch and fixed is None:
+            per_head = head_rows(features(epoch))
+        for i, head in enumerate(heads):
+            cfg, labs, weights, feats = head.config, head.labels, head.weights, per_head[i]
+            lr = lr_schedule(epoch, cfg)
+            perm = rngs[i].permutation(labs.shape[0])
+            sgd_epoch(
+                W[i], b[i], vW[i], vb[i], feats, labs, weights, lr, cfg.momentum, cfg.batch, perm
+            )
+            probs = forward(feats, HeadParams(W[i], b[i]))
+            traces[i][epoch] = weighted_ce(probs, labs, weights).value
+    return [
+        TrainResult(HeadParams(W[i], b[i]), traces[i], head.weights, head.config)
+        for i, head in enumerate(heads)
+    ]
+
+
 def train_head(
     features: np.ndarray | Callable[[int], np.ndarray],
     labels: np.ndarray,
     cfg: TrainConfig,
     weights: ClassWeights,
 ) -> TrainResult:
-    """Momentum SGD from zero-initialized params; deterministic in cfg.seed.
-
-    ``features`` is one (N, D) matrix used every epoch, or a callable
-    ``epoch -> (N, D)`` matrix (e.g. freshly augmented inputs per epoch).
-    """
+    """One head on every row of ``features``; see :func:`train_heads`."""
     labs = np.asarray(labels, dtype=np.int64)
-    fixed = None if callable(features) else np.asarray(features, dtype=np.float64)
 
-    def epoch_features(epoch: int) -> np.ndarray:
-        feats = fixed if fixed is not None else np.asarray(features(epoch), dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[0] != labs.shape[0]:
-            raise DimMismatch(f"features {feats.shape} vs labels {labs.shape}")
-        return feats
+    def checked(matrix: np.ndarray) -> np.ndarray:
+        if np.ndim(matrix) != 2 or np.shape(matrix)[0] != labs.shape[0]:
+            raise DimMismatch(f"features {np.shape(matrix)} vs labels {labs.shape}")
+        return matrix
 
-    feats = epoch_features(0)
-    W = np.zeros((feats.shape[1], N_CLASSES))
-    b = np.zeros(N_CLASSES)
-    vW = np.zeros_like(W)
-    vb = np.zeros_like(b)
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    trace = np.empty(cfg.epochs, dtype=np.float64)
-    for epoch in range(cfg.epochs):
-        if epoch:
-            feats = epoch_features(epoch)
-        lr = lr_schedule(epoch, cfg)
-        perm = rng.permutation(labs.shape[0])
-        sgd_epoch(W, b, vW, vb, feats, labs, weights, lr, cfg.momentum, cfg.batch, perm)
-        trace[epoch] = weighted_ce(forward(feats, HeadParams(W, b)), labs, weights).value
-    return TrainResult(params=HeadParams(W, b), loss_trace=trace, weights=weights, config=cfg)
+    source = (lambda epoch: checked(features(epoch))) if callable(features) else checked(features)
+    head = HeadSpec(rows=np.arange(labs.shape[0]), labels=labs, config=cfg, weights=weights)
+    return train_heads(source, [head])[0]
 
 
 def sgd_epoch(

@@ -30,11 +30,12 @@ from .classhead import (
     DEFAULT_POOL_GRID,
     ClassWeights,
     HeadParams,
+    HeadSpec,
     TrainConfig,
     class_weights,
     extract_features,
     forward,
-    train_head,
+    train_heads,
     uniform_weights,
 )
 from .errors import IoFailure, ManifestParse, MipclassError, MissingBlob, SchemaMismatch
@@ -274,7 +275,18 @@ def _load_stack(out: Path, patient_id: str, side: str) -> MipStack:
     path = _stack_path(out, patient_id, side)
     if not path.exists():
         raise MissingBlob(f"no preprocessed stack at {path}; run preprocess first")
-    return stack_from_blob(read_blob(path))
+    blob = read_blob(path)
+    # augmentation is seeded from these fields, so they must name this file's breast
+    found = (blob.meta.get("patient_id"), blob.meta.get("side"))
+    if found != (patient_id, side):
+        raise SchemaMismatch(
+            f"stack {path} holds patient/side {found}, not {(patient_id, side)}"
+            " (missing or mismatched sidecar)"
+        )
+    try:
+        return stack_from_blob(blob)
+    except (TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"malformed stack {path}: {exc}") from exc
 
 
 def _read_json(path: Path, what: str, hint: str = "") -> dict:
@@ -391,80 +403,11 @@ def cmd_split(manifest_path: str | Path, config: PipelineConfig, out_dir: str | 
     return 0
 
 
-def _training_samples(
-    manifest: Manifest, plan: FoldPlan, fold: int, out: Path
-) -> tuple[list[MipStack], np.ndarray]:
-    """Stacks + labels for the training folds only.
-
-    Labels are looked up per training patient through Manifest.labels_for;
-    validation-fold labels are never touched here.
-    """
-    stacks: list[MipStack] = []
-    labels: list[int] = []
-    for patient_id in plan.training_patients(fold):
-        sides = manifest.labels_for(patient_id)
-        for side in SIDES:
-            stacks.append(_load_stack(out, patient_id, side))
-            labels.append(sides[side])
-    return stacks, np.asarray(labels, dtype=np.int64)
-
-
 def _fold_weights(weighting: str, labels: np.ndarray) -> ClassWeights:
     if weighting == "natural":
         return uniform_weights()
     counts = [int((labels == c).sum()) for c in range(3)]
     return class_weights(counts)
-
-
-def _train_one_fold(
-    manifest: Manifest,
-    plan: FoldPlan,
-    fold: int,
-    weighting: str,
-    config: PipelineConfig,
-    out: Path,
-) -> Path:
-    stacks, labels = _training_samples(manifest, plan, fold, out)
-    weights = _fold_weights(weighting, labels)
-    train_seed = derive_seed(config.seed, f"fold{fold}", weighting, 0)
-    cfg = dataclasses.replace(config.train, seed=train_seed)
-
-    def stack_features(batch: Sequence[MipStack]) -> np.ndarray:
-        return np.stack([extract_features(s, config.pool_grid) for s in batch])
-
-    def epoch_features(epoch: int) -> np.ndarray:
-        # augmentations are redrawn every epoch, seeded per breast
-        return stack_features(
-            [
-                augment(s, derive_seed(config.seed, s.patient_id, s.side, epoch), config.policy)
-                for s in stacks
-            ]
-        )
-
-    features = epoch_features if config.policy.active else stack_features(stacks)
-    result = train_head(features, labels, cfg, weights)
-    params, trace = result.params, result.loss_trace
-
-    record = {
-        "model_id": _model_id(weighting, fold),
-        "weighting": weighting,
-        "fold": fold,
-        "pool_grid": config.pool_grid,
-        "feature_dim": params.dim,
-        "n_train_samples": int(labels.shape[0]),
-        # counts/weights come from the training folds only, by construction
-        "train_class_counts": [int((labels == c).sum()) for c in range(3)],
-        "class_weights": list(weights.w),
-        "train_config": dataclasses.asdict(cfg),
-        "augmented": config.policy.active,
-        "final_loss": float(trace[-1]),
-        "loss_trace": [float(v) for v in trace],
-        "W": [[float(v) for v in row] for row in params.W],
-        "b": [float(v) for v in params.b],
-    }
-    path = out / "models" / f"{_model_id(weighting, fold)}.json"
-    _write_json(path, record)
-    return path
 
 
 def cmd_train(
@@ -474,16 +417,82 @@ def cmd_train(
     weighting: str = "both",
     fold: int | None = None,
 ) -> int:
+    """Train every selected (weighting, fold) head in one epoch-major pass.
+
+    Each training breast is loaded once and, per epoch, augmented and
+    featurized once; every head then steps on its own rows.  Labels are
+    looked up per training patient through Manifest.labels_for, so
+    validation-fold labels are never touched.
+    """
     manifest = Manifest.read(manifest_path)
     out = Path(out_dir)
     plan = _read_folds(out)
     (out / "models").mkdir(parents=True, exist_ok=True)
     weightings = WEIGHTINGS if weighting == "both" else (weighting,)
     folds = range(plan.k) if fold is None else (fold,)
+
+    # every breast a selected head trains on, once; row of (patient, side)
+    row_of: dict[tuple[str, str], int] = {}
+    stacks: list[MipStack] = []
+    breast_labels: list[int] = []
+    for patient_id in sorted({p for f in folds for p in plan.training_patients(f)}):
+        sides = manifest.labels_for(patient_id)
+        for side in SIDES:
+            row_of[patient_id, side] = len(stacks)
+            stacks.append(_load_stack(out, patient_id, side))
+            breast_labels.append(sides[side])
+    labels = np.asarray(breast_labels, dtype=np.int64)
+
+    heads: list[tuple[str, int, HeadSpec]] = []
     for w in weightings:
         for f in folds:
-            path = _train_one_fold(manifest, plan, f, w, config, out)
-            print(f"trained {path.stem} -> {path}")
+            rows = [row_of[p, side] for p in plan.training_patients(f) for side in SIDES]
+            head_labels = labels[rows]
+            train_seed = derive_seed(config.seed, f"fold{f}", w, 0)
+            spec = HeadSpec(
+                rows=rows,
+                labels=head_labels,
+                config=dataclasses.replace(config.train, seed=train_seed),
+                weights=_fold_weights(w, head_labels),
+            )
+            heads.append((w, f, spec))
+
+    def breast_features(stack: MipStack, epoch: int) -> np.ndarray:
+        if config.policy.active:
+            # augmentations are redrawn every epoch, seeded per breast
+            seed = derive_seed(config.seed, stack.patient_id, stack.side, epoch)
+            stack = augment(stack, seed, config.policy)
+        return extract_features(stack, config.pool_grid)
+
+    def epoch_features(epoch: int) -> np.ndarray:
+        return np.stack([breast_features(s, epoch) for s in stacks])
+
+    # without augmentation every epoch trains on the same matrix
+    features = epoch_features if config.policy.active else epoch_features(0)
+    results = train_heads(features, [spec for _, _, spec in heads])
+
+    for (w, f, spec), result in zip(heads, results):
+        params, trace, cfg = result.params, result.loss_trace, result.config
+        record = {
+            "model_id": _model_id(w, f),
+            "weighting": w,
+            "fold": f,
+            "pool_grid": config.pool_grid,
+            "feature_dim": params.dim,
+            "n_train_samples": int(spec.labels.shape[0]),
+            # counts/weights come from the training folds only, by construction
+            "train_class_counts": [int((spec.labels == c).sum()) for c in range(3)],
+            "class_weights": list(spec.weights.w),
+            "train_config": dataclasses.asdict(cfg),
+            "augmented": config.policy.active,
+            "final_loss": float(trace[-1]),
+            "loss_trace": [float(v) for v in trace],
+            "W": [[float(v) for v in row] for row in params.W],
+            "b": [float(v) for v in params.b],
+        }
+        path = out / "models" / f"{_model_id(w, f)}.json"
+        _write_json(path, record)
+        print(f"trained {path.stem} -> {path}")
     return 0
 
 
@@ -510,17 +519,21 @@ def cmd_predict(
     (out / "predictions").mkdir(parents=True, exist_ok=True)
     weightings = WEIGHTINGS if weighting == "both" else (weighting,)
     folds = range(plan.k) if fold is None else (fold,)
-    for w in weightings:
-        for f in folds:
-            params, record = _read_model(out / "models" / f"{_model_id(w, f)}.json")
-            predictions = []
-            for patient_id in plan.patients_in_fold(f):
-                for side in SIDES:
-                    stack = _load_stack(out, patient_id, side)
-                    probs = forward(extract_features(stack, record["pool_grid"]), params)
-                    predictions.append(
-                        Prediction(patient_id, side, probs, record["model_id"])
-                    )
+    for f in folds:
+        models = [_read_model(out / "models" / f"{_model_id(w, f)}.json") for w in weightings]
+        # each validation stack is read and featurized once for every model of the fold
+        breasts = [(p, side) for p in plan.patients_in_fold(f) for side in SIDES]
+        grids = {record["pool_grid"] for _, record in models}
+        features: dict[int, list[np.ndarray]] = {grid: [] for grid in grids}
+        for patient_id, side in breasts:
+            stack = _load_stack(out, patient_id, side)
+            for grid in grids:
+                features[grid].append(extract_features(stack, grid))
+        for params, record in models:
+            predictions = [
+                Prediction(patient_id, side, forward(x, params), record["model_id"])
+                for (patient_id, side), x in zip(breasts, features[record["pool_grid"]])
+            ]
             csv_path = out / "predictions" / f"{record['model_id']}.csv"
             write_predictions_csv(predictions, csv_path)
             print(f"predicted {len(predictions)} breasts -> {csv_path}")

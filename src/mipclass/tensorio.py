@@ -294,9 +294,13 @@ def read_blob(path: str | os.PathLike) -> TensorBlob:
     meta: dict[str, Any] = {}
     sidecar = _sidecar_path(path)
     if os.path.exists(sidecar):
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(sidecar, "r", encoding="utf-8") as fh:
                 meta = json.load(fh)
-            except ValueError as exc:
-                raise SchemaMismatch(f"{sidecar}: sidecar is not valid JSON: {exc}") from exc
+        except OSError as exc:
+            raise IoFailure(f"cannot read sidecar {sidecar}: {exc}") from exc
+        except ValueError as exc:
+            raise SchemaMismatch(f"{sidecar}: sidecar is not valid JSON: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise SchemaMismatch(f"{sidecar}: sidecar must hold a JSON object")
     return TensorBlob(data=np.array(data), meta=meta)

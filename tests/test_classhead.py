@@ -12,6 +12,7 @@ from mipclass.classhead import (
     ClassWeights,
     HeadParams,
     TrainConfig,
+    HeadSpec,
     class_weights,
     extract_features,
     feature_dim,
@@ -19,7 +20,9 @@ from mipclass.classhead import (
     grad_weighted_ce,
     lr_schedule,
     predict_labels,
+    sgd_epoch,
     train_head,
+    train_heads,
     uniform_weights,
     weighted_ce,
 )
@@ -394,3 +397,85 @@ class TestTrainHead:
                 b = b + vb
         np.testing.assert_allclose(a.params.W, W, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(a.params.b, b, rtol=1e-10, atol=1e-12)
+
+
+def _reference_train(features, rows, labels, cfg, weights):
+    """One head trained alone, written out step by step: zero init, one
+    Philox permutation stream, momentum SGD, full-data loss per epoch."""
+    labels = np.asarray(labels, dtype=np.int64)
+    W, b = np.zeros((features(0).shape[1], 3)), np.zeros(3)
+    vW, vb = np.zeros_like(W), np.zeros_like(b)
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    trace = np.empty(cfg.epochs)
+    for epoch in range(cfg.epochs):
+        feats = np.asarray(features(epoch), dtype=np.float64)[rows]
+        perm = rng.permutation(labels.shape[0])
+        lr = lr_schedule(epoch, cfg)
+        sgd_epoch(W, b, vW, vb, feats, labels, weights, lr, cfg.momentum, cfg.batch, perm)
+        trace[epoch] = weighted_ce(forward(feats, HeadParams(W, b)), labels, weights).value
+    return W, b, trace
+
+
+class TestTrainHeads:
+    @staticmethod
+    def _problem():
+        feats, labels = _cluster_problem(n_per=8, seed=3)
+        # overlapping row sets in different orders, as CV folds share patients
+        row_sets = [np.arange(0, 18), np.arange(23, 5, -1), np.array([2, 20, 9, 14, 0, 17, 11, 5])]
+        heads = []
+        for i, rows in enumerate(row_sets):
+            counts = np.bincount(labels[rows], minlength=3)
+            weights = uniform_weights() if i == 1 else class_weights(counts)
+            cfg = TrainConfig(epochs=25, batch=3 + i, lr_max=0.02, warmup_epochs=2, seed=11 + i)
+            heads.append(HeadSpec(rows=rows, labels=labels[rows], config=cfg, weights=weights))
+        return feats, heads
+
+    @pytest.mark.parametrize("per_epoch", [False, True], ids=["matrix", "callable"])
+    def test_each_head_matches_training_it_alone(self, per_epoch):
+        feats, heads = self._problem()
+
+        def redrawn(epoch):
+            # a float32 matrix that changes every epoch, like augmented features
+            return (feats * (1.0 + 0.01 * epoch)).astype(np.float32)
+
+        calls = []
+
+        def counted(epoch):
+            calls.append(epoch)
+            return redrawn(epoch)
+
+        source = counted if per_epoch else feats
+        results = train_heads(source, heads)
+        assert calls == (list(range(25)) if per_epoch else [])
+        for head, result in zip(heads, results):
+            reference = redrawn if per_epoch else (lambda epoch: feats)
+            W, b, trace = _reference_train(
+                reference, head.rows, head.labels, head.config, head.weights
+            )
+            alone = train_head(
+                (lambda epoch: reference(epoch)[head.rows]) if per_epoch else feats[head.rows],
+                head.labels,
+                head.config,
+                head.weights,
+            )
+            for got in (result, alone):
+                assert got.params.W.tobytes() == W.tobytes()
+                assert got.params.b.tobytes() == b.tobytes()
+                assert got.loss_trace.tobytes() == trace.tobytes()
+            assert result.weights == head.weights and result.config == head.config
+
+    def test_different_epoch_counts_rejected(self):
+        feats, heads = self._problem()
+        longer = HeadSpec(
+            rows=heads[0].rows,
+            labels=heads[0].labels,
+            config=TrainConfig(epochs=30, batch=3, lr_max=0.02, warmup_epochs=2),
+            weights=heads[0].weights,
+        )
+        with pytest.raises(ValueError, match="epoch"):
+            train_heads(feats, [heads[0], longer])
+
+    def test_rows_outside_features_rejected(self):
+        feats, heads = self._problem()
+        with pytest.raises(DimMismatch):
+            train_heads(feats[:10], heads)

@@ -357,6 +357,48 @@ class TestTrain:
         cmd_train(run / "manifest.csv", config, run, weighting="natural", fold=0)
         assert (run / "models" / "natural_fold0.json").read_bytes() == first
 
+    def test_all_heads_in_one_pass_match_single_head_runs(self, tmp_path, monkeypatch):
+        """Epoch-major training: every breast is read once and augmented once
+        per epoch for all 2·k heads, and each model's bytes equal those of
+        training that head alone."""
+        import mipclass.pipeline_cli as cli
+
+        run = tmp_path / "run"
+        cfg_raw = dict(FAST_CONFIG)
+        cfg_raw["augment"] = {"hflip_p": 0.5, "noise_p": 0.5, "noise_sigma": 0.02}
+        cfg_raw["train"] = {"epochs": 4, "batch": 8, "lr_max": 0.05, "warmup_epochs": 1}
+        config = load_config_from(cfg_raw)
+        phantom.write_cohort(6, seed=0, out_dir=run)
+        cmd_preprocess(run / "manifest.csv", config, run)
+        cmd_split(run / "manifest.csv", config, run)
+
+        augments: list[tuple[str, str]] = []
+        reads: list[str] = []
+        real_augment, real_read = cli.augment, cli.read_blob
+
+        def counting_augment(stack, seed, policy):
+            augments.append((stack.patient_id, stack.side))
+            return real_augment(stack, seed, policy)
+
+        def counting_read(path):
+            reads.append(Path(path).name)
+            return real_read(path)
+
+        monkeypatch.setattr(cli, "augment", counting_augment)
+        monkeypatch.setattr(cli, "read_blob", counting_read)
+        cmd_train(run / "manifest.csv", config, run, weighting="both")
+        n_patients = 6  # every patient trains some fold's heads
+        assert len(augments) == 2 * n_patients * config.train.epochs
+        assert sorted(reads) == sorted(p.name for p in (run / "stacks").glob("*.mct"))
+        together = {p.name: p.read_bytes() for p in (run / "models").glob("*.json")}
+        assert len(together) == 2 * config.k
+
+        for weighting in ("natural", "inverse"):
+            for fold in range(config.k):
+                cmd_train(run / "manifest.csv", config, run, weighting=weighting, fold=fold)
+                name = f"{weighting}_fold{fold}.json"
+                assert (run / "models" / name).read_bytes() == together[name]
+
 
 class TestLeakageAudit:
     def test_train_never_reads_validation_labels(self, cohort, config, monkeypatch):
@@ -478,6 +520,11 @@ class TestCorruptRunDirectory:
             ("fold_out_of_range", "predict"),
             ("truncated_model", "predict"),
             ("truncated_sidecar", "train"),
+            ("sidecar_not_object", "train"),
+            ("sidecar_is_directory", "train"),
+            ("sidecar_missing", "train"),
+            ("sidecar_wrong_side", "train"),
+            ("sidecar_bad_bounds", "train"),
         ],
     )
     def test_exits_two_without_traceback(self, trained, tmp_path, case, command, capsys):
@@ -499,6 +546,27 @@ class TestCorruptRunDirectory:
         elif case == "truncated_sidecar":
             for sidecar in (run / "stacks").glob("*.json"):
                 _truncate(sidecar)
+        elif case == "sidecar_not_object":
+            for sidecar in (run / "stacks").glob("*.json"):
+                sidecar.write_text("[1, 2]")
+        elif case == "sidecar_is_directory":
+            for sidecar in (run / "stacks").glob("*.json"):
+                sidecar.unlink()
+                sidecar.mkdir()
+        elif case == "sidecar_missing":
+            for sidecar in (run / "stacks").glob("*.json"):
+                sidecar.unlink()
+        elif case == "sidecar_wrong_side":
+            # each breast's file carries the other breast's metadata
+            for sidecar in (run / "stacks").glob("*.json"):
+                meta = json.loads(sidecar.read_text())
+                meta["side"] = "left" if meta["side"] == "right" else "right"
+                sidecar.write_text(json.dumps(meta))
+        elif case == "sidecar_bad_bounds":
+            for sidecar in (run / "stacks").glob("*.json"):
+                meta = json.loads(sidecar.read_text())
+                meta["norm_bounds"] = 5
+                sidecar.write_text(json.dumps(meta))
         argv = [command, "--out", str(run), "--weighting", "natural", "--fold", "0"]
         if command == "train":
             argv += ["--manifest", str(run / "manifest.csv"), "--config", str(config)]
