@@ -32,7 +32,7 @@ first = gz.read_bytes()
 write_nifti(vol, gz)
 print("gzip rewrite identical:", gz.read_bytes() == first)
 
-# Tensor blobs carry arbitrary-rank arrays plus a JSON sidecar.
+# Tensor blobs carry an arbitrary-rank float32 array and its JSON metadata in one file.
 blob = TensorBlob(
     data=np.linspace(0, 1, 24, dtype=np.float32).reshape(2, 3, 4),
     meta={"note": "anything JSON-serializable rides along"},
@@ -41,5 +41,5 @@ path = work / "demo.mct"
 write_blob(blob, path)
 loaded = read_blob(path)
 print("blob round trip:", np.array_equal(loaded.data, blob.data))
-print("sidecar meta:", loaded.meta["note"])
+print("embedded meta:", loaded.meta["note"])
 print("files written under", work)

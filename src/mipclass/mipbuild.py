@@ -100,6 +100,13 @@ class BuildConfig:
     shape: tuple[int, int, int] = (512, 512, 32)
     row_window: int = 256
 
+    def __post_init__(self) -> None:
+        if len(self.spacing) != 3 or not all(s > 0 for s in self.spacing):
+            raise ValueError(f"spacing must be three positive values, got {self.spacing}")
+        integral = all(isinstance(n, (int, np.integer)) for n in self.shape)
+        if len(self.shape) != 3 or not integral or min(self.shape) < 1:
+            raise ValueError(f"shape must be three positive integers, got {self.shape}")
+
 
 @dataclass(frozen=True)
 class MipStack:
@@ -330,7 +337,7 @@ def denormalize_stack(stack: MipStack, constants: NormConstants = NormConstants(
 
 
 def stack_to_blob(stack: MipStack) -> TensorBlob:
-    """Package a stack as a tensor blob; metadata goes to the JSON sidecar."""
+    """Package a stack as a tensor blob; its metadata is stored in the same file."""
     meta = {
         "patient_id": stack.patient_id,
         "side": stack.side,

@@ -213,6 +213,8 @@ _CONFIG_SECTIONS = {
 
 
 def _replace_from(cls, defaults, overrides: Mapping[str, Any], section: str):
+    if not isinstance(overrides, dict):
+        raise SchemaMismatch(f"config section {section!r} must be a JSON object")
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(overrides) - known)
     if unknown:
@@ -234,33 +236,36 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     if unknown:
         raise SchemaMismatch(f"unknown config keys: {unknown}")
 
-    build = dataclasses.replace(
-        defaults.build,
-        spacing=tuple(raw.get("spacing", defaults.build.spacing)),
-        shape=tuple(raw.get("shape", defaults.build.shape)),
-        row_window=raw.get("row_window", defaults.build.row_window),
-    )
-    norm = NormConstants(
-        means=tuple(raw.get("norm_means", defaults.norm.means)),
-        stds=tuple(raw.get("norm_stds", defaults.norm.stds)),
-    )
-    # "augment": null switches augmentation off entirely; an empty or
-    # partial section keeps the published defaults for unnamed fields
-    augment_raw = raw.get("augment", {})
-    if augment_raw is None:
-        policy = identity_policy()
-    else:
-        policy = _replace_from(AugmentPolicy, defaults.policy, augment_raw, "augment")
-    train = _replace_from(TrainConfig, defaults.train, raw.get("train", {}), "train")
-    return PipelineConfig(
-        build=build,
-        norm=norm,
-        policy=policy,
-        train=train,
-        k=raw.get("k", defaults.k),
-        seed=raw.get("seed", defaults.seed),
-        pool_grid=raw.get("pool_grid", defaults.pool_grid),
-    )
+    try:
+        build = dataclasses.replace(
+            defaults.build,
+            spacing=tuple(raw.get("spacing", defaults.build.spacing)),
+            shape=tuple(raw.get("shape", defaults.build.shape)),
+            row_window=raw.get("row_window", defaults.build.row_window),
+        )
+        norm = NormConstants(
+            means=tuple(raw.get("norm_means", defaults.norm.means)),
+            stds=tuple(raw.get("norm_stds", defaults.norm.stds)),
+        )
+        # "augment": null switches augmentation off entirely; an empty or
+        # partial section keeps the published defaults for unnamed fields
+        augment_raw = raw.get("augment", {})
+        if augment_raw is None:
+            policy = identity_policy()
+        else:
+            policy = _replace_from(AugmentPolicy, defaults.policy, augment_raw, "augment")
+        train = _replace_from(TrainConfig, defaults.train, raw.get("train", {}), "train")
+        return PipelineConfig(
+            build=build,
+            norm=norm,
+            policy=policy,
+            train=train,
+            k=raw.get("k", defaults.k),
+            seed=raw.get("seed", defaults.seed),
+            pool_grid=raw.get("pool_grid", defaults.pool_grid),
+        )
+    except (TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"invalid value in config {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -271,22 +276,25 @@ def _stack_path(out: Path, patient_id: str, side: str) -> Path:
     return out / "stacks" / stack_filename(patient_id, side)
 
 
-def _load_stack(out: Path, patient_id: str, side: str) -> MipStack:
-    path = _stack_path(out, patient_id, side)
-    if not path.exists():
-        raise MissingBlob(f"no preprocessed stack at {path}; run preprocess first")
+def _read_stack(path: Path) -> MipStack:
+    """Read one stack file; metadata that does not describe a stack is a typed error."""
     blob = read_blob(path)
-    # augmentation is seeded from these fields, so they must name this file's breast
-    found = (blob.meta.get("patient_id"), blob.meta.get("side"))
-    if found != (patient_id, side):
-        raise SchemaMismatch(
-            f"stack {path} holds patient/side {found}, not {(patient_id, side)}"
-            " (missing or mismatched sidecar)"
-        )
     try:
         return stack_from_blob(blob)
     except (TypeError, ValueError) as exc:
         raise SchemaMismatch(f"malformed stack {path}: {exc}") from exc
+
+
+def _load_stack(out: Path, patient_id: str, side: str) -> MipStack:
+    path = _stack_path(out, patient_id, side)
+    if not path.exists():
+        raise MissingBlob(f"no preprocessed stack at {path}; run preprocess first")
+    stack = _read_stack(path)
+    # augmentation is seeded from these fields, so they must name this file's breast
+    found = (stack.patient_id, stack.side)
+    if found != (patient_id, side):
+        raise SchemaMismatch(f"stack {path} holds patient/side {found}, not {(patient_id, side)}")
+    return stack
 
 
 def _read_json(path: Path, what: str, hint: str = "") -> dict:
@@ -501,6 +509,9 @@ def _read_model(path: Path) -> tuple[HeadParams, dict]:
     missing = {"W", "b", "fold", "model_id", "pool_grid"} - raw.keys()
     if missing:
         raise SchemaMismatch(f"model file {path} lacks keys {sorted(missing)}")
+    grid = raw["pool_grid"]
+    if not isinstance(grid, int) or isinstance(grid, bool) or grid < 1:
+        raise SchemaMismatch(f"model file {path}: pool_grid must be an integer >= 1, got {grid!r}")
     try:
         params = HeadParams(
             W=np.asarray(raw["W"], dtype=np.float64),
@@ -607,7 +618,7 @@ def cmd_augment_preview(stack_path: str | Path, seed: int, out_dir: str | Path) 
     stack_path = Path(stack_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stack = stack_from_blob(read_blob(stack_path))
+    stack = _read_stack(stack_path)
     augmented = augment(stack, seed, default_policy())
     preview = out / f"{stack_path.stem}_aug{seed}.mct"
     write_blob(stack_to_blob(augmented), preview)

@@ -1,10 +1,11 @@
-"""Binary I/O: a NIfTI-1 reader/writer for volumes and the MCT1 blob format.
+"""Binary I/O: a NIfTI-1 reader/writer for volumes and the MCT2 blob format.
 
 The NIfTI-1 parser is deliberately strict: little-endian single- or
 dual-file layouts only, 3D volumes only, and every header field that the
 reader consumes is validated before any payload memory is touched.  Fuzzed
 headers must produce typed errors, never crashes or allocations sized from
-unchecked fields.
+unchecked fields.  The same holds for MCT2 blobs, which hold one float32
+tensor and its JSON metadata in a single file.
 """
 
 from __future__ import annotations
@@ -46,9 +47,7 @@ _NIFTI_DTYPES = {
     64: np.dtype("<f8"),
 }
 
-BLOB_MAGIC = b"MCT1"
-_BLOB_DTYPE_CODES = {1: np.dtype("<f4"), 2: np.dtype("<u1")}
-_BLOB_CODE_FOR = {np.dtype("float32"): 1, np.dtype("uint8"): 2}
+BLOB_MAGIC = b"MCT2"
 
 
 def _read_file(path: str | os.PathLike) -> bytes:
@@ -231,76 +230,57 @@ def write_nifti(volume: Volume, path: str | os.PathLike) -> None:
 
 @dataclass
 class TensorBlob:
-    """Raw tensor container: float32 or uint8 payload plus JSON sidecar."""
+    """Raw tensor container: a float32 payload plus a JSON-object metadata dict."""
 
     data: np.ndarray
     meta: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         data = np.ascontiguousarray(self.data)
-        if data.dtype not in _BLOB_CODE_FOR:
-            raise UnsupportedDtype(f"blob dtype must be float32 or uint8, got {data.dtype}")
+        if data.dtype != np.float32:
+            raise UnsupportedDtype(f"blob dtype must be float32, got {data.dtype}")
         if data.ndim < 1 or data.ndim > 8:
             raise HeaderError(f"blob ndim must be in 1..8, got {data.ndim}")
         self.data = data
 
 
-def _sidecar_path(path: str) -> str:
-    base, _ = os.path.splitext(path)
-    return base + ".json"
-
-
 def write_blob(blob: TensorBlob, path: str | os.PathLike) -> None:
-    """Write magic + dtype code + ndim + u32 dims + row-major payload."""
-    path = str(path)
+    """Write magic, u8 ndim, u32 dims, u32 meta length, sorted-key JSON meta, payload.
+
+    The payload is row-major little-endian float32; one file, one rename.
+    """
     data = blob.data
-    head = bytearray()
-    head += BLOB_MAGIC
-    head += struct.pack("<BB", _BLOB_CODE_FOR[data.dtype], data.ndim)
-    head += struct.pack(f"<{data.ndim}I", *data.shape)
-    le = data.astype(data.dtype.newbyteorder("<"), copy=False)
-    _write_file(path, bytes(head) + le.tobytes(order="C"))
-    if blob.meta:
-        text = json.dumps(blob.meta, sort_keys=True, indent=2) + "\n"
-        _write_file(_sidecar_path(path), text.encode("utf-8"))
+    meta = json.dumps(blob.meta, sort_keys=True).encode("utf-8")
+    head = BLOB_MAGIC + struct.pack(f"<B{data.ndim}II", data.ndim, *data.shape, len(meta))
+    _write_file(path, head + meta + data.astype("<f4", copy=False).tobytes())
 
 
 def read_blob(path: str | os.PathLike) -> TensorBlob:
-    """Read a blob written by :func:`write_blob`; loads the sidecar if present."""
-    path = str(path)
+    """Read a blob written by :func:`write_blob`; sizes are checked before any slice."""
     buf = _read_file(path)
-    if len(buf) < 6:
+    if len(buf) < 5:
         raise TruncatedPayload(f"{path}: too short for a blob header")
     if buf[:4] != BLOB_MAGIC:
         raise BadMagic(f"{path}: magic {buf[:4]!r} is not {BLOB_MAGIC!r}")
-    code, ndim = struct.unpack_from("<BB", buf, 4)
-    dtype = _BLOB_DTYPE_CODES.get(code)
-    if dtype is None:
-        raise UnsupportedDtype(f"{path}: blob dtype code {code} is not supported")
+    ndim = buf[4]
     if not 1 <= ndim <= 8:
         raise HeaderError(f"{path}: blob ndim {ndim} outside 1..8")
-    dims_end = 6 + 4 * ndim
-    if len(buf) < dims_end:
+    meta_start = 5 + 4 * ndim + 4
+    if len(buf) < meta_start:
         raise TruncatedPayload(f"{path}: truncated dimension list")
-    dims = struct.unpack_from(f"<{ndim}I", buf, 6)
+    *dims, meta_len = struct.unpack_from(f"<{ndim}II", buf, 5)
+    data_start = meta_start + meta_len
+    if len(buf) < data_start:
+        raise TruncatedPayload(f"{path}: metadata needs {meta_len} bytes past the header")
     count = math.prod(dims)
-    nbytes = count * dtype.itemsize
-    if len(buf) - dims_end != nbytes:
-        raise LengthMismatch(
-            f"{path}: payload is {len(buf) - dims_end} bytes, dims {dims} require {nbytes}"
-        )
-    data = np.frombuffer(buf, dtype=dtype, count=count, offset=dims_end).reshape(dims)
-
-    meta: dict[str, Any] = {}
-    sidecar = _sidecar_path(path)
-    if os.path.exists(sidecar):
-        try:
-            with open(sidecar, "r", encoding="utf-8") as fh:
-                meta = json.load(fh)
-        except OSError as exc:
-            raise IoFailure(f"cannot read sidecar {sidecar}: {exc}") from exc
-        except ValueError as exc:
-            raise SchemaMismatch(f"{sidecar}: sidecar is not valid JSON: {exc}") from exc
-        if not isinstance(meta, dict):
-            raise SchemaMismatch(f"{sidecar}: sidecar must hold a JSON object")
+    nbytes = len(buf) - data_start
+    if nbytes != 4 * count:
+        raise LengthMismatch(f"{path}: payload is {nbytes} bytes, dims {dims} require {4 * count}")
+    try:
+        meta = json.loads(buf[meta_start:data_start].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise SchemaMismatch(f"{path}: blob metadata is not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise SchemaMismatch(f"{path}: blob metadata must be a JSON object")
+    data = np.frombuffer(buf, dtype="<f4", count=count, offset=data_start).reshape(dims)
     return TensorBlob(data=np.array(data), meta=meta)

@@ -1,0 +1,34 @@
+"""Smoke test: every quick demo runs to completion as a script."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+# 07 drives the whole CLI on a phantom cohort; the end-to-end tests cover it
+DEMOS = sorted(p for p in (ROOT / "demos").glob("0[1-6]_*.py"))
+
+
+def test_six_quick_demos_found():
+    assert len(DEMOS) == 6
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(demo)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the demos print their own checks as "<what>: True"
+    assert not [line for line in proc.stdout.splitlines() if line.endswith(": False")]

@@ -340,6 +340,23 @@ class TestNormalize:
         assert nc.stds == (0.2110, 0.1629, 0.1620, 0.1626)
 
 
+class TestBuildConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"spacing": (1.0, 1.0)},
+            {"spacing": (1.0, 0.0, 1.0)},
+            {"spacing": (1.0, float("nan"), 1.0)},
+            {"shape": (16, 16)},
+            {"shape": (16, -1, 4)},
+            {"shape": (16.0, 16, 4)},
+        ],
+    )
+    def test_spacing_and_shape_are_three_positive_values(self, kwargs):
+        with pytest.raises(ValueError):
+            BuildConfig(**kwargs)
+
+
 class TestStackBlobs:
     def test_roundtrip_through_file(self, tmp_path):
         study = _phantom_study()
@@ -355,11 +372,11 @@ class TestStackBlobs:
         assert back.meta["laterality_convention"] == "low-x-is-right"
 
     def test_sidecar_carries_audit_fields(self, tmp_path):
+        """The audit fields travel inside the one .mct file; no .json is written."""
         stack = normalize_stack(build_stack(_phantom_study(), "right", SMALL_CFG))
         path = tmp_path / "p0_right.mct"
         write_blob(stack_to_blob(stack), path)
-        import json
-
-        meta = json.loads((tmp_path / "p0_right.json").read_text())
+        meta = read_blob(path).meta
         for key in ("channel_order", "norm_bounds", "row_window_start", "norm_means"):
             assert key in meta
+        assert [p.name for p in tmp_path.iterdir()] == ["p0_right.mct"]

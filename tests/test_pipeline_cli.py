@@ -6,6 +6,7 @@ the training-time label-access audit.
 import dataclasses
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from mipclass import phantom
 from mipclass.augment2d import AugmentPolicy, default_policy
 from mipclass.classhead import TrainConfig, class_weights
-from mipclass.errors import ManifestParse, MissingBlob, SchemaMismatch
+from mipclass.errors import ManifestParse, MipclassError, MissingBlob, SchemaMismatch
 from mipclass.evalkit import (
     Prediction,
     max_label,
@@ -22,9 +23,11 @@ from mipclass.evalkit import (
     stratified_kfold,
     write_predictions_csv,
 )
+from mipclass.mipbuild import MipStack
 from mipclass.pipeline_cli import (
     Manifest,
     PipelineConfig,
+    _load_stack,
     cmd_ensemble,
     cmd_evaluate,
     cmd_predict,
@@ -34,6 +37,7 @@ from mipclass.pipeline_cli import (
     load_config,
     main,
 )
+from mipclass.tensorio import TensorBlob, read_blob, write_blob
 
 # Native-grid config: no resampling work, tiny train budget.
 FAST_CONFIG = {
@@ -200,8 +204,34 @@ class TestConfig:
             load_config(path)
 
     def test_bad_k(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaMismatch):
             load_config_from({"k": 1})
+
+    @pytest.mark.parametrize(
+        "override, command",
+        [
+            ({"k": 1}, "split"),
+            ({"norm_stds": [0, 1, 1, 1]}, "split"),
+            ({"train": {"epochs": 2}}, "train"),
+            ({"shape": [128, 128]}, "preprocess"),
+            ({"spacing": 1.0}, "preprocess"),
+            ({"pool_grid": "x"}, "train"),
+            ({"train": [1]}, "train"),
+            ({"augment": 5}, "train"),
+        ],
+        ids=["k", "norm_stds", "epochs", "shape", "spacing", "pool_grid", "train", "augment"],
+    )
+    def test_invalid_value_exits_two(self, cohort, tmp_path, override, command, capsys):
+        raw = dict(FAST_CONFIG)
+        raw.update(override)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        argv = [command, "--manifest", str(cohort / "manifest.csv"), "--config", str(config)]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestPreprocess:
@@ -210,7 +240,8 @@ class TestPreprocess:
         phantom.write_cohort(2, seed=1, out_dir=run)
         rc = cmd_preprocess(run / "manifest.csv", config, run)
         assert rc == 0
-        blobs = sorted(p.name for p in (run / "stacks").glob("*.mct"))
+        # exactly one file per breast: the metadata is inside the .mct
+        blobs = sorted(p.name for p in (run / "stacks").iterdir())
         assert blobs == ["p000_left.mct", "p000_right.mct", "p001_left.mct", "p001_right.mct"]
         report = json.loads((run / "preprocess_report.json").read_text())
         assert report["failed"] == {}
@@ -508,8 +539,23 @@ def _truncate(path: Path) -> None:
     path.write_bytes(data[: len(data) // 2])
 
 
+def _meta_span(buf: bytes) -> tuple[int, int]:
+    """Offsets of the u32 metadata length and of the metadata's end in an MCT2 file."""
+    start = 5 + 4 * buf[4]  # magic, ndim, dims
+    (length,) = struct.unpack_from("<I", buf, start)
+    return start, start + 4 + length
+
+
+def _set_stack_meta(path: Path, meta) -> None:
+    """Replace the JSON metadata embedded in a stack file, keeping its pixels."""
+    buf = path.read_bytes()
+    start, end = _meta_span(buf)
+    text = json.dumps(meta).encode("utf-8")
+    path.write_bytes(buf[:start] + struct.pack("<I", len(text)) + text + buf[end:])
+
+
 class TestCorruptRunDirectory:
-    """Missing or corrupt JSON in a run directory is a typed error, exit 2."""
+    """A missing or corrupt run-directory artifact is a typed error, exit 2."""
 
     @pytest.mark.parametrize(
         "case, command",
@@ -525,11 +571,15 @@ class TestCorruptRunDirectory:
             ("sidecar_missing", "train"),
             ("sidecar_wrong_side", "train"),
             ("sidecar_bad_bounds", "train"),
+            ("stale_mct1", "train"),
+            ("model_bad_pool_grid", "predict"),
         ],
     )
     def test_exits_two_without_traceback(self, trained, tmp_path, case, command, capsys):
+        """The ``sidecar_*`` cases corrupt each stack's embedded metadata or its file."""
         run = tmp_path / "run"
         shutil.copytree(trained, run)
+        stacks = sorted((run / "stacks").glob("*.mct"))
         config = _write_config(tmp_path)
         if case == "missing_config":
             config = tmp_path / "missing.json"
@@ -543,30 +593,43 @@ class TestCorruptRunDirectory:
             (run / "folds.json").write_text(json.dumps(folds))
         elif case == "truncated_model":
             _truncate(run / "models" / "natural_fold0.json")
+        elif case == "model_bad_pool_grid":
+            model = run / "models" / "natural_fold0.json"
+            record = json.loads(model.read_text())
+            record["pool_grid"] = "x"
+            model.write_text(json.dumps(record))
         elif case == "truncated_sidecar":
-            for sidecar in (run / "stacks").glob("*.json"):
-                _truncate(sidecar)
+            for stack in stacks:
+                _truncate(stack)
         elif case == "sidecar_not_object":
-            for sidecar in (run / "stacks").glob("*.json"):
-                sidecar.write_text("[1, 2]")
+            for stack in stacks:
+                _set_stack_meta(stack, [1, 2])
         elif case == "sidecar_is_directory":
-            for sidecar in (run / "stacks").glob("*.json"):
-                sidecar.unlink()
-                sidecar.mkdir()
+            for stack in stacks:
+                stack.unlink()
+                stack.mkdir()
         elif case == "sidecar_missing":
-            for sidecar in (run / "stacks").glob("*.json"):
-                sidecar.unlink()
+            for stack in stacks:
+                _set_stack_meta(stack, {})
         elif case == "sidecar_wrong_side":
-            # each breast's file carries the other breast's metadata
-            for sidecar in (run / "stacks").glob("*.json"):
-                meta = json.loads(sidecar.read_text())
-                meta["side"] = "left" if meta["side"] == "right" else "right"
-                sidecar.write_text(json.dumps(meta))
+            # each breast's file holds the other breast's stack
+            for right in (run / "stacks").glob("*_right.mct"):
+                left = right.with_name(right.name.replace("_right", "_left"))
+                swap = right.with_suffix(".swap")
+                right.rename(swap)
+                left.rename(right)
+                swap.rename(left)
         elif case == "sidecar_bad_bounds":
-            for sidecar in (run / "stacks").glob("*.json"):
-                meta = json.loads(sidecar.read_text())
+            for stack in stacks:
+                meta = read_blob(stack).meta
                 meta["norm_bounds"] = 5
-                sidecar.write_text(json.dumps(meta))
+                _set_stack_meta(stack, meta)
+        elif case == "stale_mct1":
+            # the previous layout: dtype code, no embedded metadata
+            for stack in stacks:
+                buf = stack.read_bytes()
+                start, end = _meta_span(buf)
+                stack.write_bytes(b"MCT1" + bytes([1, buf[4]]) + buf[5:start] + buf[end:])
         argv = [command, "--out", str(run), "--weighting", "natural", "--fold", "0"]
         if command == "train":
             argv += ["--manifest", str(run / "manifest.csv"), "--config", str(config)]
@@ -577,7 +640,43 @@ class TestCorruptRunDirectory:
         assert "Traceback" not in err
 
 
+class TestStackFuzz:
+    def test_fuzzed_stacks_never_crash(self, cohort, tmp_path):
+        """Mutated headers/metadata and truncations give a MipStack or a typed error."""
+        rng = np.random.default_rng(4321)
+        base = (cohort / "stacks" / "p000_left.mct").read_bytes()
+        _, meta_end = _meta_span(base)
+        (tmp_path / "stacks").mkdir()
+        path = tmp_path / "stacks" / "p000_left.mct"
+        outcomes = {"ok": 0, "err": 0}
+        for _ in range(1500):
+            buf = bytearray(base)
+            for _ in range(rng.integers(1, 9)):
+                buf[int(rng.integers(0, meta_end))] = int(rng.integers(0, 256))
+            if rng.random() < 0.25:
+                buf = buf[: int(rng.integers(0, len(buf)))]
+            path.write_bytes(bytes(buf))
+            try:
+                assert isinstance(_load_stack(tmp_path, "p000", "left"), MipStack)
+                outcomes["ok"] += 1
+            except MipclassError:
+                outcomes["err"] += 1
+        assert outcomes["ok"] + outcomes["err"] == 1500
+        assert outcomes["ok"] > 0 and outcomes["err"] > 0
+
+
 class TestAugmentPreview:
+    def test_stack_without_metadata_exits_two(self, cohort, tmp_path, capsys):
+        stack_path = tmp_path / "p000_left.mct"
+        blob = read_blob(cohort / "stacks" / "p000_left.mct")
+        write_blob(TensorBlob(blob.data, meta={}), stack_path)
+        capsys.readouterr()
+        rc = main(["augment-preview", "--stack", str(stack_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_writes_augmented_blob(self, cohort, tmp_path):
         stack_path = cohort / "stacks" / "p000_left.mct"
         rc = main(
@@ -587,7 +686,6 @@ class TestAugmentPreview:
         out = tmp_path / "p000_left_aug7.mct"
         assert out.exists()
         from mipclass.mipbuild import stack_from_blob
-        from mipclass.tensorio import read_blob
 
         stack = stack_from_blob(read_blob(out))
         assert stack.meta["augment_seed"] == 7

@@ -1,4 +1,4 @@
-"""NIfTI-1 and MCT1 blob I/O tests, checked against an independent writer."""
+"""NIfTI-1 and MCT2 blob I/O tests, checked against an independent writer."""
 
 import struct
 
@@ -12,6 +12,7 @@ from mipclass.errors import (
     IoFailure,
     LengthMismatch,
     MipclassError,
+    SchemaMismatch,
     TruncatedPayload,
     UnsupportedDtype,
 )
@@ -243,6 +244,12 @@ class TestHeaderFuzz:
             read_nifti(p)
 
 
+def _blob_bytes(dims, meta_text: bytes, payload: bytes, magic=b"MCT2") -> bytes:
+    """Independent MCT2 writer: magic, ndim, dims, meta length, meta, payload."""
+    head = magic + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+    return head + struct.pack("<I", len(meta_text)) + meta_text + payload
+
+
 class TestBlob:
     def test_roundtrip_stack(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -252,13 +259,8 @@ class TestBlob:
         back = read_blob(p)
         assert back.data.tobytes() == data.tobytes()
         assert back.data.shape == (4, 256, 256)
-        assert back.meta["side"] == "left"
-
-    def test_roundtrip_uint8(self, tmp_path):
-        data = np.arange(12, dtype=np.uint8).reshape(3, 4)
-        p = tmp_path / "u8.mct"
-        write_blob(TensorBlob(data), p)
-        np.testing.assert_array_equal(read_blob(p).data, data)
+        assert back.meta == {"patient": "p0", "side": "left"}
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["stack.mct"]
 
     def test_payload_short_by_one(self, tmp_path):
         data = np.zeros(10, dtype=np.float32)
@@ -268,29 +270,64 @@ class TestBlob:
         with pytest.raises(LengthMismatch):
             read_blob(p)
 
-    def test_unknown_dtype_code(self, tmp_path):
-        data = np.zeros(4, dtype=np.float32)
-        p = tmp_path / "odd.mct"
-        write_blob(TensorBlob(data), p)
-        buf = bytearray(p.read_bytes())
-        buf[4] = 99
-        p.write_bytes(bytes(buf))
-        with pytest.raises(UnsupportedDtype):
-            read_blob(p)
+    def test_unknown_dtype_code(self):
+        """Blobs hold float32 only; any other element type is refused."""
+        for dtype in (np.uint8, np.float64):
+            with pytest.raises(UnsupportedDtype):
+                TensorBlob(np.zeros(4, dtype=dtype))
 
     def test_wrong_magic(self, tmp_path):
+        """Also refuses the previous MCT1 layout (dtype code, no embedded metadata)."""
         p = tmp_path / "m.mct"
-        p.write_bytes(b"NOPE" + bytes(10))
-        with pytest.raises(BadMagic):
-            read_blob(p)
+        for buf in (b"NOPE" + bytes(10), b"MCT1" + struct.pack("<BBI", 1, 1, 2) + bytes(8)):
+            p.write_bytes(buf)
+            with pytest.raises(BadMagic):
+                read_blob(p)
 
     def test_header_layout(self, tmp_path):
-        data = np.zeros((2, 3), dtype=np.float32)
+        data = np.arange(6, dtype=np.float32).reshape(2, 3)
         p = tmp_path / "layout.mct"
-        write_blob(TensorBlob(data), p)
+        write_blob(TensorBlob(data, meta={"b": 1, "a": "x"}), p)
         buf = p.read_bytes()
-        assert buf[:4] == b"MCT1"
-        assert buf[4] == 1  # f32 code
-        assert buf[5] == 2  # ndim
-        assert struct.unpack_from("<2I", buf, 6) == (2, 3)
-        assert len(buf) == 14 + 24
+        meta = b'{"a": "x", "b": 1}'  # sorted keys
+        assert buf[:4] == b"MCT2"
+        assert buf[4] == 2  # ndim
+        assert struct.unpack_from("<2I", buf, 5) == (2, 3)
+        assert struct.unpack_from("<I", buf, 13)[0] == len(meta)
+        assert buf[17 : 17 + len(meta)] == meta
+        assert buf[17 + len(meta) :] == data.astype("<f4").tobytes()
+        assert buf == _blob_bytes((2, 3), meta, data.tobytes())
+
+    def test_reads_independent_writer(self, tmp_path):
+        data = np.arange(8, dtype=np.float32).reshape(2, 2, 2)
+        p = tmp_path / "ref.mct"
+        p.write_bytes(_blob_bytes((2, 2, 2), b'{"k": [1, 2]}', data.tobytes()))
+        back = read_blob(p)
+        np.testing.assert_array_equal(back.data, data)
+        assert back.meta == {"k": [1, 2]}
+
+    @pytest.mark.parametrize(
+        "meta_text",
+        [b"{not json", b"[1, 2]", b'"text"', b"\xff\xfe"],
+        ids=["invalid_json", "array", "string", "not_utf8"],
+    )
+    def test_meta_must_be_a_json_object(self, tmp_path, meta_text):
+        p = tmp_path / "meta.mct"
+        p.write_bytes(_blob_bytes((2,), meta_text, bytes(8)))
+        with pytest.raises(SchemaMismatch):
+            read_blob(p)
+
+    def test_meta_length_past_end_of_file(self, tmp_path):
+        """A huge declared meta length fails on the size check, not on a slice."""
+        buf = bytearray(_blob_bytes((2,), b"{}", bytes(8)))
+        struct.pack_into("<I", buf, 9, 0xFFFFFFFF)
+        p = tmp_path / "long.mct"
+        p.write_bytes(bytes(buf))
+        with pytest.raises(TruncatedPayload):
+            read_blob(p)
+
+    def test_huge_dims_no_allocation(self, tmp_path):
+        p = tmp_path / "huge.mct"
+        p.write_bytes(_blob_bytes((0xFFFFFFFF,) * 8, b"{}", bytes(8)))
+        with pytest.raises(LengthMismatch):
+            read_blob(p)
