@@ -8,7 +8,9 @@ import numpy as np
 
 from mipclass import TensorBlob, Volume, read_blob, read_nifti, write_blob, write_nifti
 
-work = Path(tempfile.mkdtemp(prefix="mipclass_demo_"))
+# The work directory is removed at the end (or at exit, should a step fail).
+tmp = tempfile.TemporaryDirectory(prefix="mipclass_demo_")
+work = Path(tmp.name)
 
 # A small volume with anisotropic spacing and an offset origin.
 data = np.arange(4 * 3 * 2, dtype=np.float32).reshape(4, 3, 2)
@@ -42,4 +44,5 @@ write_blob(blob, path)
 loaded = read_blob(path)
 print("blob round trip:", np.array_equal(loaded.data, blob.data))
 print("embedded meta:", loaded.meta["note"])
-print("files written under", work)
+print("files written:", sorted(p.name for p in work.iterdir()))
+tmp.cleanup()

@@ -4,7 +4,7 @@
 
 import numpy as np
 
-from mipclass import CHANNEL_NAMES, BuildConfig, build_stack, normalize_stack
+from mipclass import CHANNEL_NAMES, BuildConfig, build_stacks, normalize_stack
 from mipclass.phantom import NATIVE_SHAPE, NATIVE_SPACING, generate_study
 
 # A synthetic study: malignant right breast, clear left breast.
@@ -12,9 +12,11 @@ study = generate_study("demo", index=4, cohort_seed=7)
 print("labels: right =", study.label_right, " left =", study.label_left)
 print("phases:", 1 + len(study.posts), "volumes of", study.pre.data.shape)
 
-# Standardize on the native grid and keep a 32-row band.
+# Standardize on the native grid and keep a 32-row band.  One call builds
+# both sides from one pass over the volumes.
 cfg = BuildConfig(spacing=NATIVE_SPACING, shape=NATIVE_SHAPE, row_window=32)
-stack = build_stack(study, "right", cfg)
+stacks = build_stacks(study, cfg)
+stack = stacks["right"]
 print("channels:", CHANNEL_NAMES)
 print("stack shape:", stack.channels.shape, "side:", stack.side)
 
@@ -25,7 +27,7 @@ for name, channel in zip(CHANNEL_NAMES, stack.channels):
 assert stack.channels[1].max() > stack.channels[3].max()
 
 # The clear side carries only background enhancement.
-clear = build_stack(study, "left", cfg)
+clear = stacks["left"]
 print("clear-side sub1 max:", round(float(clear.channels[1].max()), 2))
 
 # Normalization: per-channel min-max to [0, 1], then fixed constants.

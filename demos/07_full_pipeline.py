@@ -8,7 +8,9 @@ from pathlib import Path
 
 from mipclass import main
 
-work = Path(tempfile.mkdtemp(prefix="mipclass_run_"))
+# The work directory is removed at the end (or at exit, should a step fail).
+tmp = tempfile.TemporaryDirectory(prefix="mipclass_run_")
+work = Path(tmp.name)
 run = work / "run"
 
 # A compact configuration: modest grid, short schedule, augmentation off.
@@ -48,4 +50,5 @@ metrics = json.loads((run / "metrics" / "ensemble.json").read_text())
 print("\nout-of-fold ensemble metrics:")
 for key in ("auc", "sens_at_90spec", "spec_at_90sens", "score"):
     print(f"  {key:15s} {metrics[key]:.4f}")
-print("\nrun directory:", run)
+print("\nrun directory held:", sorted(p.name for p in run.iterdir()))
+tmp.cleanup()

@@ -29,7 +29,6 @@ from .errors import (
 )
 from .geometry import (
     Interp,
-    RowWindow,
     crop_or_pad,
     extract_rows,
     localize_rows,
@@ -106,6 +105,9 @@ class BuildConfig:
         integral = all(isinstance(n, (int, np.integer)) for n in self.shape)
         if len(self.shape) != 3 or not integral or min(self.shape) < 1:
             raise ValueError(f"shape must be three positive integers, got {self.shape}")
+        window = self.row_window
+        if not isinstance(window, (int, np.integer)) or isinstance(window, bool) or window < 1:
+            raise ValueError(f"row_window must be an integer >= 1, got {window!r}")
 
 
 @dataclass(frozen=True)
@@ -224,53 +226,32 @@ def _standardize(volume: Volume, cfg: BuildConfig, interp: Interp) -> Volume:
     )
 
 
-def _side_half(volume: Volume, rows: RowWindow, side: str) -> Volume:
-    halves = split_lr(extract_rows(volume, rows))
-    return halves[0] if side == "right" else halves[1]
+def build_stacks(study: Study, cfg: BuildConfig = BuildConfig()) -> dict[str, MipStack]:
+    """Run the §-ordered pipeline once per study and stack the 4 MIPs per side.
 
-
-def build_stack(study: Study, side: str, cfg: BuildConfig = BuildConfig()) -> MipStack:
-    """Run the §-ordered pipeline for one breast side and stack the 4 MIPs.
-
-    Reorient -> resample -> crop/pad each phase; localize rows on post1 and
-    reuse that window everywhere; split at 50% width and keep `side`; apply
-    the (identically standardized) mask; subtract; project along z.
+    Reorient -> resample -> crop/pad each distinct phase once; localize rows
+    on post1 and reuse that window everywhere; split at 50% width; apply
+    the (identically standardized) mask; subtract; project along z.  Each
+    standardized volume is cut to the row window as soon as it is made, so
+    no two full-grid volumes are held at once.  Keys follow ``SIDES``.
     """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     phases = select_phases(study)
-
-    standardized: dict[int, Volume] = {}
-    for vol in (phases.pre, phases.post1, phases.post2, phases.last):
-        if id(vol) not in standardized:
-            standardized[id(vol)] = _standardize(vol, cfg, Interp.TRILINEAR)
-    pre = standardized[id(phases.pre)]
-    post1 = standardized[id(phases.post1)]
-    post2 = standardized[id(phases.post2)]
-    last = standardized[id(phases.last)]
-
+    post1 = _standardize(phases.post1, cfg, Interp.TRILINEAR)
     rows = localize_rows(post1, cfg.row_window)
 
-    mask_half: Volume | None = None
+    def cut(vol: Volume) -> tuple[Volume, Volume]:
+        return split_lr(extract_rows(vol, rows))
+
+    halves = {id(phases.post1): cut(post1)}
+    del post1
+    mask_halves: tuple[Volume, Volume] | None = None
     if study.mask is not None:
         _check_mask_values(study.mask.data)
-        std_mask = _standardize(study.mask, cfg, Interp.NEAREST)
-        mask_half = _side_half(std_mask, rows, side)
+        mask_halves = cut(_standardize(study.mask, cfg, Interp.NEAREST))
+    for vol in (phases.pre, phases.post2, phases.last):
+        if id(vol) not in halves:
+            halves[id(vol)] = cut(_standardize(vol, cfg, Interp.TRILINEAR))
 
-    def finish(vol: Volume) -> Volume:
-        half = _side_half(vol, rows, side)
-        return half if mask_half is None else apply_mask(half, mask_half)
-
-    pre, post1, post2, last = finish(pre), finish(post1), finish(post2), finish(last)
-
-    channels = np.stack(
-        [
-            mip_z(post1),
-            mip_z(subtract_clamped(post1, pre)),
-            mip_z(subtract_clamped(post2, pre)),
-            mip_z(subtract_clamped(last, pre)),
-        ]
-    )
     meta = {
         "channel_order": list(CHANNEL_NAMES),
         "row_window_start": rows.start,
@@ -279,13 +260,29 @@ def build_stack(study: Study, side: str, cfg: BuildConfig = BuildConfig()) -> Mi
         "masked": study.mask is not None,
         "n_posts": len(study.posts),
     }
-    return MipStack(
-        channels=channels,
-        side=side,
-        patient_id=study.patient_id,
-        normalized=False,
-        meta=meta,
-    )
+    stacks = {}
+    for i, side in enumerate(SIDES):
+        vols = [halves[id(v)][i] for v in (phases.pre, phases.post1, phases.post2, phases.last)]
+        if mask_halves is not None:
+            vols = [apply_mask(v, mask_halves[i]) for v in vols]
+        pre, post1, post2, last = vols
+        channels = np.stack(
+            [
+                mip_z(post1),
+                mip_z(subtract_clamped(post1, pre)),
+                mip_z(subtract_clamped(post2, pre)),
+                mip_z(subtract_clamped(last, pre)),
+            ]
+        )
+        stacks[side] = MipStack(channels, side, study.patient_id, meta=dict(meta))
+    return stacks
+
+
+def build_stack(study: Study, side: str, cfg: BuildConfig = BuildConfig()) -> MipStack:
+    """One side of :func:`build_stacks`."""
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+    return build_stacks(study, cfg)[side]
 
 
 def normalize_stack(stack: MipStack, constants: NormConstants = NormConstants()) -> MipStack:

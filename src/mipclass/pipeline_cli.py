@@ -56,7 +56,7 @@ from .mipbuild import (
     MipStack,
     NormConstants,
     Study,
-    build_stack,
+    build_stacks,
     normalize_stack,
     stack_filename,
     stack_from_blob,
@@ -346,8 +346,7 @@ def cmd_phantom(n: int, seed: int, out_dir: str | Path) -> int:
 
 def _preprocess_one(manifest: Manifest, patient_id: str, config: PipelineConfig, out: Path):
     study = manifest.load_study(patient_id)
-    for side in SIDES:
-        stack = build_stack(study, side, config.build)
+    for side, stack in build_stacks(study, config.build).items():
         stack = normalize_stack(stack, config.norm)
         write_blob(stack_to_blob(stack), _stack_path(out, patient_id, side))
 

@@ -241,6 +241,8 @@ class TensorBlob:
             raise UnsupportedDtype(f"blob dtype must be float32, got {data.dtype}")
         if data.ndim < 1 or data.ndim > 8:
             raise HeaderError(f"blob ndim must be in 1..8, got {data.ndim}")
+        if not isinstance(self.meta, dict):
+            raise SchemaMismatch(f"blob metadata must be a dict, got {type(self.meta).__name__}")
         self.data = data
 
 

@@ -8,6 +8,7 @@ synthetic two-blob study with known lesion coordinates.
 import numpy as np
 import pytest
 
+from mipclass import mipbuild
 from mipclass.errors import (
     AlreadyNormalized,
     GridMismatch,
@@ -15,10 +16,20 @@ from mipclass.errors import (
     NonBinaryMask,
     TooFewPhases,
 )
+from mipclass.geometry import (
+    Interp,
+    crop_or_pad,
+    extract_rows,
+    localize_rows,
+    reorient_canonical,
+    resample,
+    split_lr,
+)
 from mipclass.mipbuild import (
     CHANNEL_NAMES,
     PAPER_MEANS,
     PAPER_STDS,
+    SIDES,
     BuildConfig,
     MipStack,
     NormConstants,
@@ -26,6 +37,7 @@ from mipclass.mipbuild import (
     Study,
     apply_mask,
     build_stack,
+    build_stacks,
     denormalize_stack,
     mip_z,
     normalize_stack,
@@ -34,6 +46,8 @@ from mipclass.mipbuild import (
     stack_to_blob,
     subtract_clamped,
 )
+from mipclass.phantom import generate_study
+from mipclass.pipeline_cli import PipelineConfig, _preprocess_one
 from mipclass.tensorio import read_blob, write_blob
 from mipclass.volume import Volume
 
@@ -254,9 +268,6 @@ class TestBuildStack:
 
     def test_partition_conservation(self):
         """Left + right channel sums equal the unsplit sums (even width)."""
-        from mipclass.geometry import Interp, crop_or_pad, extract_rows, localize_rows
-        from mipclass.geometry import reorient_canonical, resample, split_lr
-
         study = _phantom_study()
         cfg = SMALL_CFG
         left = build_stack(study, "left", cfg)
@@ -291,9 +302,155 @@ class TestBuildStack:
         assert stack.meta["channel_order"] == list(CHANNEL_NAMES)
         assert stack.meta["masked"] is True
 
-    def test_bad_side_rejected(self):
+    def test_bad_side_rejected(self, monkeypatch):
+        """The side is checked before any volume is resampled."""
+        calls = _count_resample(monkeypatch)
         with pytest.raises(ValueError):
             build_stack(_phantom_study(), "up", SMALL_CFG)
+        assert calls == []
+
+
+def _reference_stack(study, side, cfg):
+    """One side built the per-side way: every phase and the mask standardized
+    for this side alone, then cut, masked, subtracted and projected."""
+
+    def standardize(v, interp):
+        return crop_or_pad(resample(reorient_canonical(v), cfg.spacing, interp), cfg.shape)
+
+    def half(v):
+        return split_lr(extract_rows(v, rows))[SIDES.index(side)]
+
+    phases = select_phases(study)
+    pre, post1, post2, last = [
+        standardize(v, Interp.TRILINEAR)
+        for v in (phases.pre, phases.post1, phases.post2, phases.last)
+    ]
+    rows = localize_rows(post1, cfg.row_window)
+    vols = [half(v) for v in (pre, post1, post2, last)]
+    if study.mask is not None:
+        mask = half(standardize(study.mask, Interp.NEAREST))
+        vols = [apply_mask(v, mask) for v in vols]
+    pre, post1, post2, last = vols
+    channels = np.stack(
+        [
+            mip_z(post1),
+            mip_z(subtract_clamped(post1, pre)),
+            mip_z(subtract_clamped(post2, pre)),
+            mip_z(subtract_clamped(last, pre)),
+        ]
+    )
+    meta = {
+        "channel_order": list(CHANNEL_NAMES),
+        "row_window_start": rows.start,
+        "row_window_length": rows.length,
+        "laterality_convention": "low-x-is-right",
+        "masked": study.mask is not None,
+        "n_posts": len(study.posts),
+    }
+    return channels, meta
+
+
+def _count_resample(monkeypatch):
+    calls = []
+
+    def counting(volume, target, interp):
+        calls.append(interp)
+        return resample(volume, target, interp)
+
+    monkeypatch.setattr(mipbuild, "resample", counting)
+    return calls
+
+
+def _without(study, mask=True, n_posts=None):
+    return Study(
+        patient_id=study.patient_id,
+        pre=study.pre,
+        posts=study.posts[:n_posts],
+        mask=study.mask if mask else None,
+    )
+
+
+def _generated():
+    return generate_study("g", index=4, cohort_seed=7)
+
+
+def _permuted(study):
+    """The same study stored y-x-z with z descending: reorientation is not a no-op."""
+
+    def permute(v):
+        affine = v.affine[:, [1, 0, 2, 3]].copy()
+        affine[:3, 3] += affine[:3, 2] * (v.shape[2] - 1)
+        affine[:3, 2] *= -1
+        data = np.ascontiguousarray(v.data.transpose(1, 0, 2)[:, :, ::-1])
+        return Volume(data, (v.spacing[1], v.spacing[0], v.spacing[2]), affine)
+
+    return Study(
+        patient_id=study.patient_id,
+        pre=permute(study.pre),
+        posts=tuple(permute(v) for v in study.posts),
+        mask=permute(study.mask),
+    )
+
+
+# resampled, cropped in x and z and padded in y, so the row search runs over padded rows
+PHANTOM_CFG = BuildConfig(spacing=(0.7, 0.7, 3.0), shape=(120, 140, 28), row_window=48)
+
+# name: (study factory, what to drop from it, config)
+BUILD_CASES = {
+    "masked": (_phantom_study, {}, SMALL_CFG),
+    "unmasked": (_phantom_study, {"mask": False}, SMALL_CFG),
+    "two_posts": (_phantom_study, {"n_posts": 2}, SMALL_CFG),
+    "phantom": (_generated, {}, PHANTOM_CFG),
+    "phantom_unmasked": (_generated, {"mask": False}, PHANTOM_CFG),
+    "phantom_two_posts": (_generated, {"n_posts": 2}, PHANTOM_CFG),
+    "phantom_permuted": (lambda: _permuted(_generated()), {}, PHANTOM_CFG),
+}
+
+
+class TestBuildStacks:
+    @pytest.mark.parametrize("case", list(BUILD_CASES))
+    def test_both_sides_match_per_side_reference(self, case):
+        make_study, drop, cfg = BUILD_CASES[case]
+        study = _without(make_study(), **drop)
+        stacks = build_stacks(study, cfg)
+        assert list(stacks) == list(SIDES)
+        for side, stack in stacks.items():
+            channels, meta = _reference_stack(study, side, cfg)
+            assert stack.channels.dtype == np.float32
+            assert stack.channels.shape == channels.shape
+            assert stack.channels.tobytes() == channels.tobytes()
+            assert stack.meta == meta
+            assert (stack.side, stack.patient_id) == (side, study.patient_id)
+            assert not stack.normalized and stack.norm_bounds is None
+
+    def test_sides_do_not_share_metadata(self):
+        stacks = build_stacks(_phantom_study(), SMALL_CFG)
+        stacks["right"].meta["note"] = 1
+        assert "note" not in stacks["left"].meta
+
+    @pytest.mark.parametrize(
+        "mask, n_posts, expected",
+        [(True, None, 5), (False, 2, 3)],
+        ids=["three_posts_and_mask", "two_posts_no_mask"],
+    )
+    def test_each_volume_resampled_once_per_study(
+        self, monkeypatch, tmp_path, mask, n_posts, expected
+    ):
+        study = _without(_phantom_study(), mask=mask, n_posts=n_posts)
+
+        class OneStudy:
+            def load_study(self, patient_id):
+                return study
+
+        (tmp_path / "stacks").mkdir()
+        calls = _count_resample(monkeypatch)
+        _preprocess_one(OneStudy(), "p0", PipelineConfig(build=SMALL_CFG), tmp_path)
+        assert len(calls) == expected
+        assert calls.count(Interp.NEAREST) == int(mask)
+        assert sorted(p.name for p in (tmp_path / "stacks").iterdir()) == [
+            "p0_left.mct",
+            "p0_right.mct",
+        ]
 
 
 class TestNormalize:
@@ -355,6 +512,14 @@ class TestBuildConfig:
     def test_spacing_and_shape_are_three_positive_values(self, kwargs):
         with pytest.raises(ValueError):
             BuildConfig(**kwargs)
+
+    @pytest.mark.parametrize("window", ["x", 0, -5, True, 2.5, None])
+    def test_row_window_is_a_positive_integer(self, window):
+        with pytest.raises(ValueError, match="row_window"):
+            BuildConfig(row_window=window)
+
+    def test_numpy_integer_row_window_accepted(self):
+        assert BuildConfig(row_window=np.int64(8)).row_window == 8
 
 
 class TestStackBlobs:

@@ -218,8 +218,15 @@ class TestConfig:
             ({"pool_grid": "x"}, "train"),
             ({"train": [1]}, "train"),
             ({"augment": 5}, "train"),
+            ({"row_window": "x"}, "preprocess"),
+            ({"row_window": 0}, "preprocess"),
+            ({"row_window": -5}, "preprocess"),
+            ({"row_window": True}, "preprocess"),
         ],
-        ids=["k", "norm_stds", "epochs", "shape", "spacing", "pool_grid", "train", "augment"],
+        ids=[
+            "k", "norm_stds", "epochs", "shape", "spacing", "pool_grid", "train", "augment",
+            "row_window_str", "row_window_zero", "row_window_negative", "row_window_bool",
+        ],
     )
     def test_invalid_value_exits_two(self, cohort, tmp_path, override, command, capsys):
         raw = dict(FAST_CONFIG)

@@ -317,6 +317,12 @@ class TestBlob:
         with pytest.raises(SchemaMismatch):
             read_blob(p)
 
+    @pytest.mark.parametrize("meta", [[1, 2], "text", None], ids=["list", "string", "none"])
+    def test_writer_refuses_meta_the_reader_rejects(self, tmp_path, meta):
+        with pytest.raises(SchemaMismatch):
+            write_blob(TensorBlob(np.zeros(2, np.float32), meta=meta), tmp_path / "x.mct")
+        assert list(tmp_path.iterdir()) == []
+
     def test_meta_length_past_end_of_file(self, tmp_path):
         """A huge declared meta length fails on the size check, not on a slice."""
         buf = bytearray(_blob_bytes((2,), b"{}", bytes(8)))
