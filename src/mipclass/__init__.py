@@ -5,7 +5,6 @@ from .augment2d import (
     augment,
     default_policy,
     derive_seed,
-    identity_policy,
 )
 from .classhead import (
     ClassWeights,
@@ -78,80 +77,3 @@ from .tensorio import TensorBlob, read_blob, read_nifti, write_blob, write_nifti
 from .volume import Volume
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AugmentPolicy",
-    "BENIGN",
-    "BuildConfig",
-    "CHANNEL_NAMES",
-    "ClassWeights",
-    "FoldPlan",
-    "HeadParams",
-    "HeadSpec",
-    "Interp",
-    "MALIGNANT",
-    "Manifest",
-    "MetricsReport",
-    "MipStack",
-    "MipclassError",
-    "NO_LESION",
-    "NormConstants",
-    "PipelineConfig",
-    "Prediction",
-    "RowWindow",
-    "SIDES",
-    "Study",
-    "TensorBlob",
-    "TrainConfig",
-    "TrainResult",
-    "Volume",
-    "apply_mask",
-    "augment",
-    "build_stack",
-    "build_stacks",
-    "class_weights",
-    "confusion",
-    "crop_or_pad",
-    "default_policy",
-    "denormalize_stack",
-    "derive_seed",
-    "ensemble",
-    "ensemble_all",
-    "evaluate",
-    "extract_features",
-    "extract_rows",
-    "feature_dim",
-    "forward",
-    "grad_weighted_ce",
-    "identity_policy",
-    "load_config",
-    "localize_rows",
-    "lr_schedule",
-    "main",
-    "max_label",
-    "mip_z",
-    "normalize_stack",
-    "overall_score",
-    "predict_labels",
-    "read_blob",
-    "read_nifti",
-    "read_predictions_csv",
-    "reorient_canonical",
-    "resample",
-    "roc_auc_micro",
-    "sens_at_spec",
-    "spec_at_sens",
-    "split_lr",
-    "stack_from_blob",
-    "stack_to_blob",
-    "stratified_kfold",
-    "subtract_clamped",
-    "train_head",
-    "train_heads",
-    "uniform_weights",
-    "weighted_ce",
-    "write_blob",
-    "write_nifti",
-    "write_predictions_csv",
-    "__version__",
-]

@@ -94,32 +94,8 @@ class AugmentPolicy:
 
 
 def default_policy() -> AugmentPolicy:
-    """Everything enabled at p=0.5 with mid-strength magnitudes."""
-    return AugmentPolicy(
-        hflip_p=0.5,
-        vflip_p=0.5,
-        rotate_p=0.5,
-        rotate_deg=15.0,
-        affine_p=0.5,
-        scale_range=(0.9, 1.1),
-        shear_deg=10.0,
-        translate_frac=0.05,
-        brightness_p=0.5,
-        brightness_delta=0.2,
-        contrast_p=0.5,
-        contrast_delta=0.2,
-        noise_p=0.5,
-        noise_sigma=0.05,
-        blur_p=0.5,
-        blur_sigma=1.5,
-        dropout_p=0.5,
-        dropout_max_holes=8,
-        dropout_max_size=32,
-    )
-
-
-def identity_policy() -> AugmentPolicy:
-    return AugmentPolicy()
+    """Everything enabled at p=0.5 with the default magnitudes."""
+    return AugmentPolicy(**{name: 0.5 for name in _PROB_FIELDS})
 
 
 def derive_seed(global_seed: int, patient_id: str, side: str, epoch: int) -> int:

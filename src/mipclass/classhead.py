@@ -21,9 +21,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimMismatch, EmptyClass
+from .evalkit import N_CLASSES
 from .mipbuild import MipStack
 
-N_CLASSES = 3
 LOG_FLOOR = 1e-12
 DEFAULT_POOL_GRID = 4
 

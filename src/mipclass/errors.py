@@ -100,3 +100,7 @@ class MissingBlob(MipclassError):
 
 class SchemaMismatch(MipclassError):
     """CSV/JSON artifact does not match the expected schema."""
+
+
+class BadArgument(MipclassError):
+    """A command-line value is outside the range its inputs allow."""

@@ -19,13 +19,22 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateLabels, EmptyGroup, SchemaMismatch, TooFewPatients
+from .errors import (
+    DegenerateLabels,
+    EmptyGroup,
+    IoFailure,
+    MissingBlob,
+    SchemaMismatch,
+    TooFewPatients,
+)
+from .mipbuild import SIDES
 from .tensorio import _write_file
 
 NO_LESION, BENIGN, MALIGNANT = 0, 1, 2
 CLASS_NAMES = ("nolesion", "benign", "malignant")
 # Spelled-out forms used in manifest files; index = class integer.
 LABEL_STRINGS = ("no_lesion", "benign", "malignant")
+MANIFEST_HEADER = ("patient_id", "pre_path", "post_paths", "mask_path", "label_left", "label_right")
 N_CLASSES = 3
 
 
@@ -53,6 +62,9 @@ class FoldPlan:
                 raise ValueError(f"{patient}: fold {fold} outside [0, {self.k})")
         if set(self.assignment) != set(self.strat_labels):
             raise ValueError("assignment and stratification labels disagree on patients")
+        empty = sorted(set(range(self.k)) - set(self.assignment.values()))
+        if empty:
+            raise ValueError(f"folds {empty} hold no patients")
 
     def patients_in_fold(self, fold: int) -> list[str]:
         return sorted(p for p, f in self.assignment.items() if f == fold)
@@ -66,8 +78,10 @@ def stratified_kfold(
 ) -> FoldPlan:
     """Shuffle each label class (seeded) and deal its patients round-robin.
 
-    Both breasts of a patient share the patient's fold by construction, so
-    the split never leaks a patient across training and validation.
+    Each class's dealing starts where the previous class's stopped, so fold
+    sizes differ by at most one overall as well as per class.  Both breasts
+    of a patient share the patient's fold by construction, so the split
+    never leaks a patient across training and validation.
     """
     patients = list(patients)
     labels = [int(v) for v in labels]
@@ -85,8 +99,9 @@ def stratified_kfold(
     for cls in sorted(set(labels)):
         members = sorted(p for p, lab in zip(patients, labels) if lab == cls)
         order = rng.permutation(len(members))
+        dealt = len(assignment)
         for i, j in enumerate(order):
-            assignment[members[j]] = i % k
+            assignment[members[j]] = (dealt + i) % k
     return FoldPlan(
         k=k,
         assignment=assignment,
@@ -202,6 +217,8 @@ class Prediction:
     model_id: str = ""
 
     def __post_init__(self) -> None:
+        if self.side not in SIDES:
+            raise ValueError(f"side must be one of {SIDES}, got {self.side!r}")
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.shape != (N_CLASSES,):
             raise ValueError(f"probs must be length 3, got shape {probs.shape}")
@@ -328,20 +345,26 @@ def write_predictions_csv(predictions: Sequence[Prediction], path) -> None:
 
 
 def read_predictions_csv(path) -> list[Prediction]:
+    """Parse a prediction CSV; every way it can be unreadable is a typed error."""
     out = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_HEADER:
-            raise SchemaMismatch(f"unexpected prediction CSV header: {header}")
-        for row in reader:
-            if len(row) != len(CSV_HEADER):
-                raise SchemaMismatch(f"malformed prediction row: {row}")
-            try:
-                probs = np.array([float(row[2]), float(row[3]), float(row[4])])
-            except ValueError as exc:
-                raise SchemaMismatch(f"non-numeric probability in row: {row}") from exc
-            out.append(
-                Prediction(patient_id=row[0], side=row[1], probs=probs, model_id=row[5])
-            )
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or tuple(header) != CSV_HEADER:
+                raise SchemaMismatch(f"unexpected prediction CSV header: {header}")
+            for row in reader:
+                if len(row) != len(CSV_HEADER):
+                    raise SchemaMismatch(f"malformed prediction row: {row}")
+                try:
+                    probs = np.array([float(row[2]), float(row[3]), float(row[4])])
+                    out.append(Prediction(row[0], row[1], probs, row[5]))
+                except ValueError as exc:
+                    raise SchemaMismatch(f"invalid prediction row {row}: {exc}") from exc
+    except FileNotFoundError as exc:
+        raise MissingBlob(f"no prediction CSV at {path}") from exc
+    except OSError as exc:
+        raise IoFailure(f"cannot read prediction CSV {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise SchemaMismatch(f"unreadable prediction CSV {path}: {exc}") from exc
     return out

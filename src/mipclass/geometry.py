@@ -37,11 +37,10 @@ class Interp(enum.Enum):
 
 @dataclass(frozen=True)
 class RowWindow:
-    """Contiguous index window along one array axis."""
+    """Contiguous index window along the height axis."""
 
     start: int
     length: int
-    axis: int = HEIGHT_AXIS
 
     def __post_init__(self) -> None:
         if self.start < 0:
@@ -155,10 +154,8 @@ def resample(volume: Volume, target: tuple[float, float, float], interp: Interp)
     return Volume(np.ascontiguousarray(data), target, affine)
 
 
-def crop_or_pad(
-    volume: Volume, target_shape: tuple[int, int, int], fill: float = 0.0
-) -> Volume:
-    """Center-crop or pad each axis to `target_shape`.
+def crop_or_pad(volume: Volume, target_shape: tuple[int, int, int]) -> Volume:
+    """Center-crop or zero-pad each axis to `target_shape`.
 
     Odd size differences put the extra padded voxel on the high-index side
     and remove the extra cropped voxel from the high-index side; retained
@@ -170,7 +167,7 @@ def crop_or_pad(
     if target_shape == volume.shape:
         return volume
 
-    out = np.full(target_shape, np.float32(fill), dtype=np.float32)
+    out = np.zeros(target_shape, dtype=np.float32)
     src_slices = []
     dst_slices = []
     origin_offset = [0, 0, 0]
@@ -212,19 +209,15 @@ def localize_rows(volume: Volume, window: int = 256) -> RowWindow:
 
 def extract_rows(volume: Volume, rows: RowWindow) -> Volume:
     """Slice the row window out of the volume, keeping world positions."""
-    if rows.stop > volume.shape[rows.axis]:
+    if rows.stop > volume.shape[HEIGHT_AXIS]:
         raise ValueError(
             f"window [{rows.start}, {rows.stop}) exceeds axis extent "
-            f"{volume.shape[rows.axis]}"
+            f"{volume.shape[HEIGHT_AXIS]}"
         )
-    slices = [slice(None)] * 3
-    slices[rows.axis] = slice(rows.start, rows.stop)
-    offset = [0, 0, 0]
-    offset[rows.axis] = rows.start
     return Volume(
-        np.ascontiguousarray(volume.data[tuple(slices)]),
+        np.ascontiguousarray(volume.data[:, rows.start : rows.stop]),
         volume.spacing,
-        _translate_affine(volume.affine, tuple(offset)),
+        _translate_affine(volume.affine, (0, rows.start, 0)),
     )
 
 

@@ -189,6 +189,18 @@ def _regrid_mask_nearest(mask: Volume, target: Volume) -> np.ndarray:
     return binary[idx[0], idx[1], idx[2]]
 
 
+def _mask_on_grid(mask: Volume, target: Volume) -> np.ndarray:
+    """The mask thresholded at 0.5 on `target`'s grid, nearest-regridded if needed."""
+    if _same_grid(target, mask):
+        return mask.data >= 0.5
+    return _regrid_mask_nearest(mask, target)
+
+
+def _zero_outside(volume: Volume, binary: np.ndarray) -> Volume:
+    data = np.where(binary, volume.data, np.float32(0.0))
+    return Volume(data, volume.spacing, volume.affine)
+
+
 def apply_mask(volume: Volume, mask: Volume) -> Volume:
     """Zero out voxels outside the breast mask (threshold 0.5).
 
@@ -196,12 +208,7 @@ def apply_mask(volume: Volume, mask: Volume) -> Volume:
     volume's grid through world coordinates.
     """
     _check_mask_values(mask.data)
-    if _same_grid(volume, mask):
-        binary = mask.data >= 0.5
-    else:
-        binary = _regrid_mask_nearest(mask, volume)
-    data = np.where(binary, volume.data, np.float32(0.0))
-    return Volume(data, volume.spacing, volume.affine)
+    return _zero_outside(volume, _mask_on_grid(mask, volume))
 
 
 def subtract_clamped(post: Volume, pre: Volume) -> Volume:
@@ -264,7 +271,9 @@ def build_stacks(study: Study, cfg: BuildConfig = BuildConfig()) -> dict[str, Mi
     for i, side in enumerate(SIDES):
         vols = [halves[id(v)][i] for v in (phases.pre, phases.post1, phases.post2, phases.last)]
         if mask_halves is not None:
-            vols = [apply_mask(v, mask_halves[i]) for v in vols]
+            # subtraction needs all four phases on one grid, so post1's grid serves all
+            binary = _mask_on_grid(mask_halves[i], vols[1])
+            vols = [_zero_outside(v, binary) for v in vols]
         pre, post1, post2, last = vols
         channels = np.stack(
             [

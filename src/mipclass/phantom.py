@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .augment2d import derive_seed
-from .evalkit import BENIGN, LABEL_STRINGS, MALIGNANT, NO_LESION
+from .evalkit import BENIGN, LABEL_STRINGS, MALIGNANT, MANIFEST_HEADER, NO_LESION
 from .mipbuild import Study
 from .tensorio import _write_file, write_nifti
 from .volume import Volume
@@ -168,9 +168,7 @@ def write_cohort(n: int, seed: int, out_dir: str | os.PathLike) -> Path:
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["patient_id", "pre_path", "post_paths", "mask_path", "label_left", "label_right"]
-    )
+    writer.writerow(MANIFEST_HEADER)
     for index in range(n):
         patient_id = f"p{index:03d}"
         study = generate_study(patient_id, index, seed)

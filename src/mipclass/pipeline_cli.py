@@ -25,7 +25,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from . import phantom
-from .augment2d import AugmentPolicy, augment, default_policy, derive_seed, identity_policy
+from .augment2d import AugmentPolicy, augment, default_policy, derive_seed
 from .classhead import (
     DEFAULT_POOL_GRID,
     ClassWeights,
@@ -38,9 +38,17 @@ from .classhead import (
     train_heads,
     uniform_weights,
 )
-from .errors import IoFailure, ManifestParse, MipclassError, MissingBlob, SchemaMismatch
+from .errors import (
+    BadArgument,
+    IoFailure,
+    ManifestParse,
+    MipclassError,
+    MissingBlob,
+    SchemaMismatch,
+)
 from .evalkit import (
     LABEL_STRINGS,
+    MANIFEST_HEADER,
     FoldPlan,
     Prediction,
     ensemble_all,
@@ -83,16 +91,6 @@ class ManifestRow:
     label_right: int
 
 
-_MANIFEST_HEADER = (
-    "patient_id",
-    "pre_path",
-    "post_paths",
-    "mask_path",
-    "label_left",
-    "label_right",
-)
-
-
 class Manifest:
     """Study table plus the directory its relative paths resolve against."""
 
@@ -112,18 +110,18 @@ class Manifest:
             with open(path, "r", newline="", encoding="utf-8") as fh:
                 reader = csv.reader(fh)
                 header = next(reader, None)
-                if header is None or tuple(header) != _MANIFEST_HEADER:
+                if header is None or tuple(header) != MANIFEST_HEADER:
                     raise ManifestParse(
-                        f"manifest header must be {','.join(_MANIFEST_HEADER)}"
+                        f"manifest header must be {','.join(MANIFEST_HEADER)}"
                     )
                 rows = [cls._parse_row(row, n) for n, row in enumerate(reader, start=2)]
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:
             raise ManifestParse(f"cannot read manifest {path}: {exc}") from exc
         return cls(rows, path.parent)
 
     @staticmethod
     def _parse_row(row: list[str], line: int) -> ManifestRow:
-        if len(row) != len(_MANIFEST_HEADER):
+        if len(row) != len(MANIFEST_HEADER):
             raise ManifestParse(f"line {line}: expected 6 fields, got {len(row)}")
         patient_id, pre_path, posts, mask, left, right = (field.strip() for field in row)
         if not patient_id or not pre_path:
@@ -251,7 +249,7 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         # partial section keeps the published defaults for unnamed fields
         augment_raw = raw.get("augment", {})
         if augment_raw is None:
-            policy = identity_policy()
+            policy = AugmentPolicy()
         else:
             policy = _replace_from(AugmentPolicy, defaults.policy, augment_raw, "augment")
         train = _replace_from(TrainConfig, defaults.train, raw.get("train", {}), "train")
@@ -334,12 +332,25 @@ def _model_id(weighting: str, fold: int) -> str:
     return f"{weighting}_fold{fold}"
 
 
+def _selected_heads(
+    plan: FoldPlan, weighting: str, fold: int | None
+) -> tuple[Sequence[str], Sequence[int]]:
+    """The weightings and folds that ``--weighting`` and ``--fold`` select."""
+    if fold is not None and not 0 <= fold < plan.k:
+        raise BadArgument(f"--fold {fold} is outside [0, {plan.k}) of folds.json")
+    weightings = WEIGHTINGS if weighting == "both" else (weighting,)
+    return weightings, range(plan.k) if fold is None else (fold,)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_phantom(n: int, seed: int, out_dir: str | Path) -> int:
-    manifest = phantom.write_cohort(n, seed, out_dir)
+    try:
+        manifest = phantom.write_cohort(n, seed, out_dir)
+    except ValueError as exc:
+        raise BadArgument(f"phantom: {exc}") from exc
     print(f"wrote {n} synthetic studies and {manifest}")
     return 0
 
@@ -434,9 +445,8 @@ def cmd_train(
     manifest = Manifest.read(manifest_path)
     out = Path(out_dir)
     plan = _read_folds(out)
+    weightings, folds = _selected_heads(plan, weighting, fold)
     (out / "models").mkdir(parents=True, exist_ok=True)
-    weightings = WEIGHTINGS if weighting == "both" else (weighting,)
-    folds = range(plan.k) if fold is None else (fold,)
 
     # every breast a selected head trains on, once; row of (patient, side)
     row_of: dict[tuple[str, str], int] = {}
@@ -526,9 +536,8 @@ def cmd_predict(
 ) -> int:
     out = Path(out_dir)
     plan = _read_folds(out)
+    weightings, folds = _selected_heads(plan, weighting, fold)
     (out / "predictions").mkdir(parents=True, exist_ok=True)
-    weightings = WEIGHTINGS if weighting == "both" else (weighting,)
-    folds = range(plan.k) if fold is None else (fold,)
     for f in folds:
         models = [_read_model(out / "models" / f"{_model_id(w, f)}.json") for w in weightings]
         # each validation stack is read and featurized once for every model of the fold
@@ -551,15 +560,10 @@ def cmd_predict(
 
 
 def _truths_for(manifest: Manifest, predictions: Sequence[Prediction]) -> np.ndarray:
-    truths = []
-    for p in predictions:
-        try:
-            row = manifest.row(p.patient_id)
-        except KeyError as exc:
-            raise SchemaMismatch(
-                f"prediction references patient {p.patient_id!r} not in the manifest"
-            ) from exc
-        truths.append(row.label_right if p.side == "right" else row.label_left)
+    try:
+        truths = [manifest.labels_for(p.patient_id)[p.side] for p in predictions]
+    except KeyError as exc:
+        raise SchemaMismatch(f"prediction references patient {exc} not in the manifest") from exc
     return np.asarray(truths, dtype=np.int64)
 
 

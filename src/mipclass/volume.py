@@ -108,9 +108,3 @@ class Volume:
         if affine is None:
             affine = spacing_affine(spacing)
         return cls(data=data, spacing=spacing, affine=affine)
-
-    def voxel_to_world(self, index: np.ndarray) -> np.ndarray:
-        """World-mm coordinates of one or more (3,) voxel indices."""
-        idx = np.atleast_2d(np.asarray(index, dtype=np.float64))
-        out = idx @ self.affine[:3, :3].T + self.affine[:3, 3]
-        return out[0] if np.asarray(index).ndim == 1 else out

@@ -9,7 +9,6 @@ from mipclass.augment2d import (
     augment,
     default_policy,
     derive_seed,
-    identity_policy,
 )
 from mipclass.mipbuild import PAPER_MEANS, PAPER_STDS, MipStack, normalize_stack
 
@@ -48,7 +47,7 @@ class TestPolicy:
             assert getattr(policy, name) == 0.5
 
     def test_active_iff_some_probability_is_positive(self):
-        assert not identity_policy().active
+        assert not AugmentPolicy().active
         assert default_policy().active
         for name in PROB_FIELDS:
             assert AugmentPolicy(**{name: 0.1}).active, name
@@ -71,7 +70,7 @@ class TestPolicy:
 class TestAugment:
     def test_identity_policy_returns_input_values(self):
         stack = _stack()
-        out = augment(stack, seed=123, policy=identity_policy())
+        out = augment(stack, seed=123, policy=AugmentPolicy())
         np.testing.assert_array_equal(out.channels, stack.channels)
         assert out.meta["augment_applied"] == []
 

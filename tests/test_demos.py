@@ -1,11 +1,15 @@
-"""Smoke test: every quick demo runs to completion as a script."""
+"""Smoke test: every quick demo runs to completion as a script, and the
+README's library example imports only names the package has."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import mipclass
 
 ROOT = Path(__file__).resolve().parents[1]
 # 07 drives the whole CLI on a phantom cohort; the end-to-end tests cover it
@@ -32,3 +36,17 @@ def test_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
     # the demos print their own checks as "<what>: True"
     assert not [line for line in proc.stdout.splitlines() if line.endswith(": False")]
+
+
+def test_readme_library_use_imports_exist():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = [
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "mipclass"
+        for alias in node.names
+    ]
+    assert names
+    assert [name for name in names if not hasattr(mipclass, name)] == []

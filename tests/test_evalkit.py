@@ -7,7 +7,10 @@ the mean, and exhaustive properties for the round-robin fold dealer.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mipclass import phantom
 from mipclass.errors import DegenerateLabels, EmptyGroup, SchemaMismatch, TooFewPatients
 from mipclass.evalkit import (
     BENIGN,
@@ -80,12 +83,50 @@ class TestStratifiedKFold:
             labels = rng.integers(0, 3, n).tolist()
             k = int(rng.integers(2, 6))
             plan = stratified_kfold(patients, labels, k=k, seed=trial)
+            sizes = [len(plan.patients_in_fold(f)) for f in range(k)]
+            assert max(sizes) - min(sizes) <= 1
             for cls in set(labels):
                 per_fold = [
                     sum(1 for p in plan.patients_in_fold(f) if plan.strat_labels[p] == cls)
                     for f in range(k)
                 ]
                 assert max(per_fold) - min(per_fold) <= 1
+
+    def test_ten_study_phantom_cohort_fills_every_fold(self):
+        """Small classes do not pile into the low folds: [2] * 5, not [3, 3, 2, 2, 0]."""
+        labels = [max_label(*phantom.cycle_labels(i)) for i in range(10)]
+        plan = stratified_kfold([f"p{i:03d}" for i in range(10)], labels, k=5, seed=0)
+        assert [len(plan.patients_in_fold(f)) for f in range(5)] == [2] * 5
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        labels=st.lists(st.integers(0, 2), min_size=2, max_size=60),
+        k=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        order_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_balance_and_determinism_property(self, labels, k, seed, order_seed):
+        """Sizes within 1 overall and per class; the plan depends on nothing but
+        (patients, labels, k, seed), not even the order the patients are listed in."""
+        patients = [f"p{i:03d}" for i in range(len(labels))]
+        if len(patients) < k:
+            with pytest.raises(TooFewPatients):
+                stratified_kfold(patients, labels, k=k, seed=seed)
+            return
+        plan = stratified_kfold(patients, labels, k=k, seed=seed)
+        folds = [plan.patients_in_fold(f) for f in range(k)]
+        assert sorted(p for fold in folds for p in fold) == patients
+        sizes = [len(fold) for fold in folds]
+        assert max(sizes) - min(sizes) <= 1
+        for cls in set(labels):
+            per_fold = [sum(plan.strat_labels[p] == cls for p in fold) for fold in folds]
+            assert max(per_fold) - min(per_fold) <= 1
+        order = np.random.default_rng(order_seed).permutation(len(patients))
+        shuffled = stratified_kfold(
+            [patients[i] for i in order], [labels[i] for i in order], k=k, seed=seed
+        )
+        assert shuffled.assignment == plan.assignment
+        assert shuffled.strat_labels == plan.strat_labels
 
     def test_deterministic(self):
         patients = [f"p{i}" for i in range(17)]
@@ -107,6 +148,8 @@ class TestStratifiedKFold:
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             FoldPlan(k=2, assignment={"a": 5}, strat_labels={"a": 0})
+        with pytest.raises(ValueError, match="no patients"):
+            FoldPlan(k=3, assignment={"a": 0, "b": 2}, strat_labels={"a": 0, "b": 0})
 
 
 def _pair_count_auc(scores, positives):
@@ -344,6 +387,8 @@ class TestEnsemble:
             Prediction("p", "left", np.array([0.5, 0.6, 0.2]))
         with pytest.raises(ValueError):
             Prediction("p", "left", np.array([-0.1, 0.6, 0.5]))
+        with pytest.raises(ValueError, match="side"):
+            Prediction("p", "middle", np.array([1.0, 0.0, 0.0]))
 
 
 class TestEvaluate:

@@ -202,11 +202,6 @@ class TestCropOrPad:
         out = crop_or_pad(vol, (2, 1, 1))
         np.testing.assert_array_equal(out.data[:, 0, 0], [1.0, 2.0])
 
-    def test_custom_fill(self):
-        vol = Volume.from_array(np.ones((1, 1, 1), np.float32))
-        out = crop_or_pad(vol, (3, 1, 1), fill=-7.0)
-        np.testing.assert_array_equal(out.data[:, 0, 0], [-7.0, 1.0, -7.0])
-
     def test_world_positions_preserved(self):
         affine = np.diag((0.7, 0.7, 3.0, 1.0))
         affine[:3, 3] = (3.0, 4.0, 5.0)

@@ -536,9 +536,12 @@ class TestPredictEvaluateEnsemble:
         with pytest.raises(SchemaMismatch):
             cmd_evaluate(predicted / "manifest.csv", predicted, [csv_path])
 
-    def test_predict_without_model_is_typed_error(self, cohort):
+    def test_predict_without_model_is_typed_error(self, cohort, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(cohort, run)
+        shutil.rmtree(run / "models", ignore_errors=True)
         with pytest.raises(MissingBlob):
-            cmd_predict(cohort, weighting="natural", fold=99)
+            cmd_predict(run, weighting="natural", fold=0)
 
 
 def _truncate(path: Path) -> None:
@@ -580,6 +583,8 @@ class TestCorruptRunDirectory:
             ("sidecar_bad_bounds", "train"),
             ("stale_mct1", "train"),
             ("model_bad_pool_grid", "predict"),
+            ("empty_fold", "train"),
+            ("empty_fold", "predict"),
         ],
     )
     def test_exits_two_without_traceback(self, trained, tmp_path, case, command, capsys):
@@ -597,6 +602,11 @@ class TestCorruptRunDirectory:
         elif case == "fold_out_of_range":
             folds = json.loads((run / "folds.json").read_text())
             folds["assignment"]["p000"] = 99
+            (run / "folds.json").write_text(json.dumps(folds))
+        elif case == "empty_fold":
+            # a plan written before fold dealing carried its offset across classes
+            folds = json.loads((run / "folds.json").read_text())
+            folds["assignment"] = {p: f % 2 for p, f in folds["assignment"].items()}
             (run / "folds.json").write_text(json.dumps(folds))
         elif case == "truncated_model":
             _truncate(run / "models" / "natural_fold0.json")
@@ -645,6 +655,71 @@ class TestCorruptRunDirectory:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+_PREDICTION_HEADER = "patient_id,side,p_nolesion,p_benign,p_malignant,model_id\n"
+
+
+class TestBadInput:
+    """Out-of-range CLI values and unreadable CSVs are typed errors: exit 2, nothing written."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "train_fold_too_high",
+            "train_fold_negative",
+            "predict_fold_too_high",
+            "predict_fold_negative",
+            "evaluate_missing_csv",
+            "ensemble_directory",
+            "csv_not_utf8",
+            "manifest_not_utf8",
+            "probs_sum_to_1_1",
+            "side_not_a_side",
+            "phantom_zero_studies",
+        ],
+    )
+    def test_exits_two_without_traceback(self, predicted, tmp_path, case, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(predicted, run)
+        manifest = run / "manifest.csv"
+        bad_csv = tmp_path / "bad.csv"
+        base = ["--manifest", str(manifest), "--out", str(run)]
+        fold = "7" if case.endswith("too_high") else "-1"
+        if case.startswith("train_fold"):
+            config = _write_config(tmp_path)
+            argv = ["train", *base, "--config", str(config), "--fold", fold]
+        elif case.startswith("predict_fold"):
+            # models an unchecked `train --fold` would have written
+            for w in ("natural", "inverse"):
+                model = run / "models" / f"{w}_fold0.json"
+                shutil.copy(model, model.with_name(f"{w}_fold{fold}.json"))
+            argv = ["predict", "--out", str(run), "--fold", fold]
+        elif case == "evaluate_missing_csv":
+            argv = ["evaluate", *base, str(tmp_path / "absent.csv")]
+        elif case == "ensemble_directory":
+            argv = ["ensemble", *base, str(run / "predictions")]
+        elif case == "csv_not_utf8":
+            bad_csv.write_bytes(_PREDICTION_HEADER.encode() + b"p000,left,1,0,0,m\xff\n")
+            argv = ["evaluate", *base, str(bad_csv)]
+        elif case == "manifest_not_utf8":
+            manifest.write_bytes(manifest.read_bytes() + b"p\xe9,a,b;c,,benign,benign\n")
+            argv = ["evaluate", *base, str(run / "predictions" / "natural_fold0.csv")]
+        elif case == "probs_sum_to_1_1":
+            bad_csv.write_text(_PREDICTION_HEADER + "p000,left,0.5,0.3,0.3,m\n")
+            argv = ["evaluate", *base, str(bad_csv)]
+        elif case == "side_not_a_side":
+            bad_csv.write_text(_PREDICTION_HEADER + "p000,middle,1,0,0,m\n")
+            argv = ["ensemble", *base, str(bad_csv)]
+        elif case == "phantom_zero_studies":
+            argv = ["phantom", "--n", "0", "--out", str(run)]
+        before = sorted(p for p in run.rglob("*") if p.is_file())
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert sorted(p for p in run.rglob("*") if p.is_file()) == before
 
 
 class TestStackFuzz:
