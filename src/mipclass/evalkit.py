@@ -1,13 +1,15 @@
 """Stratified patient-level folds, challenge metrics, and ensembling.
 
-Metrics: micro-averaged one-vs-rest ROC AUC (Mann–Whitney with average
-ranks), sensitivity at 90% specificity and specificity at 90% sensitivity
-on the Malignant-vs-rest task (per-class variants also reported), their
-arithmetic mean as the overall score, and argmax confusion matrices.
+Metrics: micro-averaged one-vs-rest ROC AUC (Mann–Whitney U, ties
+counting one half), sensitivity at 90% specificity and specificity at 90%
+sensitivity on the Malignant-vs-rest task (per-class variants also
+reported), their arithmetic mean as the overall score, and argmax
+confusion matrices.
 
-Thresholds are never interpolated: the metric enumerates every threshold
-induced by a distinct score, plus the all-negative one, so results are
-exactly reproducible by brute force.
+Thresholds are never interpolated: one sweep over the sorted distinct
+scores counts positives and negatives exactly at every threshold they
+induce, plus the all-negative one, so results are exactly reproducible
+by brute force.
 """
 
 from __future__ import annotations
@@ -109,29 +111,30 @@ def stratified_kfold(
     )
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _sweep(scores: np.ndarray, positives: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(sensitivity, specificity, AUC) from exact counts at every distinct score.
 
-
-def _binary_auc(scores: np.ndarray, positives: np.ndarray) -> float:
-    n_pos = int(positives.sum())
+    The thresholds are every distinct score plus +inf, and positive
+    prediction means score >= threshold.  The counts of positives and
+    negatives below each threshold are integer prefix sums, so every rate
+    is an exact integer ratio.  The AUC is the Mann–Whitney U (ties count
+    one half), kept as the integer 2U and divided once by n_pos·n_neg.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    positives = np.asarray(positives, dtype=bool)
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
+    n_pos = int(np.count_nonzero(positives))
     n_neg = positives.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabels(f"AUC needs both classes, got {n_pos} pos / {n_neg} neg")
-    ranks = _average_ranks(scores)
-    u = ranks[positives].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+        raise DegenerateLabels(f"need both classes, got {n_pos} pos / {n_neg} neg")
+    values, index = np.unique(scores, return_inverse=True)
+    pos = np.bincount(index[positives], minlength=values.size)
+    neg = np.bincount(index[~positives], minlength=values.size)
+    pos_below = np.concatenate([[0], np.cumsum(pos)])
+    neg_below = np.concatenate([[0], np.cumsum(neg)])
+    u2 = int(pos @ (2 * neg_below[:-1] + neg))
+    return (n_pos - pos_below) / n_pos, neg_below / n_neg, u2 / 2 / (n_pos * n_neg)
 
 
 def roc_auc_micro(probs: np.ndarray, truths: np.ndarray) -> float:
@@ -143,49 +146,29 @@ def roc_auc_micro(probs: np.ndarray, truths: np.ndarray) -> float:
         raise ValueError(f"probs must be (N, 3), got {probs.shape}")
     if truths.shape != (probs.shape[0],):
         raise ValueError(f"truths shape {truths.shape} does not match probs")
+    if ((truths < 0) | (truths >= N_CLASSES)).any():
+        raise ValueError(f"truths must be class indices 0..{N_CLASSES - 1}")
     onehot = np.zeros_like(probs, dtype=bool)
     onehot[np.arange(truths.size), truths] = True
-    return _binary_auc(probs.ravel(), onehot.ravel())
+    return _sweep(probs.ravel(), onehot.ravel())[2]
 
 
-def _counts_at_thresholds(scores: np.ndarray, positives: np.ndarray):
-    """(sensitivity, specificity) at every distinct-score threshold plus +inf.
-
-    Positive prediction means score >= threshold.  Rates are exact integer
-    ratios so an enumeration oracle reproduces them bit-for-bit.
-    """
-    n_pos = int(positives.sum())
-    n_neg = positives.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabels(f"need both classes, got {n_pos} pos / {n_neg} neg")
-    thresholds = np.concatenate([np.unique(scores), [np.inf]])
-    sens = np.empty(thresholds.size)
-    spec = np.empty(thresholds.size)
-    for i, t in enumerate(thresholds):
-        pred_pos = scores >= t
-        tp = int(np.count_nonzero(pred_pos & positives))
-        tn = int(np.count_nonzero(~pred_pos & ~positives))
-        sens[i] = tp / n_pos
-        spec[i] = tn / n_neg
-    return sens, spec
+def _best(rates: np.ndarray, other: np.ndarray, floor: float) -> float:
+    """Max of ``rates`` over the thresholds where ``other`` >= floor, else 0."""
+    qualified = other >= floor
+    return float(rates[qualified].max()) if qualified.any() else 0.0
 
 
 def sens_at_spec(scores: np.ndarray, positives: np.ndarray, spec_floor: float = 0.9) -> float:
     """Max sensitivity over thresholds whose specificity >= spec_floor."""
-    scores = np.asarray(scores, dtype=np.float64)
-    positives = np.asarray(positives, dtype=bool)
-    sens, spec = _counts_at_thresholds(scores, positives)
-    qualified = spec >= spec_floor
-    return float(sens[qualified].max()) if qualified.any() else 0.0
+    sens, spec, _ = _sweep(scores, positives)
+    return _best(sens, spec, spec_floor)
 
 
 def spec_at_sens(scores: np.ndarray, positives: np.ndarray, sens_floor: float = 0.9) -> float:
     """Max specificity over thresholds whose sensitivity >= sens_floor."""
-    scores = np.asarray(scores, dtype=np.float64)
-    positives = np.asarray(positives, dtype=bool)
-    sens, spec = _counts_at_thresholds(scores, positives)
-    qualified = sens >= sens_floor
-    return float(spec[qualified].max()) if qualified.any() else 0.0
+    sens, spec, _ = _sweep(scores, positives)
+    return _best(spec, sens, sens_floor)
 
 
 def overall_score(auc: float, sens: float, spec: float) -> float:
@@ -200,11 +183,8 @@ def confusion(probs: np.ndarray, truths: np.ndarray) -> np.ndarray:
     """3×3 counts[truth][argmax]; argmax ties go to the lower class index."""
     probs = np.asarray(probs, dtype=np.float64)
     truths = np.asarray(truths, dtype=np.int64)
-    preds = probs.argmax(axis=1)
-    counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    for t, p in zip(truths, preds):
-        counts[t, p] += 1
-    return counts
+    cells = truths * N_CLASSES + probs.argmax(axis=1)
+    return np.bincount(cells, minlength=N_CLASSES * N_CLASSES).reshape(N_CLASSES, N_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -222,8 +202,8 @@ class Prediction:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.shape != (N_CLASSES,):
             raise ValueError(f"probs must be length 3, got shape {probs.shape}")
-        if probs.min() < 0:
-            raise ValueError(f"probs must be >= 0, got {probs}")
+        if not (np.isfinite(probs).all() and probs.min() >= 0):
+            raise ValueError(f"probs must be finite and >= 0, got {probs}")
         if abs(probs.sum() - 1.0) > 1e-9:
             raise ValueError(f"probs must sum to 1 within 1e-9, got sum {probs.sum()!r}")
         object.__setattr__(self, "probs", probs)
@@ -305,10 +285,8 @@ def evaluate(probs: np.ndarray, truths: np.ndarray) -> MetricsReport:
     for cls, name in enumerate(CLASS_NAMES):
         positives = truths == cls
         if positives.any() and not positives.all():
-            pair = (
-                sens_at_spec(probs[:, cls], positives),
-                spec_at_sens(probs[:, cls], positives),
-            )
+            sens, spec, _ = _sweep(probs[:, cls], positives)
+            pair = (_best(sens, spec, 0.9), _best(spec, sens, 0.9))
             per_class[f"sens_at_90spec_{name}"] = pair[0]
             per_class[f"spec_at_90sens_{name}"] = pair[1]
             if cls == MALIGNANT:

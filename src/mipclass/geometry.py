@@ -188,11 +188,17 @@ def crop_or_pad(volume: Volume, target_shape: tuple[int, int, int]) -> Volume:
     return Volume(out, volume.spacing, affine)
 
 
+# Window sums within this relative distance of the maximum tie; float64 rounding
+# is far smaller, so memory layout and summation order cannot move the window.
+ROW_TIE_RTOL = 1e-9
+
+
 def localize_rows(volume: Volume, window: int = 256) -> RowWindow:
     """Brightest contiguous `window` of rows along the height axis.
 
-    Maximizes total intensity inside the window; ties go to the lowest
-    start index.  If the axis has at most `window` rows the full axis is
+    Maximizes total intensity inside the window; sums within
+    ``ROW_TIE_RTOL`` of the maximum tie, and ties go to the lowest start
+    index.  If the axis has at most `window` rows the full axis is
     returned.
     """
     if window < 1:
@@ -201,10 +207,14 @@ def localize_rows(volume: Volume, window: int = 256) -> RowWindow:
     if extent <= window:
         return RowWindow(0, extent)
     row_sums = volume.data.sum(axis=(0, 2), dtype=np.float64)
-    window_sums = np.array(
-        [np.sum(row_sums[s : s + window]) for s in range(extent - window + 1)]
-    )
-    return RowWindow(int(np.argmax(window_sums)), window)
+    if not np.isfinite(row_sums).all():
+        # non-finite voxels count as dark: zeroed outside the mask, refused inside
+        data = np.where(np.isfinite(volume.data), volume.data, np.float32(0.0))
+        row_sums = data.sum(axis=(0, 2), dtype=np.float64)
+    prefix = np.concatenate([[0.0], np.cumsum(row_sums)])
+    window_sums = prefix[window:] - prefix[:-window]
+    best = window_sums.max()
+    return RowWindow(int(np.argmax(window_sums >= best - ROW_TIE_RTOL * abs(best))), window)
 
 
 def extract_rows(volume: Volume, rows: RowWindow) -> Volume:

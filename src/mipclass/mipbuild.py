@@ -130,6 +130,8 @@ class MipStack:
             raise ValueError(f"stack spatial dims must be >= 1, got {channels.shape}")
         if self.side not in SIDES:
             raise ValueError(f"side must be one of {SIDES}, got {self.side!r}")
+        if not np.isfinite(channels).all():
+            raise ValueError(f"{self.patient_id}/{self.side}: stack channels must be finite")
         if not self.normalized and float(channels.min()) < 0.0:
             raise ValueError("unnormalized stacks must be nonnegative (post-clamp)")
         object.__setattr__(self, "channels", channels)

@@ -20,7 +20,7 @@ import numpy as np
 from .augment2d import derive_seed
 from .evalkit import BENIGN, LABEL_STRINGS, MALIGNANT, MANIFEST_HEADER, NO_LESION
 from .mipbuild import Study
-from .tensorio import _write_file, write_nifti
+from .tensorio import _make_dir, _write_file, write_nifti
 from .volume import Volume
 
 NATIVE_SHAPE = (64, 64, 16)
@@ -164,7 +164,7 @@ def write_cohort(n: int, seed: int, out_dir: str | os.PathLike) -> Path:
     if n < 1:
         raise ValueError(f"cohort size must be >= 1, got {n}")
     out = Path(out_dir)
-    (out / "studies").mkdir(parents=True, exist_ok=True)
+    _make_dir(out / "studies")
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")

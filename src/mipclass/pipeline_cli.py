@@ -28,7 +28,6 @@ from . import phantom
 from .augment2d import AugmentPolicy, augment, default_policy, derive_seed
 from .classhead import (
     DEFAULT_POOL_GRID,
-    ClassWeights,
     HeadParams,
     HeadSpec,
     TrainConfig,
@@ -49,6 +48,7 @@ from .errors import (
 from .evalkit import (
     LABEL_STRINGS,
     MANIFEST_HEADER,
+    N_CLASSES,
     FoldPlan,
     Prediction,
     ensemble_all,
@@ -70,7 +70,7 @@ from .mipbuild import (
     stack_from_blob,
     stack_to_blob,
 )
-from .tensorio import _write_file, read_blob, read_nifti, write_blob
+from .tensorio import _make_dir, _write_file, read_blob, read_nifti, write_blob
 
 WEIGHTINGS = ("natural", "inverse")
 
@@ -252,7 +252,13 @@ def load_config(path: str | Path | None) -> PipelineConfig:
             policy = AugmentPolicy()
         else:
             policy = _replace_from(AugmentPolicy, defaults.policy, augment_raw, "augment")
-        train = _replace_from(TrainConfig, defaults.train, raw.get("train", {}), "train")
+        train_raw = raw.get("train", {})
+        if isinstance(train_raw, dict) and "seed" in train_raw:
+            raise SchemaMismatch(
+                f"config {path}: train.seed is not a config key; "
+                "each head's seed derives from the top-level seed"
+            )
+        train = _replace_from(TrainConfig, defaults.train, train_raw, "train")
         return PipelineConfig(
             build=build,
             norm=norm,
@@ -365,9 +371,11 @@ def _preprocess_one(manifest: Manifest, patient_id: str, config: PipelineConfig,
 def cmd_preprocess(
     manifest_path: str | Path, config: PipelineConfig, out_dir: str | Path, jobs: int = 1
 ) -> int:
+    if jobs < 1:
+        raise BadArgument(f"--jobs must be >= 1, got {jobs}")
     manifest = Manifest.read(manifest_path)
     out = Path(out_dir)
-    (out / "stacks").mkdir(parents=True, exist_ok=True)
+    _make_dir(out / "stacks")
 
     failures: dict[str, str] = {}
 
@@ -378,12 +386,8 @@ def cmd_preprocess(
             failures[patient_id] = f"{type(exc).__name__}: {exc}"
 
     ids = manifest.patient_ids
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run, ids))
-    else:
-        for patient_id in ids:
-            run(patient_id)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        list(pool.map(run, ids))
 
     report = {
         "n_studies": len(ids),
@@ -400,7 +404,7 @@ def cmd_preprocess(
 def cmd_split(manifest_path: str | Path, config: PipelineConfig, out_dir: str | Path) -> int:
     manifest = Manifest.read(manifest_path)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     patients = manifest.patient_ids
     strat = [
         max_label(manifest.row(p).label_left, manifest.row(p).label_right)
@@ -421,13 +425,6 @@ def cmd_split(manifest_path: str | Path, config: PipelineConfig, out_dir: str | 
     return 0
 
 
-def _fold_weights(weighting: str, labels: np.ndarray) -> ClassWeights:
-    if weighting == "natural":
-        return uniform_weights()
-    counts = [int((labels == c).sum()) for c in range(3)]
-    return class_weights(counts)
-
-
 def cmd_train(
     manifest_path: str | Path,
     config: PipelineConfig,
@@ -446,7 +443,7 @@ def cmd_train(
     out = Path(out_dir)
     plan = _read_folds(out)
     weightings, folds = _selected_heads(plan, weighting, fold)
-    (out / "models").mkdir(parents=True, exist_ok=True)
+    _make_dir(out / "models")
 
     # every breast a selected head trains on, once; row of (patient, side)
     row_of: dict[tuple[str, str], int] = {}
@@ -460,19 +457,21 @@ def cmd_train(
             breast_labels.append(sides[side])
     labels = np.asarray(breast_labels, dtype=np.int64)
 
-    heads: list[tuple[str, int, HeadSpec]] = []
+    heads: list[tuple[str, int, HeadSpec, list[int]]] = []
     for w in weightings:
         for f in folds:
             rows = [row_of[p, side] for p in plan.training_patients(f) for side in SIDES]
             head_labels = labels[rows]
+            # counts/weights come from the training folds only, by construction
+            counts = np.bincount(head_labels, minlength=N_CLASSES).tolist()
             train_seed = derive_seed(config.seed, f"fold{f}", w, 0)
             spec = HeadSpec(
                 rows=rows,
                 labels=head_labels,
                 config=dataclasses.replace(config.train, seed=train_seed),
-                weights=_fold_weights(w, head_labels),
+                weights=uniform_weights() if w == "natural" else class_weights(counts),
             )
-            heads.append((w, f, spec))
+            heads.append((w, f, spec, counts))
 
     def breast_features(stack: MipStack, epoch: int) -> np.ndarray:
         if config.policy.active:
@@ -486,9 +485,9 @@ def cmd_train(
 
     # without augmentation every epoch trains on the same matrix
     features = epoch_features if config.policy.active else epoch_features(0)
-    results = train_heads(features, [spec for _, _, spec in heads])
+    results = train_heads(features, [spec for _, _, spec, _ in heads])
 
-    for (w, f, spec), result in zip(heads, results):
+    for (w, f, spec, counts), result in zip(heads, results):
         params, trace, cfg = result.params, result.loss_trace, result.config
         record = {
             "model_id": _model_id(w, f),
@@ -497,8 +496,7 @@ def cmd_train(
             "pool_grid": config.pool_grid,
             "feature_dim": params.dim,
             "n_train_samples": int(spec.labels.shape[0]),
-            # counts/weights come from the training folds only, by construction
-            "train_class_counts": [int((spec.labels == c).sum()) for c in range(3)],
+            "train_class_counts": counts,
             "class_weights": list(spec.weights.w),
             "train_config": dataclasses.asdict(cfg),
             "augmented": config.policy.active,
@@ -513,11 +511,14 @@ def cmd_train(
     return 0
 
 
-def _read_model(path: Path) -> tuple[HeadParams, dict]:
+def _read_model(out: Path, model_id: str) -> tuple[HeadParams, dict]:
+    path = out / "models" / f"{model_id}.json"
     raw = _read_json(path, "model", "; run train first")
     missing = {"W", "b", "fold", "model_id", "pool_grid"} - raw.keys()
     if missing:
         raise SchemaMismatch(f"model file {path} lacks keys {sorted(missing)}")
+    if raw["model_id"] != model_id:
+        raise SchemaMismatch(f"model file {path} names model {raw['model_id']!r}, not {model_id!r}")
     grid = raw["pool_grid"]
     if not isinstance(grid, int) or isinstance(grid, bool) or grid < 1:
         raise SchemaMismatch(f"model file {path}: pool_grid must be an integer >= 1, got {grid!r}")
@@ -537,23 +538,23 @@ def cmd_predict(
     out = Path(out_dir)
     plan = _read_folds(out)
     weightings, folds = _selected_heads(plan, weighting, fold)
-    (out / "predictions").mkdir(parents=True, exist_ok=True)
+    _make_dir(out / "predictions")
     for f in folds:
-        models = [_read_model(out / "models" / f"{_model_id(w, f)}.json") for w in weightings]
+        models = {_model_id(w, f): _read_model(out, _model_id(w, f)) for w in weightings}
         # each validation stack is read and featurized once for every model of the fold
         breasts = [(p, side) for p in plan.patients_in_fold(f) for side in SIDES]
-        grids = {record["pool_grid"] for _, record in models}
+        grids = {record["pool_grid"] for _, record in models.values()}
         features: dict[int, list[np.ndarray]] = {grid: [] for grid in grids}
         for patient_id, side in breasts:
             stack = _load_stack(out, patient_id, side)
             for grid in grids:
                 features[grid].append(extract_features(stack, grid))
-        for params, record in models:
+        for model_id, (params, record) in models.items():
             predictions = [
-                Prediction(patient_id, side, forward(x, params), record["model_id"])
+                Prediction(patient_id, side, forward(x, params), model_id)
                 for (patient_id, side), x in zip(breasts, features[record["pool_grid"]])
             ]
-            csv_path = out / "predictions" / f"{record['model_id']}.csv"
+            csv_path = out / "predictions" / f"{model_id}.csv"
             write_predictions_csv(predictions, csv_path)
             print(f"predicted {len(predictions)} breasts -> {csv_path}")
     return 0
@@ -590,7 +591,7 @@ def cmd_evaluate(
 ) -> int:
     manifest = Manifest.read(manifest_path)
     out = Path(out_dir)
-    (out / "metrics").mkdir(parents=True, exist_ok=True)
+    _make_dir(out / "metrics")
     for csv_path in csv_paths:
         _evaluate_csv(manifest, Path(csv_path), out)
     return 0
@@ -602,8 +603,8 @@ def cmd_ensemble(
     """Average the listed prediction files per breast, then re-evaluate."""
     manifest = Manifest.read(manifest_path)
     out = Path(out_dir)
-    (out / "predictions").mkdir(parents=True, exist_ok=True)
-    (out / "metrics").mkdir(parents=True, exist_ok=True)
+    _make_dir(out / "predictions")
+    _make_dir(out / "metrics")
     members: list[Prediction] = []
     for csv_path in csv_paths:
         members.extend(read_predictions_csv(csv_path))
@@ -620,7 +621,7 @@ def cmd_ensemble(
 def cmd_augment_preview(stack_path: str | Path, seed: int, out_dir: str | Path) -> int:
     stack_path = Path(stack_path)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     stack = _read_stack(stack_path)
     augmented = augment(stack, seed, default_policy())
     preview = out / f"{stack_path.stem}_aug{seed}.mct"

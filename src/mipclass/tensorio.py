@@ -82,6 +82,14 @@ def _write_file(path: str | os.PathLike, payload: bytes) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+def _make_dir(path: str | os.PathLike) -> None:
+    """Create a directory and its parents; a path that cannot be one is an IoFailure."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create directory {path}: {exc}") from exc
+
+
 def _quaternion_affine(header: bytes, spacing: tuple[float, float, float]) -> np.ndarray:
     b, c, d = struct.unpack_from("<3f", header, 256)
     ox, oy, oz = struct.unpack_from("<3f", header, 268)

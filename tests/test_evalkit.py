@@ -194,6 +194,20 @@ class TestAuc:
         expected = _pair_count_auc(transformed.ravel(), onehot.ravel())
         np.testing.assert_allclose(expected, base, atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_truth_rejected(self, bad):
+        # a negative index would otherwise wrap around to the malignant column
+        probs = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8], [0.2, 0.2, 0.6]])
+        with pytest.raises(ValueError, match="class indices"):
+            evaluate(probs, np.array([0, 1, 2, bad]))
+
+    def test_non_finite_scores_rejected(self):
+        probs = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8], [np.nan] * 3])
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(probs, np.array([0, 1, 2, 2]))
+        with pytest.raises(ValueError, match="finite"):
+            sens_at_spec(np.array([0.1, np.inf]), np.array([False, True]))
+
     def test_empty_rejected(self):
         with pytest.raises(DegenerateLabels):
             roc_auc_micro(np.zeros((0, 3)), np.zeros(0, dtype=int))
@@ -389,6 +403,8 @@ class TestEnsemble:
             Prediction("p", "left", np.array([-0.1, 0.6, 0.5]))
         with pytest.raises(ValueError, match="side"):
             Prediction("p", "middle", np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="finite"):
+            Prediction("p", "left", np.array([np.nan, np.nan, np.nan]))
 
 
 class TestEvaluate:

@@ -4,9 +4,12 @@ window search)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipclass.errors import WidthTooSmall
 from mipclass.geometry import (
+    ROW_TIE_RTOL,
     Interp,
     RowWindow,
     crop_or_pad,
@@ -267,6 +270,50 @@ class TestLocalizeRows:
             assert win.length == min(expected, height)
             if height > window:
                 assert win.start == self._brute_force(vol, window)
+
+    @staticmethod
+    def _band(rows: int, band: slice, seed: int) -> np.ndarray:
+        """Zeros except random float32 intensities, over nine decades so that
+        float64 window sums round, in the rows of ``band``."""
+        data = np.zeros((8, rows, 4), np.float32)
+        n = band.stop - band.start
+        data[:, band] = 10.0 ** np.random.default_rng(seed).uniform(-6, 3, (8, n, 4))
+        return data
+
+    def test_plateau_picks_lowest_start(self):
+        """Published-grid layout: every start 64..192 holds the whole band
+        [192, 320) of 512 rows, so the windows tie and 64 wins."""
+        for seed in range(5):
+            vol = Volume.from_array(self._band(512, slice(192, 320), seed))
+            assert localize_rows(vol, 256).start == 64
+
+    def test_memory_order_does_not_move_the_window(self):
+        data = self._band(512, slice(150, 330), 3)
+        c_order = localize_rows(Volume.from_array(np.ascontiguousarray(data)), 256)
+        f_order = localize_rows(Volume.from_array(np.asfortranarray(data)), 256)
+        assert c_order == f_order == RowWindow(74, 256)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(height=st.integers(3, 120), data=st.data())
+    def test_plateau_plus_noise_below_tolerance(self, height, data):
+        """Every window covering the band ties once noise stays under the
+        tolerance; any window missing a band row loses by far more."""
+        window = data.draw(st.integers(1, height - 1), label="window")
+        length = data.draw(st.integers(1, window), label="band length")
+        start = data.draw(st.integers(0, height - length), label="band start")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        band = self._band(height, slice(start, start + length), seed).astype(np.float64)
+        rng = np.random.default_rng(seed)
+        noise_total = 0.1 * ROW_TIE_RTOL * band.sum()
+        band += rng.uniform(0.0, noise_total / band.size, band.shape)
+        vol = Volume.from_array(band.astype(np.float32))
+        assert localize_rows(vol, window).start == max(0, start + length - window)
+
+    def test_non_finite_voxels_count_as_dark(self):
+        data = self._band(512, slice(192, 320), 0)
+        data[0, 10, 0] = np.nan
+        data[1, 500, 2] = np.inf
+        assert localize_rows(Volume.from_array(data), 256).start == 64
 
     def test_extract_rows_world_preserved(self):
         affine = np.diag((1.0, 2.0, 1.0, 1.0))

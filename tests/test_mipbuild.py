@@ -477,6 +477,14 @@ class TestNormalize:
         with pytest.raises(AlreadyNormalized):
             normalize_stack(out)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_non_finite_channels_rejected(self, value, normalized):
+        channels = np.zeros((4, 2, 2), np.float32)
+        channels[2, 1, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            MipStack(channels, side="left", patient_id="p", normalized=normalized)
+
     def test_roundtrip_within_1e5_relative(self):
         rng = np.random.default_rng(9)
         channels = (rng.random((4, 6, 6)) * 300).astype(np.float32)

@@ -37,7 +37,8 @@ from mipclass.pipeline_cli import (
     load_config,
     main,
 )
-from mipclass.tensorio import TensorBlob, read_blob, write_blob
+from mipclass.tensorio import TensorBlob, read_blob, read_nifti, write_blob, write_nifti
+from mipclass.volume import Volume
 
 # Native-grid config: no resampling work, tiny train budget.
 FAST_CONFIG = {
@@ -207,6 +208,11 @@ class TestConfig:
         with pytest.raises(SchemaMismatch):
             load_config_from({"k": 1})
 
+    def test_train_seed_points_to_top_level_seed(self):
+        # each head's seed derives from the top-level seed, so a train.seed would be ignored
+        with pytest.raises(SchemaMismatch, match="top-level seed"):
+            load_config_from({"train": {"seed": 12345}})
+
     @pytest.mark.parametrize(
         "override, command",
         [
@@ -222,10 +228,12 @@ class TestConfig:
             ({"row_window": 0}, "preprocess"),
             ({"row_window": -5}, "preprocess"),
             ({"row_window": True}, "preprocess"),
+            ({"train": {"seed": 12345}}, "train"),
         ],
         ids=[
             "k", "norm_stds", "epochs", "shape", "spacing", "pool_grid", "train", "augment",
             "row_window_str", "row_window_zero", "row_window_negative", "row_window_bool",
+            "train_seed",
         ],
     )
     def test_invalid_value_exits_two(self, cohort, tmp_path, override, command, capsys):
@@ -267,6 +275,43 @@ class TestPreprocess:
         assert (run / "stacks" / "p002_left.mct").exists()
         assert not (run / "stacks" / "p001_left.mct").exists()
         assert "p001" in capsys.readouterr().err
+
+    @staticmethod
+    def _set_nan(path: Path, voxels: np.ndarray) -> None:
+        volume = read_nifti(path)
+        data = volume.data.copy()
+        data[tuple(voxels.T)] = np.nan
+        write_nifti(Volume(data, volume.spacing, volume.affine), path)
+
+    def test_nan_in_breast_fails_study(self, tmp_path, config, capsys):
+        run = tmp_path / "run"
+        phantom.write_cohort(3, seed=1, out_dir=run)
+        studies = run / "studies"
+        breast = np.argwhere(read_nifti(studies / "p001_mask.nii.gz").data >= 0.5)
+        # one voxel in each breast: the mask voxels are sorted by x
+        self._set_nan(studies / "p001_post1.nii.gz", breast[[0, -1]])
+        rc = cmd_preprocess(run / "manifest.csv", config, run)
+        assert rc == 1
+        report = json.loads((run / "preprocess_report.json").read_text())
+        assert sorted(report["failed"]) == ["p001"]
+        assert "finite" in report["failed"]["p001"]
+        assert report["succeeded"] == ["p000", "p002"]
+        assert not (run / "stacks" / "p001_left.mct").exists()
+        assert "p001" in capsys.readouterr().err
+
+    def test_nan_outside_mask_is_zeroed(self, tmp_path, config):
+        """A NaN in the background neither fails the study nor moves its row window."""
+        clean, dirty = tmp_path / "clean", tmp_path / "dirty"
+        for run in (clean, dirty):
+            phantom.write_cohort(2, seed=1, out_dir=run)
+        studies = dirty / "studies"
+        background = np.argwhere(read_nifti(studies / "p001_mask.nii.gz").data < 0.5)
+        self._set_nan(studies / "p001_post1.nii.gz", background[[0, len(background) // 2]])
+        for run in (clean, dirty):
+            assert cmd_preprocess(run / "manifest.csv", config, run) == 0
+        for side in ("left", "right"):
+            name = f"p001_{side}.mct"
+            assert (dirty / "stacks" / name).read_bytes() == (clean / "stacks" / name).read_bytes()
 
     def test_rerun_is_idempotent(self, tmp_path, config):
         run = tmp_path / "run"
@@ -583,6 +628,8 @@ class TestCorruptRunDirectory:
             ("sidecar_bad_bounds", "train"),
             ("stale_mct1", "train"),
             ("model_bad_pool_grid", "predict"),
+            ("model_id_mismatch", "predict"),
+            ("nan_stack", "train"),
             ("empty_fold", "train"),
             ("empty_fold", "predict"),
         ],
@@ -615,6 +662,17 @@ class TestCorruptRunDirectory:
             record = json.loads(model.read_text())
             record["pool_grid"] = "x"
             model.write_text(json.dumps(record))
+        elif case == "model_id_mismatch":
+            # naming the CSV after this field would write outside the run directory
+            model = run / "models" / "natural_fold0.json"
+            record = json.loads(model.read_text())
+            record["model_id"] = "../../escaped"
+            model.write_text(json.dumps(record))
+        elif case == "nan_stack":
+            for stack in stacks:
+                blob = read_blob(stack)
+                blob.data[0, 0, 0] = np.nan
+                write_blob(blob, stack)
         elif case == "truncated_sidecar":
             for stack in stacks:
                 _truncate(stack)
@@ -650,11 +708,13 @@ class TestCorruptRunDirectory:
         argv = [command, "--out", str(run), "--weighting", "natural", "--fold", "0"]
         if command == "train":
             argv += ["--manifest", str(run / "manifest.csv"), "--config", str(config)]
+        before = sorted(p for p in tmp_path.rglob("*") if p.is_file())
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == before
 
 
 _PREDICTION_HEADER = "patient_id,side,p_nolesion,p_benign,p_malignant,model_id\n"
@@ -676,7 +736,11 @@ class TestBadInput:
             "manifest_not_utf8",
             "probs_sum_to_1_1",
             "side_not_a_side",
+            "evaluate_nan_row",
+            "ensemble_nan_row",
             "phantom_zero_studies",
+            "preprocess_jobs_zero",
+            "preprocess_jobs_negative",
         ],
     )
     def test_exits_two_without_traceback(self, predicted, tmp_path, case, capsys):
@@ -711,8 +775,18 @@ class TestBadInput:
         elif case == "side_not_a_side":
             bad_csv.write_text(_PREDICTION_HEADER + "p000,middle,1,0,0,m\n")
             argv = ["ensemble", *base, str(bad_csv)]
+        elif case.endswith("nan_row"):
+            # a fold's real predictions with one row's probabilities made NaN
+            rows = (run / "predictions" / "natural_fold0.csv").read_text().splitlines(True)
+            fields = rows[1].split(",")
+            fields[2:5] = ["nan"] * 3
+            bad_csv.write_text(rows[0] + ",".join(fields) + "".join(rows[2:]))
+            argv = [case.split("_")[0], *base, str(bad_csv)]
         elif case == "phantom_zero_studies":
             argv = ["phantom", "--n", "0", "--out", str(run)]
+        elif case.startswith("preprocess_jobs"):
+            jobs = "0" if case.endswith("zero") else "-3"
+            argv = ["preprocess", *base, "--config", str(_write_config(tmp_path)), "--jobs", jobs]
         before = sorted(p for p in run.rglob("*") if p.is_file())
         capsys.readouterr()
         assert main(argv) == 2
@@ -720,6 +794,38 @@ class TestBadInput:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert sorted(p for p in run.rglob("*") if p.is_file()) == before
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "phantom", "preprocess", "split", "train", "predict", "evaluate", "ensemble",
+        "augment-preview",
+    ],
+)
+def test_out_naming_a_file_exits_two(predicted, tmp_path, command, capsys):
+    """Every stage that makes a directory under --out reports a file there as a typed error."""
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory")
+    manifest = ["--manifest", str(predicted / "manifest.csv")]
+    config = ["--config", str(_write_config(tmp_path))]
+    csv_path = str(predicted / "predictions" / "natural_fold0.csv")
+    argv = {
+        "phantom": ["--n", "1"],
+        "preprocess": [*manifest, *config],
+        "split": [*manifest, *config],
+        "train": [*manifest, *config],
+        "predict": config,
+        "evaluate": [*manifest, csv_path],
+        "ensemble": [*manifest, csv_path],
+        "augment-preview": ["--stack", str(predicted / "stacks" / "p000_left.mct")],
+    }[command]
+    capsys.readouterr()
+    assert main([command, *argv, "--out", str(afile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert afile.read_text() == "not a directory"
 
 
 class TestStackFuzz:
