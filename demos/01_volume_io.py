@@ -27,12 +27,16 @@ back = read_nifti(nii)
 print("nifti round trip bit-exact:", back.data.tobytes() == vol.data.tobytes())
 print("affine preserved:", np.allclose(back.affine, vol.affine))
 
-# .nii.gz works the same way and is byte-stable across rewrites.
+# .nii.gz works the same way and is byte-stable across rewrites and paths:
+# the gzip header holds mtime 0 and no file name.
 gz = work / "demo.nii.gz"
 write_nifti(vol, gz)
 first = gz.read_bytes()
 write_nifti(vol, gz)
 print("gzip rewrite identical:", gz.read_bytes() == first)
+other = work / "copy.nii.gz"
+write_nifti(vol, other)
+print("gzip identical at another path:", other.read_bytes() == first)
 
 # Tensor blobs carry an arbitrary-rank float32 array and its JSON metadata in one file.
 blob = TensorBlob(

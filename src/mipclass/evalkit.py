@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -57,16 +58,19 @@ class FoldPlan:
     strat_labels: Mapping[str, int]
 
     def __post_init__(self) -> None:
-        if self.k < 2:
+        # operator.index refuses a float or string k or fold with TypeError
+        if operator.index(self.k) < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         for patient, fold in self.assignment.items():
-            if not 0 <= fold < self.k:
+            if not 0 <= operator.index(fold) < self.k:
                 raise ValueError(f"{patient}: fold {fold} outside [0, {self.k})")
         if set(self.assignment) != set(self.strat_labels):
             raise ValueError("assignment and stratification labels disagree on patients")
-        empty = sorted(set(range(self.k)) - set(self.assignment.values()))
+        # every fold is in [0, k), so counting the distinct ones finds an empty
+        # fold without building range(k), whatever k a folds.json declares
+        empty = self.k - len(set(self.assignment.values()))
         if empty:
-            raise ValueError(f"folds {empty} hold no patients")
+            raise ValueError(f"{empty} of {self.k} folds hold no patients")
 
     def patients_in_fold(self, fold: int) -> list[str]:
         return sorted(p for p, f in self.assignment.items() if f == fold)

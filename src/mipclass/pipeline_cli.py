@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import operator
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .classhead import (
     TrainConfig,
     class_weights,
     extract_features,
+    feature_dim,
     forward,
     train_heads,
     uniform_weights,
@@ -190,6 +192,12 @@ class PipelineConfig:
     pool_grid: int = DEFAULT_POOL_GRID
 
     def __post_init__(self) -> None:
+        for name in ("k", "seed", "pool_grid"):
+            value = getattr(self, name)
+            # a JSON true would be written into model files that predict refuses
+            if isinstance(value, bool):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            operator.index(value)  # refuses a float or a string with TypeError
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if self.pool_grid < 1:
@@ -529,6 +537,11 @@ def _read_model(out: Path, model_id: str) -> tuple[HeadParams, dict]:
         )
     except (TypeError, ValueError) as exc:
         raise SchemaMismatch(f"malformed model file {path}: {exc}") from exc
+    # checked before any stack is pooled on a grid the file may make huge
+    if params.dim != feature_dim(grid):
+        raise SchemaMismatch(
+            f"model file {path}: W has {params.dim} rows, pool_grid {grid} needs {feature_dim(grid)}"
+        )
     return params, raw
 
 

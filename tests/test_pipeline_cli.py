@@ -3,6 +3,7 @@ subcommand end to end on small synthetic cohorts, rerun determinism, and
 the training-time label-access audit.
 """
 
+import copy
 import dataclasses
 import json
 import shutil
@@ -14,9 +15,10 @@ import pytest
 
 from mipclass import phantom
 from mipclass.augment2d import AugmentPolicy, default_policy
-from mipclass.classhead import TrainConfig, class_weights
+from mipclass.classhead import HeadParams, TrainConfig, class_weights
 from mipclass.errors import ManifestParse, MipclassError, MissingBlob, SchemaMismatch
 from mipclass.evalkit import (
+    FoldPlan,
     Prediction,
     max_label,
     read_predictions_csv,
@@ -28,6 +30,8 @@ from mipclass.pipeline_cli import (
     Manifest,
     PipelineConfig,
     _load_stack,
+    _read_folds,
+    _read_model,
     cmd_ensemble,
     cmd_evaluate,
     cmd_predict,
@@ -229,24 +233,35 @@ class TestConfig:
             ({"row_window": -5}, "preprocess"),
             ({"row_window": True}, "preprocess"),
             ({"train": {"seed": 12345}}, "train"),
+            ({"k": 3.0}, "split"),
+            ({"seed": "x"}, "split"),
+            ({"pool_grid": 2.5}, "train"),
+            ({"pool_grid": True}, "train"),
         ],
         ids=[
             "k", "norm_stds", "epochs", "shape", "spacing", "pool_grid", "train", "augment",
             "row_window_str", "row_window_zero", "row_window_negative", "row_window_bool",
-            "train_seed",
+            "train_seed", "k_float", "seed_str", "pool_grid_float", "pool_grid_bool",
         ],
     )
     def test_invalid_value_exits_two(self, cohort, tmp_path, override, command, capsys):
+        """Each stage runs on a split, preprocessed copy, so only the config can refuse it."""
         raw = dict(FAST_CONFIG)
         raw.update(override)
         config = tmp_path / "config.json"
         config.write_text(json.dumps(raw))
-        argv = [command, "--manifest", str(cohort / "manifest.csv"), "--config", str(config)]
+        run = tmp_path / "run"
+        shutil.copytree(cohort, run)
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        argv = [command, "--manifest", str(run / "manifest.csv"), "--config", str(config)]
         capsys.readouterr()
-        assert main([*argv, "--out", str(tmp_path / "run")]) == 2
+        assert main([*argv, "--out", str(run)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        assert "config" in err
+        assert "folds.json" not in err
         assert "Traceback" not in err
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
 
 class TestPreprocess:
@@ -275,6 +290,27 @@ class TestPreprocess:
         assert (run / "stacks" / "p002_left.mct").exists()
         assert not (run / "stacks" / "p001_left.mct").exists()
         assert "p001" in capsys.readouterr().err
+
+    def test_corrupt_gzip_fails_study(self, tmp_path, capsys):
+        """A damaged deflate stream fails its study; the others are still built."""
+        run = tmp_path / "run"
+        phantom.write_cohort(2, seed=1, out_dir=run)
+        damaged = run / "studies" / "p001_post2.nii.gz"
+        buf = bytearray(damaged.read_bytes())
+        buf[40] ^= 0xFF
+        damaged.write_bytes(bytes(buf))
+        config = _write_config(tmp_path)
+        argv = ["--manifest", str(run / "manifest.csv"), "--config", str(config), "--out", str(run)]
+        capsys.readouterr()
+        assert main(["preprocess", *argv]) == 1
+        report = json.loads((run / "preprocess_report.json").read_text())
+        assert sorted(report["failed"]) == ["p001"]
+        assert report["failed"]["p001"].startswith("IoFailure: ")
+        assert report["succeeded"] == ["p000"]
+        assert sorted(p.name for p in (run / "stacks").iterdir()) == [
+            "p000_left.mct", "p000_right.mct",
+        ]
+        assert "Traceback" not in capsys.readouterr().err
 
     @staticmethod
     def _set_nan(path: Path, voxels: np.ndarray) -> None:
@@ -828,6 +864,16 @@ def test_out_naming_a_file_exits_two(predicted, tmp_path, command, capsys):
     assert afile.read_text() == "not a directory"
 
 
+def _mutated(base: bytes, rng, end: int) -> bytes:
+    """base with 1–8 random bytes of base[:end] replaced; a quarter of the time, also truncated."""
+    buf = bytearray(base)
+    for _ in range(rng.integers(1, 9)):
+        buf[int(rng.integers(0, end))] = int(rng.integers(0, 256))
+    if rng.random() < 0.25:
+        buf = buf[: int(rng.integers(0, len(buf)))]
+    return bytes(buf)
+
+
 class TestStackFuzz:
     def test_fuzzed_stacks_never_crash(self, cohort, tmp_path):
         """Mutated headers/metadata and truncations give a MipStack or a typed error."""
@@ -838,12 +884,7 @@ class TestStackFuzz:
         path = tmp_path / "stacks" / "p000_left.mct"
         outcomes = {"ok": 0, "err": 0}
         for _ in range(1500):
-            buf = bytearray(base)
-            for _ in range(rng.integers(1, 9)):
-                buf[int(rng.integers(0, meta_end))] = int(rng.integers(0, 256))
-            if rng.random() < 0.25:
-                buf = buf[: int(rng.integers(0, len(buf)))]
-            path.write_bytes(bytes(buf))
+            path.write_bytes(_mutated(base, rng, meta_end))
             try:
                 assert isinstance(_load_stack(tmp_path, "p000", "left"), MipStack)
                 outcomes["ok"] += 1
@@ -851,6 +892,88 @@ class TestStackFuzz:
                 outcomes["err"] += 1
         assert outcomes["ok"] + outcomes["err"] == 1500
         assert outcomes["ok"] > 0 and outcomes["err"] > 0
+
+
+# values a damaged or hand-edited run file may hold where a number, list or object
+# belongs; 10**6 stands for a huge k or pool_grid, small enough that code which
+# allocates by it (a range(k) set, a list of grid edges) cannot exhaust memory
+_ODD_VALUES = (
+    None, True, -1, 0, 7, 10**6, 1e308, float("nan"), float("inf"), "x",
+    [], [1, "a"], [[1.0], [1.0, 2.0]], {}, {"p000": 0},
+)
+
+
+def _odd_json(doc, rng):
+    """A copy of a parsed JSON document with 1–3 values at any depth replaced or deleted."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.integers(1, 4)):
+        node = doc
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            key = keys[int(rng.integers(0, len(keys)))]
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and rng.random() < 0.7:
+                node = child
+                continue
+            if isinstance(node, dict) and rng.random() < 0.1:
+                del node[key]
+            else:
+                node[key] = copy.deepcopy(_ODD_VALUES[int(rng.integers(0, len(_ODD_VALUES)))])
+            break
+    return doc
+
+
+class TestRunFileFuzz:
+    """Mutated folds.json and model files load as a valid object or fail typed;
+    whatever loads, predict then finishes or exits 2 with an error line.
+
+    Half the rounds mutate bytes and truncate as TestStackFuzz does, which
+    rarely leaves valid JSON; the other half replace values in the parsed
+    document, which reaches the checks behind the JSON parser.
+    """
+
+    ROUNDS = 600
+
+    def _fuzz(self, trained, tmp_path, capsys, name: str, load, seed: int) -> None:
+        run = tmp_path / "run"
+        shutil.copytree(trained, run, ignore=shutil.ignore_patterns("predictions", "metrics"))
+        path = run / name
+        base = path.read_bytes()
+        doc = json.loads(base)
+        rng = np.random.default_rng(seed)
+        outcomes = {"ok": 0, "err": 0}
+        argv = ["predict", "--out", str(run), "--weighting", "natural", "--fold", "0"]
+        for _ in range(self.ROUNDS):
+            if rng.random() < 0.5:
+                path.write_bytes(_mutated(base, rng, len(base)))
+            else:
+                path.write_bytes(json.dumps(_odd_json(doc, rng)).encode("utf-8"))
+            try:
+                load(run)
+            except MipclassError:
+                outcomes["err"] += 1
+                continue
+            outcomes["ok"] += 1
+            capsys.readouterr()
+            if main(argv) != 0:
+                err = capsys.readouterr().err
+                assert err.startswith("error: ")
+                assert "Traceback" not in err
+        assert outcomes["ok"] + outcomes["err"] == self.ROUNDS
+        assert outcomes["ok"] > 0 and outcomes["err"] > 0
+
+    def test_fuzzed_folds_never_crash(self, trained, tmp_path, capsys):
+        def load(run):
+            assert isinstance(_read_folds(run), FoldPlan)
+
+        self._fuzz(trained, tmp_path, capsys, "folds.json", load, seed=8765)
+
+    def test_fuzzed_models_never_crash(self, trained, tmp_path, capsys):
+        def load(run):
+            params, record = _read_model(run, "natural_fold0")
+            assert isinstance(params, HeadParams) and isinstance(record, dict)
+
+        self._fuzz(trained, tmp_path, capsys, "models/natural_fold0.json", load, seed=5678)
 
 
 class TestAugmentPreview:

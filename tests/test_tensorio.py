@@ -1,11 +1,12 @@
 """NIfTI-1 and MCT2 blob I/O tests, checked against an independent writer."""
 
+import gzip
 import struct
 
 import numpy as np
 import pytest
 
-from mipclass import tensorio
+from mipclass import phantom, tensorio
 from mipclass.errors import (
     BadMagic,
     HeaderError,
@@ -197,6 +198,20 @@ class TestNiftiWrite:
             assert ours[lo:hi] == ref[lo:hi]
         assert ours[352:] == ref[352:]
 
+    def test_gzip_bytes_do_not_depend_on_the_path(self, tmp_path):
+        """The gzip header holds no file name and mtime 0, so equal volumes give equal bytes."""
+        rng = np.random.default_rng(7)
+        vol = Volume.from_array(rng.random((5, 4, 3), dtype=np.float32))
+        write_nifti(vol, tmp_path / "a.nii.gz")
+        write_nifti(vol, tmp_path / "b.nii.gz")
+        buf = (tmp_path / "a.nii.gz").read_bytes()
+        assert buf == (tmp_path / "b.nii.gz").read_bytes()
+        assert buf[:3] == b"\x1f\x8b\x08"  # gzip magic, deflate
+        assert buf[3] & 0x08 == 0  # FLG has no FNAME bit
+        assert buf[4:8] == bytes(4)  # MTIME 0
+        write_nifti(vol, tmp_path / "a.nii")
+        assert gzip.decompress(buf) == (tmp_path / "a.nii").read_bytes()
+
     def test_unwritable_path_raises(self, tmp_path):
         vol = Volume.from_array(np.zeros((1, 1, 1), dtype=np.float32))
         with pytest.raises(IoFailure):
@@ -233,6 +248,29 @@ class TestHeaderFuzz:
             p.write_bytes(rng.integers(0, 256, n, dtype=np.uint8).tobytes())
             with pytest.raises(MipclassError):
                 read_nifti(p)
+
+    def test_fuzzed_gzip_stream_never_crashes(self, tmp_path):
+        """Mutated bytes anywhere in a phantom .nii.gz (header, deflate data,
+        trailer) and truncations give a Volume or a typed error."""
+        rng = np.random.default_rng(2468)
+        path = tmp_path / "post2.nii.gz"
+        write_nifti(phantom.generate_study("p000", 0, 0).posts[1], path)
+        base = path.read_bytes()
+        outcomes = {"ok": 0, "err": 0}
+        for _ in range(1500):
+            buf = bytearray(base)
+            for _ in range(rng.integers(1, 9)):
+                buf[int(rng.integers(0, len(buf)))] = int(rng.integers(0, 256))
+            if rng.random() < 0.25:
+                buf = buf[: int(rng.integers(0, len(buf)))]
+            path.write_bytes(bytes(buf))
+            try:
+                assert isinstance(read_nifti(path), Volume)
+                outcomes["ok"] += 1
+            except MipclassError:
+                outcomes["err"] += 1
+        assert outcomes["ok"] + outcomes["err"] == 1500
+        assert outcomes["err"] > 0
 
     def test_huge_dims_no_allocation(self, tmp_path):
         """Giant declared dims on a small file must fail before allocating."""
