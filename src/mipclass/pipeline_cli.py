@@ -200,6 +200,9 @@ class PipelineConfig:
             operator.index(value)  # refuses a float or a string with TypeError
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
+        # the fold shuffle keys np.random.Philox with it, which takes [0, 2**128)
+        if not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
         if self.pool_grid < 1:
             raise ValueError(f"pool_grid must be >= 1, got {self.pool_grid}")
 
@@ -712,7 +715,10 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     config = load_config(getattr(args, "config", None))
     seed = getattr(args, "seed", None)
     if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
+        try:
+            config = dataclasses.replace(config, seed=seed)
+        except ValueError as exc:
+            raise BadArgument(f"--seed: {exc}") from exc
     return config
 
 

@@ -2,11 +2,16 @@
 (corner mapping through affines, scalar interpolation by hand, brute-force
 window search)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from capped_process import run_capped
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from mipclass import geometry
 from mipclass.errors import WidthTooSmall
 from mipclass.geometry import (
     ROW_TIE_RTOL,
@@ -177,6 +182,132 @@ class TestResample:
         vol = Volume.from_array(mask, spacing=(1.0, 1.0, 3.0))
         out = resample(vol, (0.7, 0.7, 3.0), Interp.NEAREST)
         assert set(np.unique(out.data)) <= {0.0, 1.0}
+
+
+def _reference_lerp_axis(data, axis, n_out, ratio):
+    """The whole-volume float64 lerp that resample used before it worked in slabs."""
+    n_in = data.shape[axis]
+    pos = np.arange(n_out, dtype=np.float64) * ratio
+    lo = np.clip(np.floor(pos).astype(np.int64), 0, n_in - 1)
+    hi = np.minimum(lo + 1, n_in - 1)
+    frac = pos - lo
+    frac = np.where(hi == lo, 0.0, frac)
+    shape = [1, 1, 1]
+    shape[axis] = n_out
+    frac = frac.reshape(shape)
+    low_vals = np.take(data, lo, axis=axis)
+    high_vals = np.take(data, hi, axis=axis)
+    return low_vals * (1.0 - frac) + high_vals * frac
+
+
+def _reference_trilinear(vol, target):
+    ratios = tuple(target[i] / vol.spacing[i] for i in range(3))
+    n_out = tuple(
+        max(1, int(np.floor(vol.shape[i] * vol.spacing[i] / target[i] + 0.5))) for i in range(3)
+    )
+    acc = vol.data.astype(np.float64)
+    for axis in range(3):
+        if n_out[axis] == vol.shape[axis] and ratios[axis] == 1.0:
+            continue
+        acc = _reference_lerp_axis(acc, axis, n_out[axis], ratios[axis])
+    return acc.astype(np.float32)
+
+
+def _nan_canonical(data):
+    return np.where(np.isnan(data), np.float32(np.nan), data)
+
+
+_SPECIAL_VALUES = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e29, -1e29, 3.4e38, -3.4e38, 1e-45]
+
+
+class TestResampleSlabs:
+    """The slab-wise trilinear path against the whole-volume formula it replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_bytes_match_whole_volume_reference(self, data):
+        """Output x-extents land on, and one either side of, slab multiples;
+        each axis goes up, down or stays; values include -0.0, NaN, +-inf and
+        huge magnitudes.  Every non-NaN byte must match, and NaN where the
+        reference has NaN: numpy's SIMD add keeps one operand's NaN inside
+        full vector blocks and the other's in the tail, so a NaN's sign bit
+        depends on where the voxel falls in the array, in the reference too."""
+        shape = (
+            data.draw(st.integers(1, 40), label="nx"),
+            data.draw(st.integers(1, 6), label="ny"),
+            data.draw(st.integers(1, 6), label="nz"),
+        )
+        spacing = tuple(data.draw(st.sampled_from([0.5, 0.7, 1.0, 3.0])) for _ in range(3))
+        target = []
+        for axis in range(3):
+            n_out = data.draw(st.integers(1, 48 if axis == 0 else 8), label=f"n_out{axis}")
+            kind = data.draw(st.sampled_from(["same", "extent"]), label=f"kind{axis}")
+            # "extent" picks the spacing that gives n_out samples: up, down or (n_out = n) identity
+            target.append(spacing[axis] if kind == "same" else spacing[axis] * shape[axis] / n_out)
+        elements = st.floats(width=32) | st.sampled_from(_SPECIAL_VALUES)
+        values = data.draw(arrays(np.float32, shape, elements=elements), label="values")
+        rows = data.draw(st.sampled_from([1, 3, 8]), label="slab rows")
+        vol = Volume.from_array(values, spacing=spacing)
+        with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore", over="ignore"):
+            mp.setattr(geometry, "RESAMPLE_SLAB_ROWS", rows, raising=False)
+            out = resample(vol, tuple(target), Interp.TRILINEAR)
+            expected = _reference_trilinear(vol, tuple(target))
+        assert out.shape == expected.shape
+        assert _nan_canonical(out.data).tobytes() == _nan_canonical(expected).tobytes()
+
+    def test_finite_bytes_match_at_the_acceptance_grid(self):
+        rng = np.random.default_rng(9)
+        vol = Volume.from_array(
+            rng.gamma(2.0, 300.0, (64, 64, 16)).astype(np.float32), spacing=(2.8, 2.8, 12.0)
+        )
+        out = resample(vol, (1.4, 1.4, 6.0), Interp.TRILINEAR)
+        assert out.data.tobytes() == _reference_trilinear(vol, (1.4, 1.4, 6.0)).tobytes()
+
+    def test_peak_memory_below_twice_the_output(self):
+        """No whole-volume float64 temporary: the float32 output dominates."""
+        rng = np.random.default_rng(4)
+        vol = Volume.from_array(rng.random((64, 64, 16), dtype=np.float32), spacing=(2.0, 2.0, 6.0))
+        tracemalloc.start()
+        try:
+            out = resample(vol, (1.0, 1.0, 3.0), Interp.TRILINEAR)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (128, 128, 32)
+        assert peak < 2 * out.data.nbytes
+
+    @pytest.mark.parametrize("interp", [Interp.TRILINEAR, Interp.NEAREST])
+    def test_huge_grid_refused_with_its_shape(self, interp):
+        vol = Volume.from_array(np.zeros((4, 4, 4), np.float32))
+        with pytest.raises(ValueError, match=r"\(40000, 4, 40000\).*MAX_RESAMPLE_VOXELS"):
+            resample(vol, (1e-4, 1.0, 1e-4), interp)
+        # an extent that overflows a float is refused, not an OverflowError
+        with pytest.raises(ValueError, match=r"\(inf, 4, 4\)"):
+            resample(vol, (5e-324, 1.0, 1.0), interp)
+
+    @pytest.mark.parametrize("interp", ["TRILINEAR", "NEAREST"])
+    def test_refused_before_any_large_allocation(self, interp):
+        """2**30 + 2**20 output voxels: refused with next to nothing allocated.
+        A 1 GiB address-space cap turns any attempt at the 4-8 GiB arrays into
+        a MemoryError rather than a machine out of memory."""
+        code = f"""
+import tracemalloc
+import numpy as np
+from mipclass.geometry import Interp, resample
+from mipclass.volume import Volume
+vol = Volume.from_array(np.zeros((1025, 8, 8), np.float32), spacing=(1.0, 128.0, 128.0))
+tracemalloc.start()
+try:
+    resample(vol, (1.0, 1.0, 1.0), Interp.{interp})
+except ValueError as exc:
+    print(tracemalloc.get_traced_memory()[1])
+    print(exc)
+"""
+        proc = run_capped(["-c", code], 1 << 30)
+        assert proc.returncode == 0, proc.stderr
+        peak, message = proc.stdout.splitlines()
+        assert int(peak) < 64 * 1024
+        assert "(1025, 1024, 1024)" in message
 
 
 class TestCropOrPad:

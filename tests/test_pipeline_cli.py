@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from capped_process import run_capped
 
 from mipclass import phantom
 from mipclass.augment2d import AugmentPolicy, default_policy
@@ -263,6 +264,33 @@ class TestConfig:
         assert "Traceback" not in err
         assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
+    @pytest.mark.parametrize("seed", [-3, 2**128], ids=["negative", "2**128"])
+    def test_out_of_range_config_seed_exits_two(self, cohort, tmp_path, seed, capsys):
+        """The fold shuffle's Philox key takes [0, 2**128); outside it split used to
+        die with a raw ValueError."""
+        config = _write_config(tmp_path, seed=seed)
+        argv = ["--manifest", str(cohort / "manifest.csv"), "--config", str(config)]
+        capsys.readouterr()
+        assert main(["split", *argv, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid value in config")
+        assert "seed must be in [0, 2**128)" in err
+        assert not (tmp_path / "run" / "folds.json").exists()
+
+    @pytest.mark.parametrize("seed", ["-5", str(2**128)], ids=["negative", "2**128"])
+    @pytest.mark.parametrize("command", ["split", "train", "preprocess"])
+    def test_out_of_range_seed_flag_exits_two(self, cohort, tmp_path, command, seed, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(cohort, run)
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        config = _write_config(tmp_path)
+        argv = ["--manifest", str(run / "manifest.csv"), "--config", str(config), "--out", str(run)]
+        capsys.readouterr()
+        assert main([command, *argv, "--seed", seed]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed: seed must be in [0, 2**128)")
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
 
 class TestPreprocess:
     def test_two_patients_make_four_blobs(self, tmp_path, config):
@@ -348,6 +376,28 @@ class TestPreprocess:
         for side in ("left", "right"):
             name = f"p001_{side}.mct"
             assert (dirty / "stacks" / name).read_bytes() == (clean / "stacks" / name).read_bytes()
+
+    def test_too_fine_spacing_fails_each_study(self, tmp_path):
+        """A grid over MAX_RESAMPLE_VOXELS fails its study with the shape named.
+
+        Runs under a 3 GiB address-space cap: before the refusal, this config
+        asked numpy for a 6.84 GiB float64 array."""
+        run = tmp_path / "run"
+        phantom.write_cohort(2, seed=1, out_dir=run)
+        config = _write_config(tmp_path, spacing=[0.0001, 0.7, 3.0])
+        argv = ["--manifest", str(run / "manifest.csv"), "--config", str(config), "--out", str(run)]
+        proc = run_capped(["-m", "mipclass", "preprocess", *argv], 3 << 30)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        report = json.loads((run / "preprocess_report.json").read_text())
+        assert report["succeeded"] == []
+        assert sorted(report["failed"]) == ["p000", "p001"]
+        for message in report["failed"].values():
+            assert message.startswith("ValueError: ")
+            assert "(896000, 128, 32)" in message
+            assert "MAX_RESAMPLE_VOXELS" in message
+        assert list((run / "stacks").iterdir()) == []
+        assert "FAILED p000" in proc.stderr
 
     def test_rerun_is_idempotent(self, tmp_path, config):
         run = tmp_path / "run"
