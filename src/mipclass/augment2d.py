@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .mipbuild import PAPER_MEANS, PAPER_STDS, MipStack
+from .mipbuild import PAPER_MEANS, PAPER_STDS, MipStack, check_integer_fields
 
 # fixed stream indices; changing these changes every sampled augmentation
 _STREAMS = {
@@ -82,8 +82,9 @@ class AugmentPolicy:
             raise ValueError("magnitude ranges must be finite")
         if self.scale_range[0] <= 0 or self.scale_range[1] < self.scale_range[0]:
             raise ValueError(f"bad scale range {self.scale_range}")
-        if self.noise_sigma < 0 or self.blur_sigma < 0:
-            raise ValueError("sigmas must be >= 0")
+        if not (0 <= self.noise_sigma < math.inf and 0 <= self.blur_sigma < math.inf):
+            raise ValueError("sigmas must be finite and >= 0")
+        check_integer_fields(self, ("dropout_max_holes", "dropout_max_size"))
         if self.dropout_max_holes < 0 or self.dropout_max_size < 0:
             raise ValueError("dropout bounds must be >= 0")
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimMismatch, EmptyClass
 from .evalkit import N_CLASSES
-from .mipbuild import MipStack
+from .mipbuild import MipStack, check_integer_fields
 
 LOG_FLOOR = 1e-12
 DEFAULT_POOL_GRID = 4
@@ -115,14 +115,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_integer_fields(self, ("epochs", "batch", "warmup_epochs", "seed"))
         if not self.epochs > self.warmup_epochs >= 0:
             raise ValueError(
                 f"need epochs > warmup_epochs >= 0, got {self.epochs}, {self.warmup_epochs}"
             )
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
-        if not self.lr_max > self.lr_min >= 0:
-            raise ValueError(f"need lr_max > lr_min >= 0, got {self.lr_max}, {self.lr_min}")
+        if not math.isfinite(self.lr_max) or not self.lr_max > self.lr_min >= 0:
+            raise ValueError(f"need finite lr_max > lr_min >= 0, got {self.lr_max}, {self.lr_min}")
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
 

@@ -54,13 +54,6 @@ class RowWindow:
         return self.start + self.length
 
 
-def _translate_affine(affine: np.ndarray, index_offset: tuple[int, int, int]) -> np.ndarray:
-    """Affine for a view whose index (0,0,0) sits at `index_offset` in the parent."""
-    out = np.array(affine, dtype=np.float64)
-    out[:3, 3] += out[:3, :3] @ np.asarray(index_offset, dtype=np.float64)
-    return out
-
-
 def reorient_canonical(volume: Volume) -> Volume:
     """Permute/flip axes so the volume is RAS; world positions are kept.
 
@@ -199,6 +192,31 @@ def resample(volume: Volume, target: tuple[float, float, float], interp: Interp)
     return Volume(np.ascontiguousarray(data), target, affine)
 
 
+def _box(volume: Volume, origin: tuple[int, int, int], shape: tuple[int, int, int]) -> Volume:
+    """Copy of the index box ``[origin, origin + shape)``, 0 outside `volume`;
+    retained voxels keep their world positions."""
+    data = np.zeros(shape, dtype=np.float32)
+    src, dst = [], []
+    for o, t, n in zip(origin, shape, volume.shape):
+        lo = max(o, 0)
+        hi = max(lo, min(o + t, n))
+        src.append(slice(lo, hi))
+        dst.append(slice(lo - o, hi - o))
+    data[tuple(dst)] = volume.data[tuple(src)]
+    affine = np.array(volume.affine, dtype=np.float64)
+    affine[:3, 3] += affine[:3, :3] @ np.asarray(origin, dtype=np.float64)
+    return Volume(data, volume.spacing, affine)
+
+
+def _centred(shape: tuple[int, int, int], target_shape) -> tuple[tuple[int, ...], list[int]]:
+    """`target_shape` checked, and the origin of that box centred on `shape`."""
+    target_shape = tuple(int(t) for t in target_shape)
+    if any(t < 1 for t in target_shape):
+        raise ValueError(f"target shape must be >= 1 per axis, got {target_shape}")
+    origin = [(n - t) // 2 if n >= t else -((t - n) // 2) for n, t in zip(shape, target_shape)]
+    return target_shape, origin
+
+
 def crop_or_pad(volume: Volume, target_shape: tuple[int, int, int]) -> Volume:
     """Center-crop or zero-pad each axis to `target_shape`.
 
@@ -206,31 +224,8 @@ def crop_or_pad(volume: Volume, target_shape: tuple[int, int, int]) -> Volume:
     and remove the extra cropped voxel from the high-index side; retained
     voxels keep their world positions.
     """
-    target_shape = tuple(int(t) for t in target_shape)
-    if any(t < 1 for t in target_shape):
-        raise ValueError(f"target shape must be >= 1 per axis, got {target_shape}")
-    if target_shape == volume.shape:
-        return volume
-
-    out = np.zeros(target_shape, dtype=np.float32)
-    src_slices = []
-    dst_slices = []
-    origin_offset = [0, 0, 0]
-    for i in range(3):
-        n, t = volume.shape[i], target_shape[i]
-        if n >= t:
-            start = (n - t) // 2
-            src_slices.append(slice(start, start + t))
-            dst_slices.append(slice(0, t))
-            origin_offset[i] = start
-        else:
-            pad_low = (t - n) // 2
-            src_slices.append(slice(0, n))
-            dst_slices.append(slice(pad_low, pad_low + n))
-            origin_offset[i] = -pad_low
-    out[tuple(dst_slices)] = volume.data[tuple(src_slices)]
-    affine = _translate_affine(volume.affine, tuple(origin_offset))
-    return Volume(out, volume.spacing, affine)
+    target_shape, origin = _centred(volume.shape, target_shape)
+    return volume if target_shape == volume.shape else _box(volume, origin, target_shape)
 
 
 # Window sums within this relative distance of the maximum tie; float64 rounding
@@ -262,18 +257,17 @@ def localize_rows(volume: Volume, window: int = 256) -> RowWindow:
     return RowWindow(int(np.argmax(window_sums >= best - ROW_TIE_RTOL * abs(best))), window)
 
 
+def _window(shape, target_shape, rows: RowWindow):
+    """Origin and shape of the `rows` window of the `target_shape` box centred on `shape`."""
+    (nx, ny, nz), (x, y, z) = _centred(shape, target_shape)
+    if rows.stop > ny:
+        raise ValueError(f"window [{rows.start}, {rows.stop}) exceeds axis extent {ny}")
+    return (x, y + rows.start, z), (nx, rows.length, nz)
+
+
 def extract_rows(volume: Volume, rows: RowWindow) -> Volume:
     """Slice the row window out of the volume, keeping world positions."""
-    if rows.stop > volume.shape[HEIGHT_AXIS]:
-        raise ValueError(
-            f"window [{rows.start}, {rows.stop}) exceeds axis extent "
-            f"{volume.shape[HEIGHT_AXIS]}"
-        )
-    return Volume(
-        np.ascontiguousarray(volume.data[:, rows.start : rows.stop]),
-        volume.spacing,
-        _translate_affine(volume.affine, (0, rows.start, 0)),
-    )
+    return _box(volume, *_window(volume.shape, volume.shape, rows))
 
 
 def split_lr(volume: Volume) -> tuple[Volume, Volume]:
@@ -283,16 +277,18 @@ def split_lr(volume: Volume) -> tuple[Volume, Volume]:
     widths the second half gets the extra column.  Concatenating the halves
     along axis 0 reproduces the input.
     """
-    nx = volume.shape[0]
+    return cut_halves(volume, volume.shape, RowWindow(0, volume.shape[HEIGHT_AXIS]))
+
+
+def cut_halves(volume: Volume, target_shape, rows: RowWindow) -> tuple[Volume, Volume]:
+    """``split_lr(extract_rows(crop_or_pad(volume, target_shape), rows))``, with
+    the same bytes, world positions and errors, copied straight from `volume`
+    without making the `target_shape` grid in between."""
+    (x, y, z), (nx, ny, nz) = _window(volume.shape, target_shape, rows)
     if nx < 2:
         raise WidthTooSmall(f"cannot split width {nx} < 2")
     half = nx // 2
-    low = Volume(
-        np.ascontiguousarray(volume.data[:half]), volume.spacing, volume.affine
+    return (
+        _box(volume, (x, y, z), (half, ny, nz)),
+        _box(volume, (x + half, y, z), (nx - half, ny, nz)),
     )
-    high = Volume(
-        np.ascontiguousarray(volume.data[half:]),
-        volume.spacing,
-        _translate_affine(volume.affine, (half, 0, 0)),
-    )
-    return low, high

@@ -15,6 +15,8 @@ downstream normalization maps each channel to [0, 1].
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -30,11 +32,10 @@ from .errors import (
 from .geometry import (
     Interp,
     crop_or_pad,
-    extract_rows,
+    cut_halves,
     localize_rows,
     reorient_canonical,
     resample,
-    split_lr,
 )
 from .tensorio import TensorBlob
 from .volume import Volume
@@ -65,8 +66,8 @@ class NormConstants:
     def __post_init__(self) -> None:
         if len(self.means) != 4 or len(self.stds) != 4:
             raise ValueError("normalization constants must have 4 channels")
-        if any(s <= 0 for s in self.stds):
-            raise ValueError(f"stds must be positive, got {self.stds}")
+        if not all(map(math.isfinite, self.means)) or not all(0 < s < math.inf for s in self.stds):
+            raise ValueError(f"need finite means and stds > 0, got {self.means}, {self.stds}")
 
 
 @dataclass(frozen=True)
@@ -91,6 +92,17 @@ class PhaseSet:
     last: Volume
 
 
+def check_integer_fields(config: Any, names: tuple[str, ...]) -> None:
+    """TypeError unless each named field is an integer: ``operator.index``
+    refuses a float or a string, and a bool (a JSON true) is refused too."""
+    for name in names:
+        value = getattr(config, name)
+        try:
+            operator.index(None if isinstance(value, bool) else value)
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class BuildConfig:
     """Geometry parameters for stack construction."""
@@ -100,8 +112,8 @@ class BuildConfig:
     row_window: int = 256
 
     def __post_init__(self) -> None:
-        if len(self.spacing) != 3 or not all(s > 0 for s in self.spacing):
-            raise ValueError(f"spacing must be three positive values, got {self.spacing}")
+        if len(self.spacing) != 3 or not all(0 < s < math.inf for s in self.spacing):
+            raise ValueError(f"spacing must be three finite positive values, got {self.spacing}")
         integral = all(isinstance(n, (int, np.integer)) for n in self.shape)
         if len(self.shape) != 3 or not integral or min(self.shape) < 1:
             raise ValueError(f"shape must be three positive integers, got {self.shape}")
@@ -179,16 +191,13 @@ def _regrid_mask_nearest(mask: Volume, target: Volume) -> np.ndarray:
     """
     to_mask = np.linalg.inv(mask.affine) @ target.affine
     rot, shift = to_mask[:3, :3], to_mask[:3, 3]
-    nx, ny, nz = target.shape
-    x = np.arange(nx, dtype=np.float64).reshape(nx, 1, 1)
-    y = np.arange(ny, dtype=np.float64).reshape(1, ny, 1)
-    z = np.arange(nz, dtype=np.float64).reshape(1, 1, nz)
+    x, y, z = np.indices(target.shape, sparse=True)
     binary = mask.data >= 0.5
     idx = []
     for i in range(3):
         pos = rot[i, 0] * x + rot[i, 1] * y + rot[i, 2] * z + shift[i]
         idx.append(np.clip(np.rint(pos).astype(np.int64), 0, mask.shape[i] - 1))
-    return binary[idx[0], idx[1], idx[2]]
+    return binary[tuple(idx)]
 
 
 def _mask_on_grid(mask: Volume, target: Volume) -> np.ndarray:
@@ -229,37 +238,31 @@ def mip_z(volume: Volume) -> np.ndarray:
     return volume.data.max(axis=2)
 
 
-def _standardize(volume: Volume, cfg: BuildConfig, interp: Interp) -> Volume:
-    return crop_or_pad(
-        resample(reorient_canonical(volume), cfg.spacing, interp), cfg.shape
-    )
-
-
 def build_stacks(study: Study, cfg: BuildConfig = BuildConfig()) -> dict[str, MipStack]:
     """Run the §-ordered pipeline once per study and stack the 4 MIPs per side.
 
-    Reorient -> resample -> crop/pad each distinct phase once; localize rows
-    on post1 and reuse that window everywhere; split at 50% width; apply
-    the (identically standardized) mask; subtract; project along z.  Each
-    standardized volume is cut to the row window as soon as it is made, so
-    no two full-grid volumes are held at once.  Keys follow ``SIDES``.
+    Reorient -> resample each distinct phase once; localize rows on post1
+    crop/padded to ``cfg.shape``; cut each phase and the (identically
+    resampled) mask straight into its halves of that grid and window
+    (:func:`cut_halves`), so only post1 is ever held at full grid size;
+    apply the mask; subtract; project along z.  Keys follow ``SIDES``.
     """
     phases = select_phases(study)
-    post1 = _standardize(phases.post1, cfg, Interp.TRILINEAR)
-    rows = localize_rows(post1, cfg.row_window)
 
-    def cut(vol: Volume) -> tuple[Volume, Volume]:
-        return split_lr(extract_rows(vol, rows))
+    def resampled(vol: Volume, interp: Interp = Interp.TRILINEAR) -> Volume:
+        return resample(reorient_canonical(vol), cfg.spacing, interp)
 
-    halves = {id(phases.post1): cut(post1)}
+    post1 = resampled(phases.post1)
+    rows = localize_rows(crop_or_pad(post1, cfg.shape), cfg.row_window)
+    halves = {id(phases.post1): cut_halves(post1, cfg.shape, rows)}
     del post1
     mask_halves: tuple[Volume, Volume] | None = None
     if study.mask is not None:
         _check_mask_values(study.mask.data)
-        mask_halves = cut(_standardize(study.mask, cfg, Interp.NEAREST))
+        mask_halves = cut_halves(resampled(study.mask, Interp.NEAREST), cfg.shape, rows)
     for vol in (phases.pre, phases.post2, phases.last):
         if id(vol) not in halves:
-            halves[id(vol)] = cut(_standardize(vol, cfg, Interp.TRILINEAR))
+            halves[id(vol)] = cut_halves(resampled(vol), cfg.shape, rows)
 
     meta = {
         "channel_order": list(CHANNEL_NAMES),

@@ -16,7 +16,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import operator
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -67,6 +66,7 @@ from .mipbuild import (
     NormConstants,
     Study,
     build_stacks,
+    check_integer_fields,
     normalize_stack,
     stack_filename,
     stack_from_blob,
@@ -192,12 +192,8 @@ class PipelineConfig:
     pool_grid: int = DEFAULT_POOL_GRID
 
     def __post_init__(self) -> None:
-        for name in ("k", "seed", "pool_grid"):
-            value = getattr(self, name)
-            # a JSON true would be written into model files that predict refuses
-            if isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            operator.index(value)  # refuses a float or a string with TypeError
+        # a JSON true would be written into model files that predict refuses
+        check_integer_fields(self, ("k", "seed", "pool_grid"))
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         # the fold shuffle keys np.random.Philox with it, which takes [0, 2**128)

@@ -66,6 +66,18 @@ class TestPolicy:
         with pytest.raises(ValueError):
             AugmentPolicy(rotate_deg=float("inf"))
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["noise_sigma", "blur_sigma"])
+    def test_non_finite_sigmas_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            AugmentPolicy(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, 8.0, True, "8"])
+    @pytest.mark.parametrize("field", ["dropout_max_holes", "dropout_max_size"])
+    def test_dropout_bounds_are_integers(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            AugmentPolicy(**{field: value})
+
 
 class TestAugment:
     def test_identity_policy_returns_input_values(self):

@@ -314,6 +314,20 @@ class TestSchedule:
         with pytest.raises(ValueError):
             TrainConfig(lr_max=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epochs", 8.5), ("batch", 2.5), ("batch", True), ("warmup_epochs", "5"), ("seed", 1.0)],
+    )
+    def test_integer_fields_refuse_floats_strings_and_bools(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["lr_max", "lr_min", "momentum"])
+    def test_non_finite_rates_refused(self, field, value):
+        with pytest.raises(ValueError):
+            TrainConfig(**{field: value})
+
     def test_out_of_range_epoch(self):
         with pytest.raises(ValueError):
             lr_schedule(300, self.CFG)

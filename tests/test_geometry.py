@@ -2,6 +2,7 @@
 (corner mapping through affines, scalar interpolation by hand, brute-force
 window search)."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from mipclass.geometry import (
     Interp,
     RowWindow,
     crop_or_pad,
+    cut_halves,
     extract_rows,
     localize_rows,
     reorient_canonical,
@@ -291,6 +293,7 @@ class TestResampleSlabs:
         A 1 GiB address-space cap turns any attempt at the 4-8 GiB arrays into
         a MemoryError rather than a machine out of memory."""
         code = f"""
+import math
 import tracemalloc
 import numpy as np
 from mipclass.geometry import Interp, resample
@@ -503,3 +506,88 @@ class TestSplitLR:
         assert low.data.max() == 5.0
         assert high.data.max() == 0.0
         assert orientation_code(low.affine) == "RAS"
+
+
+def _composed_halves(vol, target_shape, rows):
+    return split_lr(extract_rows(crop_or_pad(vol, target_shape), rows))
+
+
+class TestCutHalves:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_bytes_and_affines_match_the_composition(self, data):
+        """Random crop and pad per axis, windows at both ends of the axis and between."""
+        shape = tuple(data.draw(st.integers(1, 9), label=f"n{i}") for i in range(3))
+        target = (
+            data.draw(st.integers(2, 13), label="tx"),
+            data.draw(st.integers(1, 13), label="ty"),
+            data.draw(st.integers(1, 13), label="tz"),
+        )
+        length = data.draw(st.integers(1, target[1]), label="length")
+        last = target[1] - length
+        start = data.draw(
+            st.one_of(st.just(0), st.just(last), st.integers(0, last)), label="start"
+        )
+        values = data.draw(arrays(np.float32, shape, elements=st.floats(width=32)))
+        spacing = tuple(
+            data.draw(st.floats(0.1, 5.0), label=f"s{i}") for i in range(3)
+        )
+        affine = np.diag((*spacing, 1.0))
+        affine[:3, 3] = [data.draw(st.floats(-100.0, 100.0), label=f"t{i}") for i in range(3)]
+        vol = Volume(values, spacing, affine)
+        rows = RowWindow(start, length)
+
+        got = cut_halves(vol, target, rows)
+        expected = _composed_halves(vol, target, rows)
+        for g, e in zip(got, expected):
+            assert g.shape == e.shape
+            assert g.data.dtype == np.float32
+            assert g.data.tobytes() == e.data.tobytes()
+            assert g.spacing == e.spacing
+            np.testing.assert_allclose(g.affine, e.affine, rtol=0, atol=1e-9)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_each_voxel_is_kept_once_at_its_world_position(self, data):
+        """Independent of crop_or_pad: every source voxel carries its own id, so a
+        kept voxel must sit where it was in the world, once, low x in the low half."""
+        shape = tuple(data.draw(st.integers(1, 9), label=f"n{i}") for i in range(3))
+        target = tuple(
+            data.draw(st.integers(2 if i == 0 else 1, 13), label=f"t{i}") for i in range(3)
+        )
+        length = data.draw(st.integers(1, target[1]), label="length")
+        start = data.draw(st.integers(0, target[1] - length), label="start")
+        affine = np.diag((0.7, 1.3, 3.0, 1.0))
+        affine[:3, 3] = (-5.0, 2.5, 11.0)
+        ids = np.arange(1, 1 + math.prod(shape), dtype=np.float32).reshape(shape)
+        vol = Volume(ids, (0.7, 1.3, 3.0), affine)
+
+        halves = cut_halves(vol, target, RowWindow(start, length))
+        kept = []
+        for half in halves:
+            at = np.argwhere(half.data != 0)
+            flat = half.data[tuple(at.T)].astype(np.int64) - 1
+            source = np.stack(np.unravel_index(flat, shape), axis=1)
+            world = at @ half.affine[:3, :3].T + half.affine[:3, 3]
+            np.testing.assert_allclose(world, source @ affine[:3, :3].T + affine[:3, 3], atol=1e-9)
+            kept.append(source)
+        assert sum(len(k) for k in kept) == len({tuple(v) for k in kept for v in k})
+        if all(len(k) for k in kept):
+            assert kept[0][:, 0].max() < kept[1][:, 0].min()
+
+    @pytest.mark.parametrize(
+        "target, rows, error",
+        [
+            ((1, 4, 4), RowWindow(0, 2), WidthTooSmall),
+            ((4, 4, 4), RowWindow(3, 2), ValueError),
+            ((4, 0, 4), RowWindow(0, 1), ValueError),
+        ],
+        ids=["width_1", "window_past_the_grid", "empty_target"],
+    )
+    def test_refuses_what_the_composition_refuses(self, target, rows, error):
+        vol = Volume.from_array(np.ones((3, 5, 2), np.float32))
+        with pytest.raises(error) as composed:
+            _composed_halves(vol, target, rows)
+        with pytest.raises(error) as direct:
+            cut_halves(vol, target, rows)
+        assert str(direct.value) == str(composed.value)

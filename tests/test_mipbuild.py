@@ -395,6 +395,23 @@ def _permuted(study):
 # resampled, cropped in x and z and padded in y, so the row search runs over padded rows
 PHANTOM_CFG = BuildConfig(spacing=(0.7, 0.7, 3.0), shape=(120, 140, 28), row_window=48)
 
+# 128x128x32 after resampling: odd differences (crop 7 in x, pad 13 in y, pad 3 in z),
+# an odd width and an odd row window
+ODD_CFG = BuildConfig(spacing=(0.7, 0.7, 3.0), shape=(121, 141, 35), row_window=47)
+
+
+def _coarse_shifted_mask(study):
+    """The same study with its mask stored at half the in-plane resolution and
+    shifted off the phase grid, so the mask halves must be regridded."""
+    mask = study.mask
+    affine = mask.affine.copy()
+    affine[:3, :2] *= 2.0
+    affine[:3, 3] += (0.9, -1.3, 1.7)
+    spacing = (2 * mask.spacing[0], 2 * mask.spacing[1], mask.spacing[2])
+    coarse = Volume(np.ascontiguousarray(mask.data[::2, ::2]), spacing, affine)
+    return Study(patient_id=study.patient_id, pre=study.pre, posts=study.posts, mask=coarse)
+
+
 # name: (study factory, what to drop from it, config)
 BUILD_CASES = {
     "masked": (_phantom_study, {}, SMALL_CFG),
@@ -404,6 +421,8 @@ BUILD_CASES = {
     "phantom_unmasked": (_generated, {"mask": False}, PHANTOM_CFG),
     "phantom_two_posts": (_generated, {"n_posts": 2}, PHANTOM_CFG),
     "phantom_permuted": (lambda: _permuted(_generated()), {}, PHANTOM_CFG),
+    "phantom_odd": (_generated, {}, ODD_CFG),
+    "phantom_coarse_mask": (lambda: _coarse_shifted_mask(_generated()), {}, PHANTOM_CFG),
 }
 
 
@@ -422,6 +441,33 @@ class TestBuildStacks:
             assert stack.meta == meta
             assert (stack.side, stack.patient_id) == (side, study.patient_id)
             assert not stack.normalized and stack.norm_bounds is None
+
+    def test_coarse_mask_halves_are_regridded(self, monkeypatch):
+        calls = []
+
+        def counting(mask, target):
+            calls.append(mask.shape)
+            return regrid(mask, target)
+
+        regrid = mipbuild._regrid_mask_nearest
+        monkeypatch.setattr(mipbuild, "_regrid_mask_nearest", counting)
+        build_stacks(_coarse_shifted_mask(_generated()), PHANTOM_CFG)
+        assert len(calls) == len(SIDES)
+
+    @pytest.mark.parametrize(
+        "drop", [{}, {"mask": False}, {"n_posts": 2}], ids=["masked", "unmasked", "two_posts"]
+    )
+    def test_only_post1_is_cropped_or_padded(self, monkeypatch, drop):
+        """Every other phase and the mask are cut straight from their resampled grids."""
+        calls = []
+
+        def counting(volume, target_shape):
+            calls.append(target_shape)
+            return crop_or_pad(volume, target_shape)
+
+        monkeypatch.setattr(mipbuild, "crop_or_pad", counting)
+        build_stacks(_without(_generated(), **drop), PHANTOM_CFG)
+        assert calls == [PHANTOM_CFG.shape]
 
     def test_sides_do_not_share_metadata(self):
         stacks = build_stacks(_phantom_study(), SMALL_CFG)
@@ -499,6 +545,13 @@ class TestNormalize:
         with pytest.raises(ValueError):
             NormConstants(means=(0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["means", "stds"])
+    def test_non_finite_constants_rejected(self, field, value):
+        """An infinite std used to map a whole channel to zeros."""
+        with pytest.raises(ValueError, match="finite"):
+            NormConstants(**{field: (value, 1.0, 1.0, 1.0)})
+
     def test_paper_constants_are_default(self):
         nc = NormConstants()
         assert nc.means == (0.2074, 0.1290, 0.1396, 0.1470)
@@ -515,6 +568,7 @@ class TestBuildConfig:
             {"shape": (16, 16)},
             {"shape": (16, -1, 4)},
             {"shape": (16.0, 16, 4)},
+            {"spacing": (float("inf"), 1.0, 1.0)},
         ],
     )
     def test_spacing_and_shape_are_three_positive_values(self, kwargs):

@@ -238,11 +238,22 @@ class TestConfig:
             ({"seed": "x"}, "split"),
             ({"pool_grid": 2.5}, "train"),
             ({"pool_grid": True}, "train"),
+            ({"spacing": [float("inf"), 0.7, 3.0]}, "preprocess"),
+            ({"norm_means": [float("nan"), 0.1, 0.1, 0.1]}, "preprocess"),
+            ({"norm_stds": [float("inf"), 1, 1, 1]}, "preprocess"),
+            ({"train": {"lr_max": float("inf")}}, "train"),
+            ({"augment": {"noise_sigma": float("inf")}}, "train"),
+            ({"train": {"epochs": 8.5}}, "train"),
+            ({"train": {"batch": 2.5}}, "train"),
+            ({"train": {"batch": True}}, "train"),
+            ({"augment": {"dropout_max_holes": 2.5}}, "train"),
         ],
         ids=[
             "k", "norm_stds", "epochs", "shape", "spacing", "pool_grid", "train", "augment",
             "row_window_str", "row_window_zero", "row_window_negative", "row_window_bool",
             "train_seed", "k_float", "seed_str", "pool_grid_float", "pool_grid_bool",
+            "spacing_inf", "norm_means_nan", "norm_stds_inf", "lr_max_inf", "noise_sigma_inf",
+            "epochs_float", "batch_float", "batch_bool", "dropout_max_holes_float",
         ],
     )
     def test_invalid_value_exits_two(self, cohort, tmp_path, override, command, capsys):
