@@ -62,7 +62,6 @@ from .mipbuild import (
     MipStack,
     NormConstants,
     Study,
-    apply_mask,
     build_stack,
     build_stacks,
     denormalize_stack,

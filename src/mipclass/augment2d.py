@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .mipbuild import PAPER_MEANS, PAPER_STDS, MipStack, check_integer_fields
+from .mipbuild import PAPER_MEANS, PAPER_STDS, POSITIVE, MipStack, check_fields
 
 # fixed stream indices; changing these changes every sampled augmentation
 _STREAMS = {
@@ -39,6 +39,19 @@ _STREAMS = {
 _PROB_FIELDS = tuple(f"{name}_p" for name in _STREAMS)
 
 _BLUR_MIN_SIGMA = 1e-3
+
+_POLICY_FIELDS = {
+    **dict.fromkeys(_PROB_FIELDS, (float, 0, 0.0, 1.0)),
+    **dict.fromkeys(
+        ("rotate_deg", "shear_deg", "translate_frac", "brightness_delta", "contrast_delta"),
+        (float, 0, -math.inf, math.inf),
+    ),
+    "scale_range": (float, 2, POSITIVE, math.inf),
+    "noise_sigma": (float, 0, 0.0, math.inf),
+    "blur_sigma": (float, 0, 0.0, math.inf),
+    "dropout_max_holes": (int, 0, 0, math.inf),
+    "dropout_max_size": (int, 0, 0, math.inf),
+}
 
 
 @dataclass(frozen=True)
@@ -66,27 +79,9 @@ class AugmentPolicy:
     dropout_max_size: int = 32
 
     def __post_init__(self) -> None:
-        for name in _PROB_FIELDS:
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
-        magnitudes = (
-            self.rotate_deg,
-            *self.scale_range,
-            self.shear_deg,
-            self.translate_frac,
-            self.brightness_delta,
-            self.contrast_delta,
-        )
-        if not all(math.isfinite(m) for m in magnitudes):
-            raise ValueError("magnitude ranges must be finite")
-        if self.scale_range[0] <= 0 or self.scale_range[1] < self.scale_range[0]:
-            raise ValueError(f"bad scale range {self.scale_range}")
-        if not (0 <= self.noise_sigma < math.inf and 0 <= self.blur_sigma < math.inf):
-            raise ValueError("sigmas must be finite and >= 0")
-        check_integer_fields(self, ("dropout_max_holes", "dropout_max_size"))
-        if self.dropout_max_holes < 0 or self.dropout_max_size < 0:
-            raise ValueError("dropout bounds must be >= 0")
+        check_fields(self, _POLICY_FIELDS)
+        if self.scale_range[1] < self.scale_range[0]:
+            raise ValueError(f"scale_range must be ordered, got {self.scale_range}")
 
     @property
     def active(self) -> bool:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimMismatch, EmptyClass
 from .evalkit import N_CLASSES
-from .mipbuild import MipStack, check_integer_fields
+from .mipbuild import MipStack, check_fields
 
 LOG_FLOOR = 1e-12
 DEFAULT_POOL_GRID = 4
@@ -104,6 +104,17 @@ class LossValue:
             raise ValueError(f"loss must be finite and >= 0, got {self.value}")
 
 
+_TRAIN_FIELDS = {
+    "epochs": (int, 0, 1, math.inf),
+    "batch": (int, 0, 1, math.inf),
+    "lr_max": (float, 0, 0.0, math.inf),
+    "warmup_epochs": (int, 0, 0, math.inf),
+    "lr_min": (float, 0, 0.0, math.inf),
+    "momentum": (float, 0, 0.0, math.nextafter(1.0, 0.0)),
+    "seed": (int, 0, -math.inf, math.inf),
+}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 300
@@ -115,17 +126,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_integer_fields(self, ("epochs", "batch", "warmup_epochs", "seed"))
-        if not self.epochs > self.warmup_epochs >= 0:
-            raise ValueError(
-                f"need epochs > warmup_epochs >= 0, got {self.epochs}, {self.warmup_epochs}"
-            )
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
-        if not math.isfinite(self.lr_max) or not self.lr_max > self.lr_min >= 0:
-            raise ValueError(f"need finite lr_max > lr_min >= 0, got {self.lr_max}, {self.lr_min}")
-        if not 0 <= self.momentum < 1:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        check_fields(self, _TRAIN_FIELDS)
+        if not self.epochs > self.warmup_epochs:
+            raise ValueError(f"need epochs > warmup_epochs, got {self.epochs}, {self.warmup_epochs}")
+        if not self.lr_max > self.lr_min:
+            raise ValueError(f"need lr_max > lr_min, got {self.lr_max}, {self.lr_min}")
 
 
 def feature_dim(grid: int = DEFAULT_POOL_GRID) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
-import operator
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -30,7 +30,7 @@ from .errors import (
     SchemaMismatch,
     TooFewPatients,
 )
-from .mipbuild import SIDES
+from .mipbuild import SIDES, check_fields
 from .tensorio import _write_file
 
 NO_LESION, BENIGN, MALIGNANT = 0, 1, 2
@@ -58,12 +58,11 @@ class FoldPlan:
     strat_labels: Mapping[str, int]
 
     def __post_init__(self) -> None:
-        # operator.index refuses a float or string k or fold with TypeError
-        if operator.index(self.k) < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
-        for patient, fold in self.assignment.items():
-            if not 0 <= operator.index(fold) < self.k:
-                raise ValueError(f"{patient}: fold {fold} outside [0, {self.k})")
+        check_fields(self, {"k": (int, 0, 2, math.inf)})
+        # each patient's fold and label, checked under the patient's id
+        check_fields(self.assignment, dict.fromkeys(self.assignment, (int, 0, 0, self.k - 1)))
+        labels = dict.fromkeys(self.strat_labels, (int, 0, 0, N_CLASSES - 1))
+        check_fields(self.strat_labels, labels)
         if set(self.assignment) != set(self.strat_labels):
             raise ValueError("assignment and stratification labels disagree on patients")
         # every fold is in [0, k), so counting the distinct ones finds an empty

@@ -16,9 +16,11 @@ downstream normalization maps each channel to [0, 1].
 from __future__ import annotations
 
 import math
-import operator
+import numbers
+import reprlib
+import sys
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .errors import (
     TooFewPhases,
 )
 from .geometry import (
+    MAX_RESAMPLE_VOXELS,
     Interp,
     crop_or_pad,
     cut_halves,
@@ -55,6 +58,50 @@ LATERALITY_CONVENTION = "low-x-is-right"
 
 _MASK_TOL = 1e-6
 
+# the least positive float: [POSITIVE, hi] is the half-open range (0, hi]
+POSITIVE = math.ulp(0.0)
+
+# per field kind: the numbers it admits, their largest magnitude (a float field
+# must be finite as a float), and its name in messages
+_KINDS = {
+    int: (numbers.Integral, math.inf, "an integer"),
+    float: (numbers.Real, sys.float_info.max, "a finite number"),
+}
+
+
+class _FieldError(TypeError, ValueError):
+    """A field of the wrong kind, length or range: a TypeError to callers that
+    test kinds and a ValueError to those that test values."""
+
+
+def check_fields(obj: Any, spec: Mapping[str, tuple[type, int, float, float]]) -> None:
+    """Refuse each field of `obj` (an object, or a mapping read by key) that its
+    spec ``(kind, length, lo, hi)`` rejects.
+
+    Kind is int or float, and a bool is neither.  Length 0 is a scalar, else
+    the exact length of a list or tuple, which is stored back on the object as
+    a tuple.  Every value lies in the closed range ``[lo, hi]``.
+    """
+    for name, (kind, length, lo, hi) in spec.items():
+        value = obj[name] if isinstance(obj, Mapping) else getattr(obj, name)
+        if length and not (isinstance(value, (list, tuple)) and len(value) == length):
+            raise _FieldError(f"{name} must be {length} numbers, got {reprlib.repr(value)}")
+        admits, limit, noun = _KINDS[kind]
+        for i, item in enumerate(value if length else (value,)):
+            label = f"{name}[{i}]" if length else name
+            if isinstance(item, bool) or not isinstance(item, admits) or not abs(item) <= limit:
+                raise _FieldError(f"{label} must be {noun}, got {reprlib.repr(item)}")
+            if not lo <= item <= hi:
+                raise _FieldError(f"{label} must be in [{lo}, {hi}], got {reprlib.repr(item)}")
+        if length:
+            object.__setattr__(obj, name, tuple(value))
+
+
+_NORM_FIELDS = {
+    "means": (float, 4, -math.inf, math.inf),
+    "stds": (float, 4, POSITIVE, math.inf),
+}
+
 
 @dataclass(frozen=True)
 class NormConstants:
@@ -64,10 +111,7 @@ class NormConstants:
     stds: tuple[float, float, float, float] = PAPER_STDS
 
     def __post_init__(self) -> None:
-        if len(self.means) != 4 or len(self.stds) != 4:
-            raise ValueError("normalization constants must have 4 channels")
-        if not all(map(math.isfinite, self.means)) or not all(0 < s < math.inf for s in self.stds):
-            raise ValueError(f"need finite means and stds > 0, got {self.means}, {self.stds}")
+        check_fields(self, _NORM_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -92,15 +136,11 @@ class PhaseSet:
     last: Volume
 
 
-def check_integer_fields(config: Any, names: tuple[str, ...]) -> None:
-    """TypeError unless each named field is an integer: ``operator.index``
-    refuses a float or a string, and a bool (a JSON true) is refused too."""
-    for name in names:
-        value = getattr(config, name)
-        try:
-            operator.index(None if isinstance(value, bool) else value)
-        except TypeError:
-            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+_BUILD_FIELDS = {
+    "spacing": (float, 3, POSITIVE, math.inf),
+    "shape": (int, 3, 1, math.inf),
+    "row_window": (int, 0, 1, math.inf),
+}
 
 
 @dataclass(frozen=True)
@@ -112,14 +152,9 @@ class BuildConfig:
     row_window: int = 256
 
     def __post_init__(self) -> None:
-        if len(self.spacing) != 3 or not all(0 < s < math.inf for s in self.spacing):
-            raise ValueError(f"spacing must be three finite positive values, got {self.spacing}")
-        integral = all(isinstance(n, (int, np.integer)) for n in self.shape)
-        if len(self.shape) != 3 or not integral or min(self.shape) < 1:
-            raise ValueError(f"shape must be three positive integers, got {self.shape}")
-        window = self.row_window
-        if not isinstance(window, (int, np.integer)) or isinstance(window, bool) or window < 1:
-            raise ValueError(f"row_window must be an integer >= 1, got {window!r}")
+        check_fields(self, _BUILD_FIELDS)
+        if math.prod(map(int, self.shape)) > MAX_RESAMPLE_VOXELS:
+            raise ValueError(f"shape {self.shape} exceeds MAX_RESAMPLE_VOXELS = {MAX_RESAMPLE_VOXELS}")
 
 
 @dataclass(frozen=True)
@@ -177,12 +212,6 @@ def _same_grid(a: Volume, b: Volume) -> bool:
     )
 
 
-def _check_mask_values(values: np.ndarray) -> None:
-    lo, hi = float(values.min()), float(values.max())
-    if lo < -_MASK_TOL or hi > 1.0 + _MASK_TOL:
-        raise NonBinaryMask(f"mask values span [{lo}, {hi}], outside [0, 1]")
-
-
 def _regrid_mask_nearest(mask: Volume, target: Volume) -> np.ndarray:
     """Binary mask sampled at target voxel centers by nearest neighbor.
 
@@ -198,28 +227,6 @@ def _regrid_mask_nearest(mask: Volume, target: Volume) -> np.ndarray:
         pos = rot[i, 0] * x + rot[i, 1] * y + rot[i, 2] * z + shift[i]
         idx.append(np.clip(np.rint(pos).astype(np.int64), 0, mask.shape[i] - 1))
     return binary[tuple(idx)]
-
-
-def _mask_on_grid(mask: Volume, target: Volume) -> np.ndarray:
-    """The mask thresholded at 0.5 on `target`'s grid, nearest-regridded if needed."""
-    if _same_grid(target, mask):
-        return mask.data >= 0.5
-    return _regrid_mask_nearest(mask, target)
-
-
-def _zero_outside(volume: Volume, binary: np.ndarray) -> Volume:
-    data = np.where(binary, volume.data, np.float32(0.0))
-    return Volume(data, volume.spacing, volume.affine)
-
-
-def apply_mask(volume: Volume, mask: Volume) -> Volume:
-    """Zero out voxels outside the breast mask (threshold 0.5).
-
-    A mask on a different grid is first nearest-resampled onto the
-    volume's grid through world coordinates.
-    """
-    _check_mask_values(mask.data)
-    return _zero_outside(volume, _mask_on_grid(mask, volume))
 
 
 def subtract_clamped(post: Volume, pre: Volume) -> Volume:
@@ -258,7 +265,9 @@ def build_stacks(study: Study, cfg: BuildConfig = BuildConfig()) -> dict[str, Mi
     del post1
     mask_halves: tuple[Volume, Volume] | None = None
     if study.mask is not None:
-        _check_mask_values(study.mask.data)
+        lo, hi = float(study.mask.data.min()), float(study.mask.data.max())
+        if lo < -_MASK_TOL or hi > 1.0 + _MASK_TOL:
+            raise NonBinaryMask(f"mask values span [{lo}, {hi}], outside [0, 1]")
         mask_halves = cut_halves(resampled(study.mask, Interp.NEAREST), cfg.shape, rows)
     for vol in (phases.pre, phases.post2, phases.last):
         if id(vol) not in halves:
@@ -277,8 +286,12 @@ def build_stacks(study: Study, cfg: BuildConfig = BuildConfig()) -> dict[str, Mi
         vols = [halves[id(v)][i] for v in (phases.pre, phases.post1, phases.post2, phases.last)]
         if mask_halves is not None:
             # subtraction needs all four phases on one grid, so post1's grid serves all
-            binary = _mask_on_grid(mask_halves[i], vols[1])
-            vols = [_zero_outside(v, binary) for v in vols]
+            mask = mask_halves[i]
+            if _same_grid(vols[1], mask):
+                binary = mask.data >= 0.5
+            else:
+                binary = _regrid_mask_nearest(mask, vols[1])
+            vols = [Volume(np.where(binary, v.data, 0), v.spacing, v.affine) for v in vols]
         pre, post1, post2, last = vols
         channels = np.stack(
             [

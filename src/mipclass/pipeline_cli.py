@@ -16,6 +16,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -66,7 +67,7 @@ from .mipbuild import (
     NormConstants,
     Study,
     build_stacks,
-    check_integer_fields,
+    check_fields,
     normalize_stack,
     stack_filename,
     stack_from_blob,
@@ -179,6 +180,13 @@ class Manifest:
 # config
 
 
+_PIPELINE_FIELDS = {
+    "k": (int, 0, 2, math.inf),
+    "seed": (int, 0, -math.inf, math.inf),
+    "pool_grid": (int, 0, 1, math.inf),
+}
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """One bag of knobs for a whole run; defaults reproduce the published setup."""
@@ -192,29 +200,16 @@ class PipelineConfig:
     pool_grid: int = DEFAULT_POOL_GRID
 
     def __post_init__(self) -> None:
-        # a JSON true would be written into model files that predict refuses
-        check_integer_fields(self, ("k", "seed", "pool_grid"))
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
+        check_fields(self, _PIPELINE_FIELDS)
         # the fold shuffle keys np.random.Philox with it, which takes [0, 2**128)
         if not 0 <= self.seed < 2**128:
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
-        if self.pool_grid < 1:
-            raise ValueError(f"pool_grid must be >= 1, got {self.pool_grid}")
 
 
-_CONFIG_SECTIONS = {
-    "spacing",
-    "shape",
-    "row_window",
-    "norm_means",
-    "norm_stds",
-    "augment",
-    "train",
-    "k",
-    "seed",
-    "pool_grid",
-}
+# the top-level config keys that set BuildConfig and NormConstants fields, by field
+_BUILD_KEYS = {"spacing": "spacing", "shape": "shape", "row_window": "row_window"}
+_NORM_KEYS = {"norm_means": "means", "norm_stds": "stds"}
+_CONFIG_SECTIONS = {*_BUILD_KEYS, *_NORM_KEYS, "augment", "train", *_PIPELINE_FIELDS}
 
 
 def _replace_from(cls, defaults, overrides: Mapping[str, Any], section: str):
@@ -224,11 +219,7 @@ def _replace_from(cls, defaults, overrides: Mapping[str, Any], section: str):
     unknown = sorted(set(overrides) - known)
     if unknown:
         raise SchemaMismatch(f"unknown {section} keys in config: {unknown}")
-    fixed = {
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in overrides.items()
-    }
-    return dataclasses.replace(defaults, **fixed)
+    return dataclasses.replace(defaults, **overrides)
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:
@@ -242,16 +233,8 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         raise SchemaMismatch(f"unknown config keys: {unknown}")
 
     try:
-        build = dataclasses.replace(
-            defaults.build,
-            spacing=tuple(raw.get("spacing", defaults.build.spacing)),
-            shape=tuple(raw.get("shape", defaults.build.shape)),
-            row_window=raw.get("row_window", defaults.build.row_window),
-        )
-        norm = NormConstants(
-            means=tuple(raw.get("norm_means", defaults.norm.means)),
-            stds=tuple(raw.get("norm_stds", defaults.norm.stds)),
-        )
+        build = BuildConfig(**{f: raw[key] for key, f in _BUILD_KEYS.items() if key in raw})
+        norm = NormConstants(**{f: raw[key] for key, f in _NORM_KEYS.items() if key in raw})
         # "augment": null switches augmentation off entirely; an empty or
         # partial section keeps the published defaults for unnamed fields
         augment_raw = raw.get("augment", {})
@@ -266,15 +249,8 @@ def load_config(path: str | Path | None) -> PipelineConfig:
                 "each head's seed derives from the top-level seed"
             )
         train = _replace_from(TrainConfig, defaults.train, train_raw, "train")
-        return PipelineConfig(
-            build=build,
-            norm=norm,
-            policy=policy,
-            train=train,
-            k=raw.get("k", defaults.k),
-            seed=raw.get("seed", defaults.seed),
-            pool_grid=raw.get("pool_grid", defaults.pool_grid),
-        )
+        top = {key: raw[key] for key in _PIPELINE_FIELDS if key in raw}
+        return PipelineConfig(build=build, norm=norm, policy=policy, train=train, **top)
     except (TypeError, ValueError) as exc:
         raise SchemaMismatch(f"invalid value in config {path}: {exc}") from exc
 
@@ -526,10 +502,8 @@ def _read_model(out: Path, model_id: str) -> tuple[HeadParams, dict]:
         raise SchemaMismatch(f"model file {path} lacks keys {sorted(missing)}")
     if raw["model_id"] != model_id:
         raise SchemaMismatch(f"model file {path} names model {raw['model_id']!r}, not {model_id!r}")
-    grid = raw["pool_grid"]
-    if not isinstance(grid, int) or isinstance(grid, bool) or grid < 1:
-        raise SchemaMismatch(f"model file {path}: pool_grid must be an integer >= 1, got {grid!r}")
     try:
+        check_fields(raw, {"pool_grid": _PIPELINE_FIELDS["pool_grid"]})
         params = HeadParams(
             W=np.asarray(raw["W"], dtype=np.float64),
             b=np.asarray(raw["b"], dtype=np.float64),
@@ -537,6 +511,7 @@ def _read_model(out: Path, model_id: str) -> tuple[HeadParams, dict]:
     except (TypeError, ValueError) as exc:
         raise SchemaMismatch(f"malformed model file {path}: {exc}") from exc
     # checked before any stack is pooled on a grid the file may make huge
+    grid = raw["pool_grid"]
     if params.dim != feature_dim(grid):
         raise SchemaMismatch(
             f"model file {path}: W has {params.dim} rows, pool_grid {grid} needs {feature_dim(grid)}"

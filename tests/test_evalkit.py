@@ -98,7 +98,7 @@ class TestStratifiedKFold:
         plan = stratified_kfold([f"p{i:03d}" for i in range(10)], labels, k=5, seed=0)
         assert [len(plan.patients_in_fold(f)) for f in range(5)] == [2] * 5
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(
         labels=st.lists(st.integers(0, 2), min_size=2, max_size=60),
         k=st.integers(2, 8),
@@ -150,6 +150,11 @@ class TestStratifiedKFold:
             FoldPlan(k=2, assignment={"a": 5}, strat_labels={"a": 0})
         with pytest.raises(ValueError, match="no patients"):
             FoldPlan(k=3, assignment={"a": 0, "b": 2}, strat_labels={"a": 0, "b": 0})
+        # a JSON true is not fold 1, nor k = 1
+        with pytest.raises(ValueError, match="integer"):
+            FoldPlan(k=2, assignment={"a": True, "b": 0}, strat_labels={"a": 0, "b": 1})
+        with pytest.raises(ValueError, match="integer"):
+            FoldPlan(k=True, assignment={"a": 0}, strat_labels={"a": 0})
 
 
 def _pair_count_auc(scores, positives):

@@ -225,7 +225,7 @@ _SPECIAL_VALUES = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e29, -1e29, 3.4e38, -3.4
 class TestResampleSlabs:
     """The slab-wise trilinear path against the whole-volume formula it replaced."""
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(data=st.data())
     def test_bytes_match_whole_volume_reference(self, data):
         """Output x-extents land on, and one either side of, slab multiples;
@@ -427,7 +427,7 @@ class TestLocalizeRows:
         f_order = localize_rows(Volume.from_array(np.asfortranarray(data)), 256)
         assert c_order == f_order == RowWindow(74, 256)
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(height=st.integers(3, 120), data=st.data())
     def test_plateau_plus_noise_below_tolerance(self, height, data):
         """Every window covering the band ties once noise stays under the
@@ -513,7 +513,7 @@ def _composed_halves(vol, target_shape, rows):
 
 
 class TestCutHalves:
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(data=st.data())
     def test_bytes_and_affines_match_the_composition(self, data):
         """Random crop and pad per axis, windows at both ends of the axis and between."""
@@ -546,7 +546,7 @@ class TestCutHalves:
             assert g.spacing == e.spacing
             np.testing.assert_allclose(g.affine, e.affine, rtol=0, atol=1e-9)
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=150)
     @given(data=st.data())
     def test_each_voxel_is_kept_once_at_its_world_position(self, data):
         """Independent of crop_or_pad: every source voxel carries its own id, so a

@@ -18,6 +18,7 @@ from mipclass.errors import (
 )
 from mipclass.geometry import (
     Interp,
+    RowWindow,
     crop_or_pad,
     extract_rows,
     localize_rows,
@@ -35,7 +36,6 @@ from mipclass.mipbuild import (
     NormConstants,
     PhaseSet,
     Study,
-    apply_mask,
     build_stack,
     build_stacks,
     denormalize_stack,
@@ -88,63 +88,96 @@ class TestSelectPhases:
             select_phases(_study(None, vols))
 
 
+def _nearest_keep(mask, target):
+    """``mask >= 0.5`` at each voxel centre of `target`, read from the mask voxel
+    nearest in world space, with indices clamped to the mask grid."""
+    ijk = np.indices(target.shape).reshape(3, -1)
+    world = target.affine @ np.vstack([ijk, np.ones(ijk.shape[1])])
+    m = np.rint((np.linalg.inv(mask.affine) @ world)[:3]).astype(np.int64)
+    m = np.clip(m, 0, np.array(mask.shape)[:, None] - 1)
+    return (mask.data >= 0.5)[tuple(m)].reshape(target.shape)
+
+
+def _random_study(seed, mask=None):
+    """Random positive phases on SMALL_CFG's own grid, where resampling and
+    crop/pad are identities; `mask` is an array on that grid or a Volume."""
+    rng = np.random.default_rng(seed)
+    phases = [_vol(rng.random((16, 16, 4)) + i) for i in range(4)]
+    if mask is not None and not isinstance(mask, Volume):
+        mask = _vol(mask)
+    return _study(phases[0], phases[1:], mask=mask)
+
+
+def _channels(study, cfg=SMALL_CFG):
+    return np.stack([s.channels for s in build_stacks(study, cfg).values()])
+
+
 class TestApplyMask:
+    """The mask step of build_stacks: threshold, tolerance and regrid."""
+
+    BINARY = (np.random.default_rng(5).random((16, 16, 4)) > 0.4).astype(np.float32)
+
     def test_all_ones_identity(self):
-        rng = np.random.default_rng(0)
-        vol = _vol(rng.random((4, 4, 4)))
-        out = apply_mask(vol, _vol(np.ones((4, 4, 4))))
-        np.testing.assert_array_equal(out.data, vol.data)
+        np.testing.assert_array_equal(
+            _channels(_random_study(0, np.ones((16, 16, 4)))), _channels(_random_study(0))
+        )
 
     def test_all_zeros(self):
-        vol = _vol(np.random.default_rng(1).random((4, 4, 4)))
-        out = apply_mask(vol, _vol(np.zeros((4, 4, 4))))
-        np.testing.assert_array_equal(out.data, np.zeros((4, 4, 4), np.float32))
+        out = _channels(_random_study(1, np.zeros((16, 16, 4))))
+        np.testing.assert_array_equal(out, np.zeros_like(out))
 
     def test_nonbinary_rejected(self):
-        vol = _vol(np.ones((2, 2, 2)))
-        with pytest.raises(NonBinaryMask):
-            apply_mask(vol, _vol(np.full((2, 2, 2), 2.0)))
-        with pytest.raises(NonBinaryMask):
-            apply_mask(vol, _vol(np.full((2, 2, 2), -0.5)))
+        for value in (2.0, -0.5):
+            with pytest.raises(NonBinaryMask):
+                build_stacks(_random_study(2, np.full((16, 16, 4), value)), SMALL_CFG)
 
     def test_small_float_noise_tolerated(self):
-        vol = _vol(np.ones((2, 2, 2)))
-        mask = _vol(np.full((2, 2, 2), 1.0 + 5e-7))
-        np.testing.assert_array_equal(apply_mask(vol, mask).data, vol.data)
+        noisy = np.where(self.BINARY, 1.0 + 5e-7, -5e-7)
+        np.testing.assert_array_equal(
+            _channels(_random_study(3, noisy)), _channels(_random_study(3, self.BINARY))
+        )
 
     def test_threshold_at_half(self):
-        vol = _vol(np.ones((1, 1, 2)))
-        mask = _vol(np.array([[[0.49, 0.5]]]))
-        np.testing.assert_array_equal(apply_mask(vol, mask).data, [[[0.0, 1.0]]])
+        halves = np.where(self.BINARY, 0.5, 0.49)
+        masked = _channels(_random_study(4, self.BINARY))
+        np.testing.assert_array_equal(_channels(_random_study(4, halves)), masked)
+        assert not np.array_equal(masked, _channels(_random_study(4)))
 
     def test_idempotent(self):
-        rng = np.random.default_rng(2)
-        vol = _vol(rng.random((5, 5, 3)))
-        mask = _vol((rng.random((5, 5, 3)) > 0.4).astype(np.float32))
-        once = apply_mask(vol, mask)
-        twice = apply_mask(once, mask)
-        np.testing.assert_array_equal(once.data, twice.data)
+        """Phases already zero outside the mask build the same stacks (with every
+        row in the window, since rows are localized before masking)."""
+        cfg = BuildConfig(spacing=(1.0, 1.0, 1.0), shape=(16, 16, 4), row_window=16)
+        study = _random_study(6, self.BINARY)
+        zeroed = [_vol(np.where(self.BINARY, v.data, 0)) for v in (study.pre, *study.posts)]
+        again = _study(zeroed[0], zeroed[1:], mask=study.mask)
+        np.testing.assert_array_equal(_channels(again, cfg), _channels(study, cfg))
 
     def test_coarse_mask_matches_per_voxel_oracle(self):
-        """2x coarser mask: regrid must agree with a scalar nearest lookup."""
+        """A 2x coarser mask off the phase grid: after its nearest resample and
+        cut, each half keeps what a scalar nearest lookup keeps."""
         rng = np.random.default_rng(3)
-        vol = _vol(rng.random((8, 8, 8)), spacing=(1.0, 1.0, 1.0))
-        mask_data = (rng.random((4, 4, 4)) > 0.5).astype(np.float32)
-        mask = _vol(mask_data, spacing=(2.0, 2.0, 2.0))
+        affine = np.diag([2.0, 2.0, 2.0, 1.0])
+        affine[:3, 3] = (0.6, -0.7, 0.4)
+        coarse = (rng.integers(0, 3, (8, 8, 2)) / 2).astype(np.float32)  # 0, 0.5 or 1
+        study = _random_study(7, Volume(coarse, (2.0, 2.0, 2.0), affine))
+        stacks = build_stacks(study, SMALL_CFG)
 
-        out = apply_mask(vol, mask)
-
-        inv = np.linalg.inv(mask.affine)
-        kept = np.zeros(vol.shape, dtype=bool)
-        for i in range(8):
-            for j in range(8):
-                for k in range(8):
-                    world = vol.affine @ np.array([i, j, k, 1.0])
-                    m = inv @ world
-                    mi = [int(np.clip(np.rint(m[a]), 0, 3)) for a in range(3)]
-                    kept[i, j, k] = mask_data[mi[0], mi[1], mi[2]] >= 0.5
-        np.testing.assert_array_equal(out.data != 0, kept & (vol.data != 0))
-        assert int((out.data != 0).sum()) == int((kept & (vol.data != 0)).sum())
+        meta = stacks["left"].meta
+        rows = RowWindow(meta["row_window_start"], meta["row_window_length"])
+        fine = resample(study.mask, SMALL_CFG.spacing, Interp.NEAREST)
+        masks = split_lr(extract_rows(fine, rows))
+        posts = split_lr(extract_rows(study.posts[0], rows))
+        for side, mask, post in zip(SIDES, masks, posts):
+            inv = np.linalg.inv(mask.affine)
+            kept = np.zeros(post.shape, dtype=bool)
+            for i, j, k in np.ndindex(post.shape):
+                m = inv @ (post.affine @ np.array([i, j, k, 1.0]))
+                mi = [int(np.clip(np.rint(m[a]), 0, mask.shape[a] - 1)) for a in range(3)]
+                kept[i, j, k] = mask.data[tuple(mi)] >= 0.5
+            assert 0 < kept.sum() < kept.size
+            np.testing.assert_array_equal(kept, _nearest_keep(mask, post))
+            expected = np.where(kept, post.data, 0).max(axis=2)
+            np.testing.assert_array_equal(stacks[side].channels[0], expected)
 
 
 class TestSubtract:
@@ -279,8 +312,9 @@ class TestBuildStack:
         phases = [study.pre, *study.posts]
         std = [standardize(v, Interp.TRILINEAR) for v in phases]
         rows = localize_rows(std[1], cfg.row_window)
-        mask_full = extract_rows(standardize(study.mask, Interp.NEAREST), rows)
-        windowed = [apply_mask(extract_rows(v, rows), mask_full) for v in std]
+        keep = extract_rows(standardize(study.mask, Interp.NEAREST), rows).data >= 0.5
+        windowed = [extract_rows(v, rows) for v in std]
+        windowed = [Volume(np.where(keep, v.data, 0), v.spacing, v.affine) for v in windowed]
         pre, p1, p2, p3 = windowed
         unsplit = np.stack(
             [
@@ -328,8 +362,8 @@ def _reference_stack(study, side, cfg):
     rows = localize_rows(post1, cfg.row_window)
     vols = [half(v) for v in (pre, post1, post2, last)]
     if study.mask is not None:
-        mask = half(standardize(study.mask, Interp.NEAREST))
-        vols = [apply_mask(v, mask) for v in vols]
+        keep = _nearest_keep(half(standardize(study.mask, Interp.NEAREST)), vols[1])
+        vols = [Volume(np.where(keep, v.data, 0), v.spacing, v.affine) for v in vols]
     pre, post1, post2, last = vols
     channels = np.stack(
         [

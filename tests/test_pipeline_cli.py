@@ -6,13 +6,18 @@ the training-time label-access audit.
 import copy
 import dataclasses
 import json
+import math
 import shutil
 import struct
+import typing
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
 import pytest
 from capped_process import run_capped
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mipclass import phantom
 from mipclass.augment2d import AugmentPolicy, default_policy
@@ -165,6 +170,21 @@ class TestManifest:
             Manifest.read(tmp_path / "absent.csv")
 
 
+# values the shared field-spec check refuses at config load: (override, command, id)
+FIELD_SPEC_REFUSALS = [
+    ({"train": {"lr_max": 10**400}}, "train", "lr_max_huge_int"),
+    ({"augment": {"rotate_deg": 10**400}}, "train", "rotate_deg_huge_int"),
+    ({"augment": {"scale_range": [1]}}, "train", "scale_range_short"),
+    ({"augment": {"scale_range": [1, 2, 3]}}, "train", "scale_range_long"),
+    ({"shape": [True, 512, 32]}, "preprocess", "shape_bool"),
+    ({"spacing": [True, 0.7, 3.0]}, "preprocess", "spacing_bool"),
+    ({"norm_means": [True, 0.1, 0.1, 0.1]}, "preprocess", "norm_means_bool"),
+    ({"augment": {"hflip_p": True}}, "train", "hflip_p_bool"),
+    ({"train": {"lr_max": True}}, "train", "lr_max_bool"),
+    ({"shape": [10**30, 512, 32]}, "preprocess", "shape_huge"),
+]
+
+
 class TestConfig:
     def test_none_gives_published_defaults(self):
         cfg = load_config(None)
@@ -247,6 +267,7 @@ class TestConfig:
             ({"train": {"batch": 2.5}}, "train"),
             ({"train": {"batch": True}}, "train"),
             ({"augment": {"dropout_max_holes": 2.5}}, "train"),
+            *[case[:2] for case in FIELD_SPEC_REFUSALS],
         ],
         ids=[
             "k", "norm_stds", "epochs", "shape", "spacing", "pool_grid", "train", "augment",
@@ -254,6 +275,7 @@ class TestConfig:
             "train_seed", "k_float", "seed_str", "pool_grid_float", "pool_grid_bool",
             "spacing_inf", "norm_means_nan", "norm_stds_inf", "lr_max_inf", "noise_sigma_inf",
             "epochs_float", "batch_float", "batch_bool", "dropout_max_holes_float",
+            *[case[2] for case in FIELD_SPEC_REFUSALS],
         ],
     )
     def test_invalid_value_exits_two(self, cohort, tmp_path, override, command, capsys):
@@ -274,6 +296,15 @@ class TestConfig:
         assert "folds.json" not in err
         assert "Traceback" not in err
         assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize(
+        "override",
+        [case[0] for case in FIELD_SPEC_REFUSALS],
+        ids=[case[2] for case in FIELD_SPEC_REFUSALS],
+    )
+    def test_field_spec_refusal_is_an_invalid_value(self, override):
+        with pytest.raises(SchemaMismatch, match="invalid value in config"):
+            load_config_from(override)
 
     @pytest.mark.parametrize("seed", [-3, 2**128], ids=["negative", "2**128"])
     def test_out_of_range_config_seed_exits_two(self, cohort, tmp_path, seed, capsys):
@@ -729,6 +760,8 @@ class TestCorruptRunDirectory:
             ("nan_stack", "train"),
             ("empty_fold", "train"),
             ("empty_fold", "predict"),
+            ("fold_is_true", "predict"),
+            ("k_is_true", "predict"),
         ],
     )
     def test_exits_two_without_traceback(self, trained, tmp_path, case, command, capsys):
@@ -746,6 +779,14 @@ class TestCorruptRunDirectory:
         elif case == "fold_out_of_range":
             folds = json.loads((run / "folds.json").read_text())
             folds["assignment"]["p000"] = 99
+            (run / "folds.json").write_text(json.dumps(folds))
+        elif case in ("fold_is_true", "k_is_true"):
+            # a JSON true is not the integer 1, as a fold index or as k
+            folds = json.loads((run / "folds.json").read_text())
+            if case == "k_is_true":
+                folds["k"] = True
+            else:
+                folds["assignment"]["p000"] = True
             (run / "folds.json").write_text(json.dumps(folds))
         elif case == "empty_fold":
             # a plan written before fold dealing carried its offset across classes
@@ -1096,3 +1137,114 @@ class TestMainDispatch:
             ]
         )
         assert rc == 2
+
+
+# any JSON value: null, bools, ints up to 400 digits, floats with NaN, infinities
+# and 1e308, short strings, and lists (of any length up to 5) and objects of them
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.just(10**400),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 1e308]),
+    st.text(max_size=3),
+)
+_JSON_VALUES = st.one_of(
+    st.recursive(
+        _JSON_SCALARS,
+        lambda inner: st.lists(inner, max_size=5)
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=6,
+    ),
+    # lists of plain numbers, so valid and near-valid shapes and ranges are drawn too
+    st.lists(st.integers(-2, 600) | st.floats(-2.0, 600.0), max_size=5),
+)
+
+_CONFIG_PATHS = [
+    *[(key,) for key in ("spacing", "shape", "row_window", "norm_means", "norm_stds")],
+    *[(key,) for key in ("augment", "train", "k", "seed", "pool_grid")],
+    *[("augment", f.name) for f in dataclasses.fields(AugmentPolicy)],
+    *[("train", f.name) for f in dataclasses.fields(TrainConfig)],
+]
+
+_FOLDS = {"k": 2, "assignment": {"a": 0, "b": 1}, "strat_labels": {"a": 0, "b": 2}}
+_FOLD_PATHS = [
+    ("k",), ("assignment",), ("strat_labels",),
+    ("assignment", "a"), ("assignment", "c"), ("strat_labels", "b"),
+]
+
+
+def _with_value(doc: dict, path: tuple, value) -> dict:
+    """A copy of `doc` with the value at `path` set, making objects on the way."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    return doc
+
+
+def _assert_declared_kinds(obj) -> None:
+    """Every field of a dataclass holds what its annotation declares: an int or a
+    finite float (never a bool), a tuple of exactly its length, a mapping of them."""
+
+    def number(value, kind) -> None:
+        assert not isinstance(value, bool)
+        assert isinstance(value, int) if kind is int else math.isfinite(float(value))
+
+    hints = typing.get_type_hints(type(obj))
+    for f in dataclasses.fields(obj):
+        kind, value = hints[f.name], getattr(obj, f.name)
+        origin, args = typing.get_origin(kind), typing.get_args(kind)
+        if dataclasses.is_dataclass(kind):
+            _assert_declared_kinds(value)
+        elif origin is tuple:
+            assert isinstance(value, tuple) and len(value) == len(args)
+            for item, item_kind in zip(value, args):
+                number(item, item_kind)
+        elif origin is Mapping:
+            for item in value.values():
+                number(item, args[1])
+        else:
+            number(value, kind)
+
+
+class TestSchemaProperties:
+    """Whatever one JSON value a config or folds.json holds at one key, loading
+    gives fields of their declared kinds or raises SchemaMismatch, nothing else."""
+
+    @settings(max_examples=200)
+    @given(path=st.sampled_from(_CONFIG_PATHS), value=_JSON_VALUES)
+    # valid lists, which must come back as tuples, and edges of each rule
+    @example(path=("spacing",), value=[0.5, 0.5, 2])
+    @example(path=("shape",), value=[8, 8, 4])
+    @example(path=("norm_means",), value=[0, 0, 0, 0])
+    @example(path=("augment", "scale_range"), value=[0.8, 1.2])
+    @example(path=("shape",), value=[True, 8, 4])
+    @example(path=("train", "lr_max"), value=10**400)
+    def test_load_config(self, tmp_path_factory, path, value):
+        config = tmp_path_factory.getbasetemp() / "property_config.json"
+        config.write_text(json.dumps(_with_value({}, path, value)))
+        try:
+            loaded = load_config(config)
+        except SchemaMismatch:
+            return
+        _assert_declared_kinds(loaded)
+
+    @settings(max_examples=150)
+    @given(path=st.sampled_from(_FOLD_PATHS), value=_JSON_VALUES)
+    @example(path=("assignment", "a"), value=2)  # fold k
+    @example(path=("assignment", "a"), value=True)
+    @example(path=("k",), value=True)
+    @example(path=("strat_labels", "b"), value=1.5)
+    @example(path=("strat_labels", "b"), value=3)
+    def test_read_folds(self, tmp_path_factory, path, value):
+        out = tmp_path_factory.getbasetemp()
+        (out / "folds.json").write_text(json.dumps(_with_value(_FOLDS, path, value)))
+        try:
+            plan = _read_folds(out)
+        except SchemaMismatch:
+            return
+        _assert_declared_kinds(plan)
+        assert all(0 <= fold < plan.k for fold in plan.assignment.values())
