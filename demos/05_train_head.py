@@ -22,7 +22,7 @@ print("counts [100, 50, 25] -> weights", [round(w, 4) for w in weights.w])
 print("w * N:", [round(w * n, 4) for w, n in zip(weights.w, weights.counts)])
 
 # The schedule warms up linearly, then anneals along a cosine.
-cfg = TrainConfig(epochs=30, batch=8, lr_max=0.1, warmup_epochs=5, seed=0)
+cfg = TrainConfig(epochs=30, batch=8, lr_max=0.1, warmup_epochs=5)
 lrs = [lr_schedule(t, cfg) for t in range(cfg.epochs)]
 print("lr at t=0, 4, 5, 17, 29:", [round(lrs[t], 4) for t in (0, 4, 5, 17, 29)])
 
@@ -32,7 +32,8 @@ centers = np.array([[4.0, 0.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 4.0]])
 labels = np.repeat([0, 1, 2], [60, 30, 15])  # imbalanced on purpose
 features = centers[labels] + rng.normal(scale=0.5, size=(labels.size, 3))
 
-result = train_head(features, labels, cfg, class_weights([60, 30, 15]))
+# The seed keys the Philox stream that shuffles each epoch's minibatches.
+result = train_head(features, labels, cfg, class_weights([60, 30, 15]), seed=0)
 probs = forward(features, result.params)
 accuracy = (predict_labels(probs) == labels).mean()
 print(f"loss {result.loss_trace[0]:.4f} -> {result.loss_trace[-1]:.4f}, "

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimMismatch, EmptyClass
 from .evalkit import N_CLASSES
-from .mipbuild import MipStack, check_fields
+from .mipbuild import PHILOX_MAX, MipStack, check_fields
 
 LOG_FLOOR = 1e-12
 DEFAULT_POOL_GRID = 4
@@ -111,7 +111,6 @@ _TRAIN_FIELDS = {
     "warmup_epochs": (int, 0, 0, math.inf),
     "lr_min": (float, 0, 0.0, math.inf),
     "momentum": (float, 0, 0.0, math.nextafter(1.0, 0.0)),
-    "seed": (int, 0, -math.inf, math.inf),
 }
 
 
@@ -123,7 +122,6 @@ class TrainConfig:
     warmup_epochs: int = 5
     lr_min: float = 0.0
     momentum: float = 0.9
-    seed: int = 0
 
     def __post_init__(self) -> None:
         check_fields(self, _TRAIN_FIELDS)
@@ -243,18 +241,16 @@ def lr_schedule(t: int, cfg: TrainConfig) -> float:
 class TrainResult:
     params: HeadParams
     loss_trace: np.ndarray  # per-epoch full-data loss, f64
-    weights: ClassWeights
-    config: TrainConfig
 
 
 @dataclass(frozen=True)
 class HeadSpec:
-    """One head to train: its rows of the shared feature matrix and its setup."""
+    """One head to train: its feature rows, their labels, its weights and shuffle seed."""
 
     rows: np.ndarray  # (n,) row indices, in training order
     labels: np.ndarray  # (n,) int64, one per row
-    config: TrainConfig
     weights: ClassWeights
+    seed: int
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.intp)
@@ -263,79 +259,60 @@ class HeadSpec:
             raise DimMismatch(f"rows {rows.shape} vs labels {labels.shape}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels)
+        # it keys np.random.Philox, which takes [0, 2**128)
+        check_fields(self, {"seed": (int, 0, 0, PHILOX_MAX)})
 
 
 def train_heads(
-    features: np.ndarray | Callable[[int], np.ndarray], heads: Sequence[HeadSpec]
+    features: Callable[[int], np.ndarray], heads: Sequence[HeadSpec], cfg: TrainConfig
 ) -> list[TrainResult]:
-    """Momentum SGD for several heads over one shared feature source.
+    """Momentum SGD for several heads over one per-epoch feature source.
 
-    ``features`` is one (N, D) matrix used every epoch, or a callable
-    ``epoch -> (N, D)`` matrix (e.g. freshly augmented inputs per epoch),
-    called once per epoch for all heads.  Each head trains on its own
-    rows, from zero-initialized params, with its own momentum and a
-    Philox permutation stream keyed by its ``config.seed``; its result is
-    the same as training it alone.  All heads must share ``epochs``.
+    ``features`` maps an epoch to its (N, D) matrix (e.g. freshly augmented
+    inputs) and is called once per epoch for all heads; every epoch's matrix
+    keeps epoch 0's shape.  All heads follow ``cfg``.  Each head trains on
+    its own rows, from zero-initialized params, with its own momentum and a
+    Philox permutation stream keyed by its ``seed``; its result is the same
+    as training it alone.
     """
-    if not heads:
-        return []
-    epochs = {head.config.epochs for head in heads}
-    if len(epochs) > 1:
-        raise ValueError(f"heads must share one epoch count, got {sorted(epochs)}")
-
-    def head_rows(matrix: np.ndarray) -> list[np.ndarray]:
-        feats = np.asarray(matrix, dtype=np.float64)
-        if feats.ndim != 2:
-            raise DimMismatch(f"features must be (N, D), got shape {feats.shape}")
-        for head in heads:
-            if head.rows.size and not 0 <= head.rows.min() <= head.rows.max() < feats.shape[0]:
-                raise DimMismatch(f"head rows outside the {feats.shape[0]} feature rows")
-        return [feats[head.rows] for head in heads]
-
-    # a fixed matrix is sliced once; a callable is sliced every epoch
-    fixed = None if callable(features) else head_rows(features)
-    per_head = fixed if fixed is not None else head_rows(features(0))
-    W = [np.zeros((feats.shape[1], N_CLASSES)) for feats in per_head]
+    first = np.asarray(features(0), dtype=np.float64)
+    if first.ndim != 2:
+        raise DimMismatch(f"features must be (N, D), got shape {first.shape}")
+    for head in heads:
+        if head.rows.size and not 0 <= head.rows.min() <= head.rows.max() < first.shape[0]:
+            raise DimMismatch(f"head rows outside the {first.shape[0]} feature rows")
+    W = [np.zeros((first.shape[1], N_CLASSES)) for _ in heads]
     b = [np.zeros(N_CLASSES) for _ in heads]
     vW = [np.zeros_like(w) for w in W]
     vb = [np.zeros_like(v) for v in b]
-    rngs = [np.random.Generator(np.random.Philox(key=head.config.seed)) for head in heads]
-    traces = [np.empty(head.config.epochs, dtype=np.float64) for head in heads]
-    for epoch in range(epochs.pop()):
-        if epoch and fixed is None:
-            per_head = head_rows(features(epoch))
+    rngs = [np.random.Generator(np.random.Philox(key=head.seed)) for head in heads]
+    traces = [np.empty(cfg.epochs, dtype=np.float64) for _ in heads]
+    for epoch in range(cfg.epochs):
+        feats = np.asarray(features(epoch), dtype=np.float64) if epoch else first
+        if feats.shape != first.shape:
+            raise DimMismatch(f"epoch {epoch} features {feats.shape} != epoch 0's {first.shape}")
+        lr = lr_schedule(epoch, cfg)
         for i, head in enumerate(heads):
-            cfg, labs, weights, feats = head.config, head.labels, head.weights, per_head[i]
-            lr = lr_schedule(epoch, cfg)
+            rows, labs, weights = feats[head.rows], head.labels, head.weights
             perm = rngs[i].permutation(labs.shape[0])
             sgd_epoch(
-                W[i], b[i], vW[i], vb[i], feats, labs, weights, lr, cfg.momentum, cfg.batch, perm
+                W[i], b[i], vW[i], vb[i], rows, labs, weights, lr, cfg.momentum, cfg.batch, perm
             )
-            probs = forward(feats, HeadParams(W[i], b[i]))
+            probs = forward(rows, HeadParams(W[i], b[i]))
             traces[i][epoch] = weighted_ce(probs, labs, weights).value
-    return [
-        TrainResult(HeadParams(W[i], b[i]), traces[i], head.weights, head.config)
-        for i, head in enumerate(heads)
-    ]
+    return [TrainResult(HeadParams(W[i], b[i]), traces[i]) for i in range(len(heads))]
 
 
 def train_head(
-    features: np.ndarray | Callable[[int], np.ndarray],
+    features: np.ndarray,
     labels: np.ndarray,
     cfg: TrainConfig,
     weights: ClassWeights,
+    seed: int = 0,
 ) -> TrainResult:
-    """One head on every row of ``features``; see :func:`train_heads`."""
-    labs = np.asarray(labels, dtype=np.int64)
-
-    def checked(matrix: np.ndarray) -> np.ndarray:
-        if np.ndim(matrix) != 2 or np.shape(matrix)[0] != labs.shape[0]:
-            raise DimMismatch(f"features {np.shape(matrix)} vs labels {labs.shape}")
-        return matrix
-
-    source = (lambda epoch: checked(features(epoch))) if callable(features) else checked(features)
-    head = HeadSpec(rows=np.arange(labs.shape[0]), labels=labs, config=cfg, weights=weights)
-    return train_heads(source, [head])[0]
+    """One head on every row of one (N, D) matrix; see :func:`train_heads`."""
+    head = HeadSpec(np.arange(len(features)), labels, weights, seed)
+    return train_heads(lambda epoch: features, [head], cfg)[0]
 
 
 def sgd_epoch(

@@ -60,6 +60,8 @@ _MASK_TOL = 1e-6
 
 # the least positive float: [POSITIVE, hi] is the half-open range (0, hi]
 POSITIVE = math.ulp(0.0)
+# the largest key np.random.Philox takes: [0, PHILOX_MAX] is [0, 2**128)
+PHILOX_MAX = 2**128 - 1
 
 # per field kind: the numbers it admits, their largest magnitude (a float field
 # must be finite as a float), and its name in messages
@@ -71,7 +73,12 @@ _KINDS = {
 
 class _FieldError(TypeError, ValueError):
     """A field of the wrong kind, length or range: a TypeError to callers that
-    test kinds and a ValueError to those that test values."""
+    test kinds and a ValueError to those that test values.  The message starts
+    with the field's name; ``owner`` is the type of the object checked."""
+
+    def __init__(self, owner: type, rule: str, value: Any):
+        super().__init__(f"{rule}, got {reprlib.repr(value)}")
+        self.owner = owner
 
 
 def check_fields(obj: Any, spec: Mapping[str, tuple[type, int, float, float]]) -> None:
@@ -82,17 +89,20 @@ def check_fields(obj: Any, spec: Mapping[str, tuple[type, int, float, float]]) -
     the exact length of a list or tuple, which is stored back on the object as
     a tuple.  Every value lies in the closed range ``[lo, hi]``.
     """
+    owner = type(obj)
     for name, (kind, length, lo, hi) in spec.items():
         value = obj[name] if isinstance(obj, Mapping) else getattr(obj, name)
         if length and not (isinstance(value, (list, tuple)) and len(value) == length):
-            raise _FieldError(f"{name} must be {length} numbers, got {reprlib.repr(value)}")
+            raise _FieldError(owner, f"{name} must be {length} numbers", value)
         admits, limit, noun = _KINDS[kind]
         for i, item in enumerate(value if length else (value,)):
             label = f"{name}[{i}]" if length else name
             if isinstance(item, bool) or not isinstance(item, admits) or not abs(item) <= limit:
-                raise _FieldError(f"{label} must be {noun}, got {reprlib.repr(item)}")
+                raise _FieldError(owner, f"{label} must be {noun}", item)
             if not lo <= item <= hi:
-                raise _FieldError(f"{label} must be in [{lo}, {hi}], got {reprlib.repr(item)}")
+                low = "(0" if lo == POSITIVE else f"[{lo}"
+                high = "2**128)" if hi == PHILOX_MAX else f"{hi}]"
+                raise _FieldError(owner, f"{label} must be in {low}, {high}", item)
         if length:
             object.__setattr__(obj, name, tuple(value))
 

@@ -61,11 +61,13 @@ from .evalkit import (
     write_predictions_csv,
 )
 from .mipbuild import (
+    PHILOX_MAX,
     SIDES,
     BuildConfig,
     MipStack,
     NormConstants,
     Study,
+    _FieldError,
     build_stacks,
     check_fields,
     normalize_stack,
@@ -129,6 +131,9 @@ class Manifest:
         patient_id, pre_path, posts, mask, left, right = (field.strip() for field in row)
         if not patient_id or not pre_path:
             raise ManifestParse(f"line {line}: patient_id and pre_path are required")
+        # it names the stack files, so it must be one plain file-name component
+        if patient_id in (".", "..") or any(c in patient_id for c in "/\\\0"):
+            raise ManifestParse(f"line {line}: patient_id {patient_id!r} is not a plain file name")
         post_paths = tuple(p.strip() for p in posts.split(";") if p.strip())
         if len(post_paths) < 2:
             raise ManifestParse(f"line {line}: need >= 2 post paths, got {posts!r}")
@@ -182,7 +187,8 @@ class Manifest:
 
 _PIPELINE_FIELDS = {
     "k": (int, 0, 2, math.inf),
-    "seed": (int, 0, -math.inf, math.inf),
+    # the fold shuffle keys np.random.Philox with it, which takes [0, 2**128)
+    "seed": (int, 0, 0, PHILOX_MAX),
     "pool_grid": (int, 0, 1, math.inf),
 }
 
@@ -201,15 +207,14 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         check_fields(self, _PIPELINE_FIELDS)
-        # the fold shuffle keys np.random.Philox with it, which takes [0, 2**128)
-        if not 0 <= self.seed < 2**128:
-            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
 
 
 # the top-level config keys that set BuildConfig and NormConstants fields, by field
 _BUILD_KEYS = {"spacing": "spacing", "shape": "shape", "row_window": "row_window"}
 _NORM_KEYS = {"norm_means": "means", "norm_stds": "stds"}
 _CONFIG_SECTIONS = {*_BUILD_KEYS, *_NORM_KEYS, "augment", "train", *_PIPELINE_FIELDS}
+# what a config key puts before the name of the field it sets, by the field's class
+_KEY_PREFIX = {NormConstants: "norm_", AugmentPolicy: "augment.", TrainConfig: "train."}
 
 
 def _replace_from(cls, defaults, overrides: Mapping[str, Any], section: str):
@@ -251,6 +256,9 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         train = _replace_from(TrainConfig, defaults.train, train_raw, "train")
         top = {key: raw[key] for key in _PIPELINE_FIELDS if key in raw}
         return PipelineConfig(build=build, norm=norm, policy=policy, train=train, **top)
+    except _FieldError as exc:
+        prefix = _KEY_PREFIX.get(exc.owner, "")
+        raise SchemaMismatch(f"invalid value in config {path}: {prefix}{exc}") from exc
     except (TypeError, ValueError) as exc:
         raise SchemaMismatch(f"invalid value in config {path}: {exc}") from exc
 
@@ -447,12 +455,11 @@ def cmd_train(
             head_labels = labels[rows]
             # counts/weights come from the training folds only, by construction
             counts = np.bincount(head_labels, minlength=N_CLASSES).tolist()
-            train_seed = derive_seed(config.seed, f"fold{f}", w, 0)
             spec = HeadSpec(
                 rows=rows,
                 labels=head_labels,
-                config=dataclasses.replace(config.train, seed=train_seed),
                 weights=uniform_weights() if w == "natural" else class_weights(counts),
+                seed=derive_seed(config.seed, f"fold{f}", w, 0),
             )
             heads.append((w, f, spec, counts))
 
@@ -466,12 +473,13 @@ def cmd_train(
     def epoch_features(epoch: int) -> np.ndarray:
         return np.stack([breast_features(s, epoch) for s in stacks])
 
-    # without augmentation every epoch trains on the same matrix
-    features = epoch_features if config.policy.active else epoch_features(0)
-    results = train_heads(features, [spec for _, _, spec, _ in heads])
+    # without augmentation every epoch trains on the same matrix, built once
+    matrix = None if config.policy.active else epoch_features(0)
+    features = epoch_features if matrix is None else (lambda epoch: matrix)
+    results = train_heads(features, [spec for _, _, spec, _ in heads], config.train)
 
     for (w, f, spec, counts), result in zip(heads, results):
-        params, trace, cfg = result.params, result.loss_trace, result.config
+        params, trace = result.params, result.loss_trace
         record = {
             "model_id": _model_id(w, f),
             "weighting": w,
@@ -481,7 +489,7 @@ def cmd_train(
             "n_train_samples": int(spec.labels.shape[0]),
             "train_class_counts": counts,
             "class_weights": list(spec.weights.w),
-            "train_config": dataclasses.asdict(cfg),
+            "train_config": {**dataclasses.asdict(config.train), "seed": spec.seed},
             "augmented": config.policy.active,
             "final_loss": float(trace[-1]),
             "loss_trace": [float(v) for v in trace],

@@ -282,7 +282,7 @@ class TestGradient:
 
 
 class TestSchedule:
-    CFG = TrainConfig(epochs=300, batch=10, lr_max=1e-4, warmup_epochs=5, seed=0)
+    CFG = TrainConfig(epochs=300, batch=10, lr_max=1e-4, warmup_epochs=5)
 
     def test_first_epoch_fifth_of_max(self):
         np.testing.assert_allclose(lr_schedule(0, self.CFG), 1e-4 / 5, rtol=1e-15)
@@ -302,7 +302,7 @@ class TestSchedule:
         assert all(a >= b for a, b in zip(lrs, lrs[1:]))
 
     def test_midpoint_half_amplitude(self):
-        cfg = TrainConfig(epochs=15, batch=4, lr_max=2.0, lr_min=1.0, warmup_epochs=4, seed=0)
+        cfg = TrainConfig(epochs=15, batch=4, lr_max=2.0, lr_min=1.0, warmup_epochs=4)
         # midpoint of the cosine span: t - w = (epochs - w - 1)/2 = 5
         np.testing.assert_allclose(lr_schedule(9, cfg), 1.5, rtol=1e-12)
 
@@ -316,7 +316,7 @@ class TestSchedule:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("epochs", 8.5), ("batch", 2.5), ("batch", True), ("warmup_epochs", "5"), ("seed", 1.0)],
+        [("epochs", 8.5), ("batch", 2.5), ("batch", True), ("warmup_epochs", "5")],
     )
     def test_integer_fields_refuse_floats_strings_and_bools(self, field, value):
         with pytest.raises(TypeError, match=f"{field} must be an integer"):
@@ -346,8 +346,8 @@ def _cluster_problem(n_per=20, dim=6, margin=10.0, seed=0):
 class TestTrainHead:
     def test_separable_clusters_reach_full_accuracy(self):
         feats, labels = _cluster_problem()
-        cfg = TrainConfig(epochs=400, batch=10, lr_max=0.05, warmup_epochs=5, seed=1)
-        result = train_head(feats, labels, cfg, uniform_weights())
+        cfg = TrainConfig(epochs=400, batch=10, lr_max=0.05, warmup_epochs=5)
+        result = train_head(feats, labels, cfg, uniform_weights(), seed=1)
         preds = predict_labels(forward(feats, result.params))
         assert (preds == labels).mean() == 1.0
         assert result.loss_trace.shape == (400,)
@@ -355,7 +355,7 @@ class TestTrainHead:
 
     def test_zero_lr_keeps_params_at_init(self):
         feats, labels = _cluster_problem(n_per=5)
-        cfg = TrainConfig(epochs=10, batch=5, lr_max=1e-30, warmup_epochs=2, seed=0)
+        cfg = TrainConfig(epochs=10, batch=5, lr_max=1e-30, warmup_epochs=2)
         result = train_head(feats, labels, cfg, uniform_weights())
         # an lr this small cannot move f64 params off zero by any visible amount
         assert np.abs(result.params.W).max() < 1e-20
@@ -363,12 +363,16 @@ class TestTrainHead:
 
     @pytest.mark.parametrize("per_epoch", [False, True], ids=["matrix", "callable"])
     def test_same_seed_bit_identical(self, per_epoch):
-        """A rerun, or the same matrix handed over per epoch, gives the same bytes."""
+        """A rerun, or the same matrix handed to train_heads per epoch, gives the same bytes."""
         feats, labels = _cluster_problem(n_per=8, seed=3)
-        cfg = TrainConfig(epochs=50, batch=7, lr_max=0.01, warmup_epochs=3, seed=9)
+        cfg = TrainConfig(epochs=50, batch=7, lr_max=0.01, warmup_epochs=3)
         cw = class_weights([8, 8, 8])
-        a = train_head(feats, labels, cfg, cw)
-        b = train_head((lambda epoch: feats) if per_epoch else feats, labels, cfg, cw)
+        a = train_head(feats, labels, cfg, cw, seed=9)
+        if per_epoch:
+            head = HeadSpec(rows=np.arange(labels.size), labels=labels, weights=cw, seed=9)
+            (b,) = train_heads(lambda epoch: feats, [head], cfg)
+        else:
+            b = train_head(feats, labels, cfg, cw, seed=9)
         assert a.params.W.tobytes() == b.params.W.tobytes()
         assert a.params.b.tobytes() == b.params.b.tobytes()
         assert a.loss_trace.tobytes() == b.loss_trace.tobytes()
@@ -376,18 +380,19 @@ class TestTrainHead:
     def test_different_seed_changes_shuffles(self):
         feats, labels = _cluster_problem(n_per=8, seed=3)
         cw = uniform_weights()
-        a = train_head(feats, labels, TrainConfig(epochs=30, batch=3, lr_max=0.01, seed=1, warmup_epochs=2), cw)
-        b = train_head(feats, labels, TrainConfig(epochs=30, batch=3, lr_max=0.01, seed=2, warmup_epochs=2), cw)
+        cfg = TrainConfig(epochs=30, batch=3, lr_max=0.01, warmup_epochs=2)
+        a = train_head(feats, labels, cfg, cw, seed=1)
+        b = train_head(feats, labels, cfg, cw, seed=2)
         assert a.params.W.tobytes() != b.params.W.tobytes()
 
     def test_weight_scale_equals_lr_scale(self):
         """Scaling all w by k matches dividing lr by k (identical trajectories)."""
         feats, labels = _cluster_problem(n_per=6, seed=5)
-        cfg_a = TrainConfig(epochs=40, batch=6, lr_max=0.03, warmup_epochs=2, seed=4)
-        cfg_b = TrainConfig(epochs=40, batch=6, lr_max=0.01, warmup_epochs=2, seed=4)
+        cfg_a = TrainConfig(epochs=40, batch=6, lr_max=0.03, warmup_epochs=2)
+        cfg_b = TrainConfig(epochs=40, batch=6, lr_max=0.01, warmup_epochs=2)
         counts = (6, 6, 6)
         uniform_third = ClassWeights(w=(1 / 3, 1 / 3, 1 / 3), counts=counts)
-        a = train_head(feats, labels, cfg_a, uniform_third)
+        a = train_head(feats, labels, cfg_a, uniform_third, seed=4)
 
         # weights 3x larger are outside the sum-to-1 type; emulate with the
         # identity w·lr = const by comparing uniform (1/3) at lr to a run at lr/3
@@ -413,13 +418,13 @@ class TestTrainHead:
         np.testing.assert_allclose(a.params.b, b, rtol=1e-10, atol=1e-12)
 
 
-def _reference_train(features, rows, labels, cfg, weights):
+def _reference_train(features, rows, labels, cfg, weights, seed):
     """One head trained alone, written out step by step: zero init, one
     Philox permutation stream, momentum SGD, full-data loss per epoch."""
     labels = np.asarray(labels, dtype=np.int64)
     W, b = np.zeros((features(0).shape[1], 3)), np.zeros(3)
     vW, vb = np.zeros_like(W), np.zeros_like(b)
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    rng = np.random.Generator(np.random.Philox(key=seed))
     trace = np.empty(cfg.epochs)
     for epoch in range(cfg.epochs):
         feats = np.asarray(features(epoch), dtype=np.float64)[rows]
@@ -430,7 +435,35 @@ def _reference_train(features, rows, labels, cfg, weights):
     return W, b, trace
 
 
+class TestHeadSpec:
+    @pytest.mark.parametrize(
+        "seed", [-1, 2**128, True, 1.0], ids=["negative", "2**128", "bool", "float"]
+    )
+    def test_seed_outside_philox_keys_refused(self, seed):
+        labels = np.array([0, 1, 2])
+        with pytest.raises(ValueError, match="seed must be"):
+            HeadSpec(rows=np.arange(3), labels=labels, weights=uniform_weights(), seed=seed)
+        cfg = TrainConfig(epochs=3, warmup_epochs=1)
+        with pytest.raises(ValueError, match="seed must be"):
+            train_head(np.zeros((3, 2)), labels, cfg, uniform_weights(), seed=seed)
+
+    def test_largest_philox_key_accepted(self):
+        head = HeadSpec(rows=[0], labels=[1], weights=uniform_weights(), seed=2**128 - 1)
+        cfg = TrainConfig(epochs=2, warmup_epochs=1)
+        (result,) = train_heads(lambda epoch: np.ones((1, 2)), [head], cfg)
+        assert result.loss_trace.shape == (2,)
+
+    def test_rows_and_labels_must_pair(self):
+        with pytest.raises(DimMismatch):
+            HeadSpec(rows=np.arange(3), labels=np.zeros(2), weights=uniform_weights(), seed=0)
+        cfg = TrainConfig(epochs=3, warmup_epochs=1)
+        with pytest.raises(DimMismatch):
+            train_head(np.zeros((4, 2)), np.zeros(3), cfg, uniform_weights())
+
+
 class TestTrainHeads:
+    CFG = TrainConfig(epochs=25, batch=4, lr_max=0.02, warmup_epochs=2)
+
     @staticmethod
     def _problem():
         feats, labels = _cluster_problem(n_per=8, seed=3)
@@ -440,56 +473,46 @@ class TestTrainHeads:
         for i, rows in enumerate(row_sets):
             counts = np.bincount(labels[rows], minlength=3)
             weights = uniform_weights() if i == 1 else class_weights(counts)
-            cfg = TrainConfig(epochs=25, batch=3 + i, lr_max=0.02, warmup_epochs=2, seed=11 + i)
-            heads.append(HeadSpec(rows=rows, labels=labels[rows], config=cfg, weights=weights))
+            heads.append(HeadSpec(rows=rows, labels=labels[rows], weights=weights, seed=11 + i))
         return feats, heads
 
     @pytest.mark.parametrize("per_epoch", [False, True], ids=["matrix", "callable"])
     def test_each_head_matches_training_it_alone(self, per_epoch):
+        """Redrawn per epoch, or one fixed matrix, every head gets the bytes of
+        training it alone; a fixed matrix also matches train_head on its rows."""
         feats, heads = self._problem()
 
-        def redrawn(epoch):
+        def source(epoch):
             # a float32 matrix that changes every epoch, like augmented features
-            return (feats * (1.0 + 0.01 * epoch)).astype(np.float32)
+            return (feats * (1.0 + 0.01 * epoch)).astype(np.float32) if per_epoch else feats
 
         calls = []
 
         def counted(epoch):
             calls.append(epoch)
-            return redrawn(epoch)
+            return source(epoch)
 
-        source = counted if per_epoch else feats
-        results = train_heads(source, heads)
-        assert calls == (list(range(25)) if per_epoch else [])
+        results = train_heads(counted, heads, self.CFG)
+        assert calls == list(range(25))
         for head, result in zip(heads, results):
-            reference = redrawn if per_epoch else (lambda epoch: feats)
             W, b, trace = _reference_train(
-                reference, head.rows, head.labels, head.config, head.weights
+                source, head.rows, head.labels, self.CFG, head.weights, head.seed
             )
-            alone = train_head(
-                (lambda epoch: reference(epoch)[head.rows]) if per_epoch else feats[head.rows],
-                head.labels,
-                head.config,
-                head.weights,
-            )
-            for got in (result, alone):
-                assert got.params.W.tobytes() == W.tobytes()
-                assert got.params.b.tobytes() == b.tobytes()
-                assert got.loss_trace.tobytes() == trace.tobytes()
-            assert result.weights == head.weights and result.config == head.config
-
-    def test_different_epoch_counts_rejected(self):
-        feats, heads = self._problem()
-        longer = HeadSpec(
-            rows=heads[0].rows,
-            labels=heads[0].labels,
-            config=TrainConfig(epochs=30, batch=3, lr_max=0.02, warmup_epochs=2),
-            weights=heads[0].weights,
-        )
-        with pytest.raises(ValueError, match="epoch"):
-            train_heads(feats, [heads[0], longer])
+            got = [result]
+            if not per_epoch:
+                alone = train_head(feats[head.rows], head.labels, self.CFG, head.weights, head.seed)
+                got.append(alone)
+            for one in got:
+                assert one.params.W.tobytes() == W.tobytes()
+                assert one.params.b.tobytes() == b.tobytes()
+                assert one.loss_trace.tobytes() == trace.tobytes()
 
     def test_rows_outside_features_rejected(self):
         feats, heads = self._problem()
         with pytest.raises(DimMismatch):
-            train_heads(feats[:10], heads)
+            train_heads(lambda epoch: feats[:10], heads, self.CFG)
+
+    def test_epoch_matrix_must_keep_epoch_zero_shape(self):
+        feats, heads = self._problem()
+        with pytest.raises(DimMismatch, match="epoch 3"):
+            train_heads(lambda epoch: feats[:, : 6 - (epoch == 3)], heads, self.CFG)

@@ -574,7 +574,8 @@ class TestNormalize:
         assert back.normalized is False
 
     def test_custom_constants_validated(self):
-        with pytest.raises(ValueError):
+        # library callers see the field name, and "> 0" as a half-open range
+        with pytest.raises(ValueError, match=r"^stds\[0\] must be in \(0, inf\], got 0\.0$"):
             NormConstants(stds=(0.0, 1.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             NormConstants(means=(0.0, 0.0, 0.0))

@@ -5,10 +5,12 @@ the training-time label-access audit.
 
 import copy
 import dataclasses
+import gzip
 import json
 import math
 import shutil
 import struct
+import tempfile
 import typing
 from collections.abc import Mapping
 from pathlib import Path
@@ -104,12 +106,10 @@ def predicted(trained, config) -> Path:
 
 
 def load_config_from(raw: dict) -> PipelineConfig:
-    import tempfile
-
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(raw, fh)
-        name = fh.name
-    return load_config(name)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(raw))
+        return load_config(path)
 
 
 class TestManifest:
@@ -169,19 +169,76 @@ class TestManifest:
         with pytest.raises(ManifestParse):
             Manifest.read(tmp_path / "absent.csv")
 
+    @pytest.mark.parametrize(
+        "patient_id",
+        ["../../escaped", "a/b", "/abs", "a\\b", "..\\x", ".", "..", "p\0"],
+        ids=["parent", "slash", "absolute", "backslash", "parent_bs", "dot", "dotdot", "nul"],
+    )
+    def test_patient_id_must_be_a_plain_file_name(self, tmp_path, patient_id):
+        """The id names the stack files, so a path in it would write outside stacks/."""
+        bad = tmp_path / "m.csv"
+        bad.write_text(
+            "patient_id,pre_path,post_paths,mask_path,label_left,label_right\n"
+            f"{patient_id},pre.nii,a.nii;b.nii,,benign,benign\n"
+        )
+        with pytest.raises(ManifestParse, match="^line 2: patient_id .* is not a plain file name$"):
+            Manifest.read(bad)
 
-# values the shared field-spec check refuses at config load: (override, command, id)
+    def test_dotted_patient_ids_accepted(self, tmp_path):
+        good = tmp_path / "m.csv"
+        good.write_text(
+            "patient_id,pre_path,post_paths,mask_path,label_left,label_right\n"
+            "p.1,pre.nii,a.nii;b.nii,,benign,benign\n"
+            "...,pre.nii,a.nii;b.nii,,benign,benign\n"
+        )
+        assert Manifest.read(good).patient_ids == ["p.1", "..."]
+
+    def test_escaping_patient_id_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        run = tmp_path / "a" / "b" / "run"
+        phantom.write_cohort(1, seed=1, out_dir=run)
+        manifest = run / "manifest.csv"
+        manifest.write_text(manifest.read_text().replace("\np000,", "\n../../escaped,"))
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main(["preprocess", "--manifest", str(manifest), "--out", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert "patient_id '../../escaped' is not a plain file name" in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+# values the shared field-spec check refuses at config load:
+# (override, command, id, the refusal as it names the config key)
 FIELD_SPEC_REFUSALS = [
-    ({"train": {"lr_max": 10**400}}, "train", "lr_max_huge_int"),
-    ({"augment": {"rotate_deg": 10**400}}, "train", "rotate_deg_huge_int"),
-    ({"augment": {"scale_range": [1]}}, "train", "scale_range_short"),
-    ({"augment": {"scale_range": [1, 2, 3]}}, "train", "scale_range_long"),
-    ({"shape": [True, 512, 32]}, "preprocess", "shape_bool"),
-    ({"spacing": [True, 0.7, 3.0]}, "preprocess", "spacing_bool"),
-    ({"norm_means": [True, 0.1, 0.1, 0.1]}, "preprocess", "norm_means_bool"),
-    ({"augment": {"hflip_p": True}}, "train", "hflip_p_bool"),
-    ({"train": {"lr_max": True}}, "train", "lr_max_bool"),
-    ({"shape": [10**30, 512, 32]}, "preprocess", "shape_huge"),
+    ({"train": {"lr_max": 10**400}}, "train", "lr_max_huge_int",
+     "train.lr_max must be a finite number, got 100000000000000000...0000000000000000000"),
+    ({"augment": {"rotate_deg": 10**400}}, "train", "rotate_deg_huge_int",
+     "augment.rotate_deg must be a finite number, got 100000000000000000...0000000000000000000"),
+    ({"augment": {"scale_range": [1]}}, "train", "scale_range_short",
+     "augment.scale_range must be 2 numbers, got [1]"),
+    ({"augment": {"scale_range": [1, 2, 3]}}, "train", "scale_range_long",
+     "augment.scale_range must be 2 numbers, got [1, 2, 3]"),
+    ({"shape": [True, 512, 32]}, "preprocess", "shape_bool",
+     "shape[0] must be an integer, got True"),
+    ({"spacing": [True, 0.7, 3.0]}, "preprocess", "spacing_bool",
+     "spacing[0] must be a finite number, got True"),
+    ({"norm_means": [True, 0.1, 0.1, 0.1]}, "preprocess", "norm_means_bool",
+     "norm_means[0] must be a finite number, got True"),
+    ({"augment": {"hflip_p": True}}, "train", "hflip_p_bool",
+     "augment.hflip_p must be a finite number, got True"),
+    ({"train": {"lr_max": True}}, "train", "lr_max_bool",
+     "train.lr_max must be a finite number, got True"),
+    ({"shape": [10**30, 512, 32]}, "preprocess", "shape_huge",
+     "shape (1000000000000000000000000000000, 512, 32) exceeds MAX_RESAMPLE_VOXELS = 1073741824"),
+]
+
+# more refusals whose message names the key as the config spells it: (override, id, message)
+KEYED_REFUSALS = [
+    ({"norm_stds": [0, 1, 1, 1]}, "norm_stds_zero", "norm_stds[0] must be in (0, inf], got 0"),
+    ({"train": {"epochs": 2.5}}, "epochs_float", "train.epochs must be an integer, got 2.5"),
+    ({"augment": {"hflip_p": 2}}, "hflip_p_two", "augment.hflip_p must be in [0.0, 1.0], got 2"),
+    ({"spacing": [0.7, 0, 3]}, "spacing_zero", "spacing[1] must be in (0, inf], got 0"),
+    ({"seed": -3}, "seed_negative", "seed must be in [0, 2**128), got -3"),
+    ({"pool_grid": 0}, "pool_grid_zero", "pool_grid must be in [1, inf], got 0"),
 ]
 
 
@@ -306,6 +363,17 @@ class TestConfig:
         with pytest.raises(SchemaMismatch, match="invalid value in config"):
             load_config_from(override)
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [(case[0], case[3]) for case in FIELD_SPEC_REFUSALS]
+        + [(override, message) for override, _, message in KEYED_REFUSALS],
+        ids=[case[2] for case in FIELD_SPEC_REFUSALS] + [case[1] for case in KEYED_REFUSALS],
+    )
+    def test_refusal_names_the_config_key(self, override, message):
+        with pytest.raises(SchemaMismatch) as refused:
+            load_config_from(override)
+        assert str(refused.value).endswith(f"config.json: {message}")
+
     @pytest.mark.parametrize("seed", [-3, 2**128], ids=["negative", "2**128"])
     def test_out_of_range_config_seed_exits_two(self, cohort, tmp_path, seed, capsys):
         """The fold shuffle's Philox key takes [0, 2**128); outside it split used to
@@ -381,6 +449,41 @@ class TestPreprocess:
             "p000_left.mct", "p000_right.mct",
         ]
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_header_image_pairs(self, tmp_path, config, capsys):
+        """A pre stored as a .hdr/.img pair builds the stacks its single file
+        builds; a .hdr.gz whose .img.gz is missing fails that study alone."""
+        clean, run = tmp_path / "clean", tmp_path / "run"
+        for cohort_dir in (clean, run):
+            phantom.write_cohort(3, seed=1, out_dir=cohort_dir)
+        assert cmd_preprocess(clean / "manifest.csv", config, clean) == 0
+        manifest = (run / "manifest.csv").read_text()
+        for patient_id, suffix in (("p000", ""), ("p001", ".gz")):
+            single = run / "studies" / f"{patient_id}_pre.nii.gz"
+            buf = bytearray(gzip.decompress(single.read_bytes()))
+            assert struct.unpack_from("<f", buf, 108) == (352.0,)
+            struct.pack_into("<f", buf, 108, 0.0)
+            buf[344:348] = b"ni1\x00"
+            pack = gzip.compress if suffix else bytes
+            single.with_name(f"{patient_id}_pre.hdr{suffix}").write_bytes(pack(buf[:348]))
+            if patient_id == "p000":
+                single.with_name(f"{patient_id}_pre.img{suffix}").write_bytes(pack(buf[352:]))
+            single.unlink()
+            manifest = manifest.replace(single.name, f"{patient_id}_pre.hdr{suffix}")
+        (run / "manifest.csv").write_text(manifest)
+        capsys.readouterr()
+        assert cmd_preprocess(run / "manifest.csv", config, run) == 1
+        report = json.loads((run / "preprocess_report.json").read_text())
+        assert report["succeeded"] == ["p000", "p002"]
+        assert sorted(report["failed"]) == ["p001"]
+        assert report["failed"]["p001"].startswith("IoFailure: ")
+        assert "p001_pre.img.gz" in report["failed"]["p001"]
+        assert sorted(p.name for p in (run / "stacks").iterdir()) == [
+            f"{p}_{side}.mct" for p in ("p000", "p002") for side in ("left", "right")
+        ]
+        for path in (run / "stacks").iterdir():
+            assert path.read_bytes() == (clean / "stacks" / path.name).read_bytes()
+        assert "FAILED p001: IoFailure" in capsys.readouterr().err
 
     @staticmethod
     def _set_nan(path: Path, voxels: np.ndarray) -> None:

@@ -157,6 +157,45 @@ class TestNiftiRead:
         np.testing.assert_array_equal(back.data, vol.data)
 
 
+class TestNiftiPair:
+    """A header/image pair: magic ni1 in the .hdr, the voxels at vox_offset 0
+    of the .img, both gzipped or neither."""
+
+    # a rotated, shifted grid, so a lost sform would show
+    AFFINE = np.array([[0, -0.7, 0, 10.0], [0.7, 0, 0, -5.0], [0, 0, 3.0, 2.0], [0, 0, 0, 1]])
+
+    @classmethod
+    def _write_pair(cls, data, tmp_path, gz) -> tuple:
+        buf = reference_nifti_bytes(
+            data, spacing=(0.7, 0.7, 3.0), affine=cls.AFFINE, magic=b"ni1\x00", vox_offset=0.0
+        )
+        suffix, pack = (".gz", gzip.compress) if gz else ("", bytes)
+        header, image = tmp_path / f"pair.hdr{suffix}", tmp_path / f"pair.img{suffix}"
+        header.write_bytes(pack(buf[:348]))
+        image.write_bytes(pack(buf[348:]))
+        return header, image
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["hdr_img", "hdr_img_gz"])
+    def test_pair_reads_as_the_single_file(self, tmp_path, gz):
+        data = np.random.default_rng(6).random((3, 4, 5), dtype=np.float32)
+        single = tmp_path / "single.nii"
+        single.write_bytes(
+            reference_nifti_bytes(data, spacing=(0.7, 0.7, 3.0), affine=self.AFFINE)
+        )
+        header, _ = self._write_pair(data, tmp_path, gz)
+        want, got = read_nifti(single), read_nifti(header)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got.spacing == want.spacing
+        assert got.affine.tobytes() == want.affine.tobytes()
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["hdr_img", "hdr_img_gz"])
+    def test_missing_image_is_io_failure(self, tmp_path, gz):
+        header, image = self._write_pair(np.zeros((2, 2, 2), np.float32), tmp_path, gz)
+        image.unlink()
+        with pytest.raises(IoFailure, match=image.name):
+            read_nifti(header)
+
+
 class TestNiftiWrite:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
