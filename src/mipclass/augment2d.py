@@ -101,8 +101,12 @@ def derive_seed(global_seed: int, patient_id: str, side: str, epoch: int) -> int
     return int.from_bytes(digest[:8], "little")
 
 
+# the seed is the high 64 bits of every stream's Philox key
+_SEED_FIELD = {"seed": (int, 0, 0, 2**64 - 1)}
+
+
 def _stream(seed: int, name: str) -> np.random.Generator:
-    key = ((int(seed) & 0xFFFFFFFFFFFFFFFF) << 64) | _STREAMS[name]
+    key = (int(seed) << 64) | _STREAMS[name]
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -162,8 +166,10 @@ def augment(stack: MipStack, seed: int, policy: AugmentPolicy) -> MipStack:
     """Apply the sampled transforms; pure in (stack, seed, policy).
 
     The applied-transform names land in ``meta["augment_applied"]`` in
-    application order.
+    application order.  A seed outside ``[0, 2**64)``, or a bool, raises
+    ``ValueError``.
     """
+    check_fields({"seed": seed}, _SEED_FIELD)
     channels = stack.channels.copy()
     w, h = channels.shape[1], channels.shape[2]
     applied: list[str] = []

@@ -194,8 +194,9 @@ def resample(volume: Volume, target: tuple[float, float, float], interp: Interp)
 
 def _box(volume: Volume, origin: tuple[int, int, int], shape: tuple[int, int, int]) -> Volume:
     """Copy of the index box ``[origin, origin + shape)``, 0 outside `volume`;
-    retained voxels keep their world positions."""
-    data = np.zeros(shape, dtype=np.float32)
+    retained voxels keep their world positions.  The copy is z-slowest, so
+    each z-plane (``data[:, :, z]``) is one contiguous block."""
+    data = np.zeros(shape, dtype=np.float32, order="F")
     src, dst = [], []
     for o, t, n in zip(origin, shape, volume.shape):
         lo = max(o, 0)

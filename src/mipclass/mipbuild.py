@@ -239,13 +239,17 @@ def _regrid_mask_nearest(mask: Volume, target: Volume) -> np.ndarray:
     return binary[tuple(idx)]
 
 
-def subtract_clamped(post: Volume, pre: Volume) -> Volume:
-    """max(post − pre, 0), elementwise, on identical grids."""
+def _check_subtraction_grid(post: Volume, pre: Volume) -> None:
     if not _same_grid(post, pre):
         raise GridMismatch(
             f"subtraction needs matching grids: {post.shape}/{post.spacing} vs "
             f"{pre.shape}/{pre.spacing}"
         )
+
+
+def subtract_clamped(post: Volume, pre: Volume) -> Volume:
+    """max(post − pre, 0), elementwise, on identical grids."""
+    _check_subtraction_grid(post, pre)
     data = np.maximum(post.data - pre.data, np.float32(0.0))
     return Volume(data, post.spacing, post.affine)
 
@@ -255,14 +259,54 @@ def mip_z(volume: Volume) -> np.ndarray:
     return volume.data.max(axis=2)
 
 
+def _side_channels(
+    pre: np.ndarray,
+    post1: np.ndarray,
+    post2: np.ndarray,
+    last: np.ndarray,
+    keep: np.ndarray | None,
+) -> np.ndarray:
+    """The four channels of one side, ``(4, nx, ny)``, in one pass over its z-planes.
+
+    Each plane of each phase is masked as ``where(keep, v, 0)`` (+0.0 outside);
+    post1 and ``maximum(post − pre, 0)`` for post1, post2 and last are then
+    max-accumulated as ``maximum(acc, plane)``.  np.maximum returns its second
+    argument on a ±0 tie, so these argument orders give the bytes of stacking
+    :func:`mip_z` of the masked post1 and of :func:`subtract_clamped` per post
+    on z-slowest halves; a NaN inside the mask propagates as it does there.
+    """
+    nx, ny, nz = post1.shape
+    zero = np.float32(0.0)
+    # channel planes x-fastest, like the planes of a z-slowest half
+    acc = np.empty((4, ny, nx), dtype=np.float32).transpose(0, 2, 1)
+    for z in range(nz):
+        pre_z, *posts_z = (v[:, :, z] for v in (pre, post1, post2, last))
+        if keep is not None:
+            keep_z = keep[:, :, z]
+            pre_z, *posts_z = (np.where(keep_z, v, 0) for v in (pre_z, *posts_z))
+        planes = [posts_z[0]]
+        for post_z in posts_z:
+            diff = np.subtract(post_z, pre_z)
+            planes.append(np.maximum(diff, zero, out=diff))
+        for channel, plane in zip(acc, planes):
+            if z:
+                np.maximum(channel, plane, out=channel)
+            else:
+                channel[...] = plane
+    return np.ascontiguousarray(acc)
+
+
 def build_stacks(study: Study, cfg: BuildConfig = BuildConfig()) -> dict[str, MipStack]:
     """Run the §-ordered pipeline once per study and stack the 4 MIPs per side.
 
     Reorient -> resample each distinct phase once; localize rows on post1
     crop/padded to ``cfg.shape``; cut each phase and the (identically
     resampled) mask straight into its halves of that grid and window
-    (:func:`cut_halves`), so only post1 is ever held at full grid size;
-    apply the mask; subtract; project along z.  Keys follow ``SIDES``.
+    (:func:`cut_halves`), so only post1 is ever held at full grid size.
+    Each side's four channels then come from one pass over its z-slowest
+    halves that masks, subtracts, clamps and projects plane by plane, with
+    the bytes of stacking :func:`mip_z` of the masked post1 and of
+    :func:`subtract_clamped` per post.  Keys follow ``SIDES``.
     """
     phases = select_phases(study)
 
@@ -294,23 +338,17 @@ def build_stacks(study: Study, cfg: BuildConfig = BuildConfig()) -> dict[str, Mi
     stacks = {}
     for i, side in enumerate(SIDES):
         vols = [halves[id(v)][i] for v in (phases.pre, phases.post1, phases.post2, phases.last)]
+        keep = None
         if mask_halves is not None:
             # subtraction needs all four phases on one grid, so post1's grid serves all
             mask = mask_halves[i]
             if _same_grid(vols[1], mask):
-                binary = mask.data >= 0.5
+                keep = mask.data >= 0.5
             else:
-                binary = _regrid_mask_nearest(mask, vols[1])
-            vols = [Volume(np.where(binary, v.data, 0), v.spacing, v.affine) for v in vols]
-        pre, post1, post2, last = vols
-        channels = np.stack(
-            [
-                mip_z(post1),
-                mip_z(subtract_clamped(post1, pre)),
-                mip_z(subtract_clamped(post2, pre)),
-                mip_z(subtract_clamped(last, pre)),
-            ]
-        )
+                keep = _regrid_mask_nearest(mask, vols[1])
+        for post in vols[1:]:
+            _check_subtraction_grid(post, vols[0])
+        channels = _side_channels(*(v.data for v in vols), keep)
         stacks[side] = MipStack(channels, side, study.patient_id, meta=dict(meta))
     return stacks
 

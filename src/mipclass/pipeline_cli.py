@@ -584,12 +584,20 @@ def _evaluate_csv(manifest: Manifest, csv_path: Path, out: Path) -> Path:
 def cmd_evaluate(
     manifest_path: str | Path, out_dir: str | Path, csv_paths: Sequence[str | Path]
 ) -> int:
+    """Score each listed CSV on its own: one that cannot be scored prints an
+    ``error: <csv>: <reason>`` line and the rest still write their metrics;
+    the exit code is 2 if any failed."""
     manifest = Manifest.read(manifest_path)
     out = Path(out_dir)
     _make_dir(out / "metrics")
+    failed = 0
     for csv_path in csv_paths:
-        _evaluate_csv(manifest, Path(csv_path), out)
-    return 0
+        try:
+            _evaluate_csv(manifest, Path(csv_path), out)
+        except MipclassError as exc:
+            print(f"error: {csv_path}: {exc}", file=sys.stderr)
+            failed += 1
+    return 2 if failed else 0
 
 
 def cmd_ensemble(
@@ -616,9 +624,12 @@ def cmd_ensemble(
 def cmd_augment_preview(stack_path: str | Path, seed: int, out_dir: str | Path) -> int:
     stack_path = Path(stack_path)
     out = Path(out_dir)
-    _make_dir(out)
     stack = _read_stack(stack_path)
-    augmented = augment(stack, seed, default_policy())
+    try:
+        augmented = augment(stack, seed, default_policy())
+    except ValueError as exc:  # only the seed is left unchecked: stack and policy are
+        raise BadArgument(f"--seed: {exc}") from exc
+    _make_dir(out)
     preview = out / f"{stack_path.stem}_aug{seed}.mct"
     write_blob(stack_to_blob(augmented), preview)
     applied = augmented.meta.get("augment_applied", [])

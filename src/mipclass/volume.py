@@ -59,7 +59,9 @@ def spacing_affine(spacing: tuple[float, float, float]) -> np.ndarray:
 class Volume:
     """3D scalar grid with spacing and a voxel-index -> world-mm affine.
 
-    ``data`` is float32 with shape ``(nx, ny, nz)`` indexed ``data[x, y, z]``.
+    ``data`` is float32 with shape ``(nx, ny, nz)`` indexed ``data[x, y, z]``;
+    its memory layout is not part of the contract (resampled volumes are
+    C-ordered, cut boxes z-slowest).
     Instances are value objects: nothing in this package mutates a volume
     after construction, so they are safe to share across threads.
     """

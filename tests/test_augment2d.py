@@ -98,6 +98,16 @@ class TestAugment:
         outs = {augment(stack, seed=s, policy=default_policy()).channels.tobytes() for s in range(8)}
         assert len(outs) > 1
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7, True, 1.0])
+    def test_seed_outside_u64_rejected(self, seed):
+        """Only the low 64 bits would key the streams, so 2**64 would replay seed 0."""
+        with pytest.raises(ValueError, match="seed"):
+            augment(_stack(), seed, default_policy())
+
+    def test_u64_seed_bounds_accepted(self):
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+            assert augment(_stack(), seed, default_policy()).meta["augment_seed"] == seed
+
     def test_hflip_involution(self):
         stack = _stack()
         policy = AugmentPolicy(hflip_p=1.0)

@@ -575,6 +575,15 @@ class TestCutHalves:
         if all(len(k) for k in kept):
             assert kept[0][:, 0].max() < kept[1][:, 0].min()
 
+    def test_halves_are_plane_contiguous(self):
+        """Each z-plane of a half is one block, while resample keeps C order."""
+        data = np.random.default_rng(3).random((9, 7, 5)).astype(np.float32)
+        vol = resample(Volume.from_array(data, (1.0, 1.0, 2.0)), (0.9, 1.0, 2.5), Interp.TRILINEAR)
+        assert vol.data.flags.c_contiguous
+        for half in cut_halves(vol, (8, 9, 4), RowWindow(1, 6)):
+            for z in range(half.shape[2]):
+                assert half.data[:, :, z].flags.f_contiguous
+
     @pytest.mark.parametrize(
         "target, rows, error",
         [

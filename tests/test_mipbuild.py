@@ -5,8 +5,12 @@ the z-projection, hand arithmetic for the normalization constants, and a
 synthetic two-blob study with known lesion coordinates.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipclass import mipbuild
 from mipclass.errors import (
@@ -313,17 +317,7 @@ class TestBuildStack:
         std = [standardize(v, Interp.TRILINEAR) for v in phases]
         rows = localize_rows(std[1], cfg.row_window)
         keep = extract_rows(standardize(study.mask, Interp.NEAREST), rows).data >= 0.5
-        windowed = [extract_rows(v, rows) for v in std]
-        windowed = [Volume(np.where(keep, v.data, 0), v.spacing, v.affine) for v in windowed]
-        pre, p1, p2, p3 = windowed
-        unsplit = np.stack(
-            [
-                mip_z(p1),
-                mip_z(subtract_clamped(p1, pre)),
-                mip_z(subtract_clamped(p2, pre)),
-                mip_z(subtract_clamped(p3, pre)),
-            ]
-        )
+        unsplit = _masked_mips(*(extract_rows(v, rows) for v in std), keep)
         for c in range(4):
             split_sum = left.channels[c].sum(dtype=np.float64) + right.channels[c].sum(
                 dtype=np.float64
@@ -344,6 +338,23 @@ class TestBuildStack:
         assert calls == []
 
 
+def _masked_mips(pre, post1, post2, last, keep=None):
+    """The four channels step by step: each phase masked with ``where(keep, v, 0)``,
+    then mip_z of post1 and of subtract_clamped for each post, stacked."""
+    vols = [pre, post1, post2, last]
+    if keep is not None:
+        vols = [Volume(np.where(keep, v.data, 0), v.spacing, v.affine) for v in vols]
+    pre, post1, post2, last = vols
+    return np.stack(
+        [
+            mip_z(post1),
+            mip_z(subtract_clamped(post1, pre)),
+            mip_z(subtract_clamped(post2, pre)),
+            mip_z(subtract_clamped(last, pre)),
+        ]
+    )
+
+
 def _reference_stack(study, side, cfg):
     """One side built the per-side way: every phase and the mask standardized
     for this side alone, then cut, masked, subtracted and projected."""
@@ -361,18 +372,10 @@ def _reference_stack(study, side, cfg):
     ]
     rows = localize_rows(post1, cfg.row_window)
     vols = [half(v) for v in (pre, post1, post2, last)]
+    keep = None
     if study.mask is not None:
         keep = _nearest_keep(half(standardize(study.mask, Interp.NEAREST)), vols[1])
-        vols = [Volume(np.where(keep, v.data, 0), v.spacing, v.affine) for v in vols]
-    pre, post1, post2, last = vols
-    channels = np.stack(
-        [
-            mip_z(post1),
-            mip_z(subtract_clamped(post1, pre)),
-            mip_z(subtract_clamped(post2, pre)),
-            mip_z(subtract_clamped(last, pre)),
-        ]
-    )
+    channels = _masked_mips(*vols, keep)
     meta = {
         "channel_order": list(CHANNEL_NAMES),
         "row_window_start": rows.start,
@@ -531,6 +534,96 @@ class TestBuildStacks:
             "p0_left.mct",
             "p0_right.mct",
         ]
+
+
+# voxel values that probe the byte contract: signed zeros and ties (an unnormalized
+# stack is nonnegative, so post1 is; post − pre still goes negative)
+_EDGE_VALUES = np.array([-0.0, 0.0, 0.5, 1.0], dtype=np.float32)
+
+
+class TestSideChannels:
+    """Each side's one pass over its halves against the step-by-step channels, bit for bit."""
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_matches_masked_mips_bitwise(self, data):
+        """Studies on the config's own grid, so the channels are built from the
+        split halves of the drawn arrays: odd widths, depths past one SIMD
+        register of float32, C- or F-ordered phases, signed zeros, posts equal
+        to pre, no mask or an empty, full or random one.  A NaN inside the mask
+        must make both paths refuse the stack; one outside it is zeroed."""
+        shape = tuple(
+            data.draw(st.integers(lo, hi), label=f"n{i}")
+            for i, (lo, hi) in enumerate(((2, 9), (1, 5), (1, 40)))
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        p_nan = data.draw(st.sampled_from([0.0, 0.01]), label="p_nan")
+        p_edge = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="p_edge")
+        order = data.draw(st.sampled_from("CF"), label="order")
+
+        def phase():
+            edge = rng.choice(_EDGE_VALUES, size=shape)
+            edge[rng.random(shape) < p_nan] = np.nan
+            values = rng.uniform(0.0, 2.0, size=shape).astype(np.float32)
+            return np.asarray(np.where(rng.random(shape) < p_edge, edge, values), order=order)
+
+        pre = phase()
+        posts = [
+            pre.copy(order=order) if data.draw(st.booleans(), label=f"equal{i}") else phase()
+            for i in range(3)
+        ]
+        mask = data.draw(st.sampled_from([None, "zeros", "ones", "random"]), label="mask")
+        if mask is not None:
+            mask = {"zeros": np.zeros(shape), "ones": np.ones(shape)}.get(
+                mask, rng.random(shape) < rng.random()
+            )
+            mask = _vol(mask)
+        study = _study(_vol(pre), [_vol(p) for p in posts], mask)
+        cfg = BuildConfig(spacing=(1.0, 1.0, 1.0), shape=shape, row_window=shape[1])
+
+        expected = {side: _reference_stack(study, side, cfg)[0] for side in SIDES}
+        if all(np.isfinite(channels).all() for channels in expected.values()):
+            for side, stack in build_stacks(study, cfg).items():
+                assert stack.channels.view(np.uint32).tobytes() == (
+                    expected[side].view(np.uint32).tobytes()
+                )
+            return
+        inside = np.ones(shape, bool) if mask is None else mask.data >= 0.5
+        assert any(np.isnan(v[inside]).any() for v in (pre, *posts))
+        with pytest.raises(ValueError, match="finite"):
+            build_stacks(study, cfg)
+        for channels in expected.values():
+            if not np.isfinite(channels).all():
+                with pytest.raises(ValueError, match="finite"):
+                    MipStack(channels, "left", "p0")
+
+    @pytest.mark.parametrize("masked", [True, False], ids=["masked", "unmasked"])
+    @pytest.mark.parametrize("depth", [1, 16, 17, 32, 33])
+    def test_kernel_bytes_do_not_depend_on_layout(self, depth, masked):
+        """C- and F-ordered phases give the step-by-step channels of z-slowest
+        copies: numpy's max along a contiguous axis is a SIMD tree whose pick
+        between -0.0 and +0.0 depends on the depth and the CPU, while along the
+        slowest axis it is the kernel's own plane-by-plane fold."""
+        rng = np.random.default_rng(depth)
+        shape = (5, 3, depth)
+        phases = [rng.choice(_EDGE_VALUES, size=shape) for _ in range(4)]
+        keep = rng.random(shape) < 0.7 if masked else None
+        expected = _masked_mips(*(_vol(np.asfortranarray(v)) for v in phases), keep)
+        for order in "CF":
+            got = mipbuild._side_channels(*(np.asarray(v, order=order) for v in phases), keep)
+            assert got.flags.c_contiguous
+            assert got.view(np.uint32).tobytes() == expected.view(np.uint32).tobytes()
+
+    @pytest.mark.parametrize("masked", [True, False], ids=["masked", "unmasked"])
+    def test_pre_off_the_post_grid_is_refused(self, masked):
+        """A pre shifted by one voxel in its affine cannot be subtracted from the posts."""
+        study = _without(_generated(), mask=not masked)
+        pre = study.pre
+        affine = pre.affine.copy()
+        affine[:3, 3] += affine[:3, 0]
+        shifted = replace(study, pre=Volume(pre.data, pre.spacing, affine))
+        with pytest.raises(GridMismatch, match="^subtraction needs matching grids: "):
+            build_stacks(shifted, PHANTOM_CFG)
 
 
 class TestNormalize:

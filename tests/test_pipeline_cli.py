@@ -37,6 +37,7 @@ from mipclass.mipbuild import MipStack
 from mipclass.pipeline_cli import (
     Manifest,
     PipelineConfig,
+    _evaluate_csv,
     _load_stack,
     _read_folds,
     _read_model,
@@ -508,6 +509,24 @@ class TestPreprocess:
         assert not (run / "stacks" / "p001_left.mct").exists()
         assert "p001" in capsys.readouterr().err
 
+    def test_pre_off_the_post_grid_fails_study(self, tmp_path, config, capsys):
+        """A pre shifted by one voxel in its affine fails its study alone."""
+        run = tmp_path / "run"
+        phantom.write_cohort(3, seed=1, out_dir=run)
+        path = run / "studies" / "p001_pre.nii.gz"
+        pre = read_nifti(path)
+        affine = pre.affine.copy()
+        affine[:3, 3] += affine[:3, 0]
+        write_nifti(Volume(pre.data, pre.spacing, affine), path)
+        capsys.readouterr()
+        assert cmd_preprocess(run / "manifest.csv", config, run) == 1
+        report = json.loads((run / "preprocess_report.json").read_text())
+        assert report["succeeded"] == ["p000", "p002"]
+        failure = report["failed"]["p001"]
+        assert failure.startswith("GridMismatch: subtraction needs matching grids: ")
+        assert not (run / "stacks" / "p001_left.mct").exists()
+        assert "FAILED p001: GridMismatch" in capsys.readouterr().err
+
     def test_nan_outside_mask_is_zeroed(self, tmp_path, config):
         """A NaN in the background neither fails the study nor moves its row window."""
         clean, dirty = tmp_path / "clean", tmp_path / "dirty"
@@ -805,12 +824,38 @@ class TestPredictEvaluateEnsemble:
         assert len(merged) == 24  # 12 patients x 2 sides
         assert {p.model_id for p in merged} == {"ensemble"}
 
-    def test_unknown_patient_in_csv_is_schema_error(self, predicted, tmp_path):
+    def test_unknown_patient_in_csv_is_schema_error(self, predicted, tmp_path, capsys):
         rogue = [Prediction("zz9", "left", np.array([1.0, 0.0, 0.0]), "m")]
         csv_path = tmp_path / "rogue.csv"
         write_predictions_csv(rogue, csv_path)
         with pytest.raises(SchemaMismatch):
-            cmd_evaluate(predicted / "manifest.csv", predicted, [csv_path])
+            _evaluate_csv(Manifest.read(predicted / "manifest.csv"), csv_path, tmp_path)
+        capsys.readouterr()
+        assert cmd_evaluate(predicted / "manifest.csv", predicted, [csv_path]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {csv_path}: prediction references patient 'zz9' not in the manifest\n"
+        )
+
+    def test_evaluate_scores_every_csv_and_names_each_failure(self, predicted, tmp_path, capsys):
+        """A CSV that cannot be scored does not stop the others; each failure names its file."""
+        run = tmp_path / "run"
+        shutil.copytree(predicted, run)
+        shutil.rmtree(run / "metrics", ignore_errors=True)
+        good = sorted((run / "predictions").glob("*_fold*.csv"))
+        # a single breast holds one class only, so the malignant-vs-rest AUC is undefined
+        one_class = tmp_path / "one_class.csv"
+        one_class.write_text("".join(good[0].read_text().splitlines(True)[:2]))
+        missing = tmp_path / "absent.csv"
+        argv = ["evaluate", "--manifest", str(run / "manifest.csv"), "--out", str(run)]
+        capsys.readouterr()
+        assert main([*argv, str(missing), *map(str, good[:2]), str(one_class), str(good[2])]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[:2] for line in err] == [
+            ["error", str(missing)],
+            ["error", str(one_class)],
+        ]
+        written = sorted(p.name for p in (run / "metrics").iterdir())
+        assert written == sorted(f"{p.stem}.json" for p in good[:3])
 
     def test_predict_without_model_is_typed_error(self, cohort, tmp_path):
         run = tmp_path / "run"
@@ -1192,6 +1237,17 @@ class TestAugmentPreview:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_u64_exits_two(self, cohort, tmp_path, seed, capsys):
+        stack_path = cohort / "stacks" / "p000_left.mct"
+        out = tmp_path / "o"
+        capsys.readouterr()
+        argv = ["augment-preview", "--stack", str(stack_path), "--seed", seed, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed: seed must be in [0, ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_writes_augmented_blob(self, cohort, tmp_path):
         stack_path = cohort / "stacks" / "p000_left.mct"
