@@ -146,19 +146,70 @@ def _warp_matrix(
     return to_center @ rot @ shear @ scl @ from_center
 
 
+# Output rows per block of the bilinear warp: one block's coordinates, taps and
+# float64 accumulators for all four channels stay in cache.  Per-pixel
+# arithmetic does not depend on it, so neither do the bytes.
+WARP_BLOCK_ROWS = 32
+
+
+def _axis_taps(coord: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Linear taps along one axis of length n: (lo, hi, w_lo, w_hi).
+
+    As scipy's spline weights: ``w_lo = 1 − (c − floor(c))`` of the unclamped
+    coordinate and ``w_hi = 1 − w_lo``, which is not always ``c − floor(c)``.
+    Only the tap indices ``floor(c)`` and ``floor(c) + 1`` are clamped into
+    ``[0, n − 1]``.
+    """
+    lo = np.floor(coord)
+    w_lo = 1.0 - (coord - lo)
+    # clipped before the cast, so a far-off coordinate cannot overflow intp
+    lo = np.clip(lo, -1, n - 1, out=lo).astype(np.intp)
+    return np.maximum(lo, 0), np.minimum(lo + 1, n - 1), w_lo, 1.0 - w_lo
+
+
 def _apply_warp(channels: np.ndarray, forward: np.ndarray) -> np.ndarray:
-    """Bilinear warp of every channel by the same matrix, edge-clamped."""
+    """Bilinear warp of every channel by the same matrix, edge-clamped.
+
+    The bytes are those of ``ndimage.affine_transform(order=1, mode="nearest")``
+    per channel: each source coordinate is ``(inv[k, 2] + x·inv[k, 0]) +
+    y·inv[k, 1]`` in float64, with taps from :func:`_axis_taps`; the four taps
+    are summed as ``(a·wx)·wy`` from ``0.0`` in the order (lo, lo), (lo, hi),
+    (hi, lo), (hi, hi) and rounded once to float32.  One coordinate grid per
+    block of ``WARP_BLOCK_ROWS`` output rows serves all channels.  A non-finite
+    coordinate raises ``ValueError`` before anything is sampled.
+    """
     inverse = np.linalg.inv(forward)
-    out = np.empty_like(channels)
-    for c in range(channels.shape[0]):
-        out[c] = ndimage.affine_transform(
-            channels[c],
-            matrix=inverse[:2, :2],
-            offset=inverse[:2, 2],
-            order=1,
-            mode="nearest",
-            output=np.float32,
-        )
+    n_ch, w, h = channels.shape
+    # per output row x and column y; their sum is coordinate k at (x, y)
+    terms = [
+        (inverse[k, 2] + np.arange(w) * inverse[k, 0], np.arange(h) * inverse[k, 1])
+        for k in (0, 1)
+    ]
+    # float addition is monotone, so the extreme sums bound every coordinate
+    for across, down in terms:
+        if not np.isfinite([across.min() + down.min(), across.max() + down.max()]).all():
+            raise ValueError(f"warp {forward.tolist()} gives non-finite source coordinates")
+    src = channels.reshape(n_ch, w * h).astype(np.float64)
+    out = np.empty(channels.shape, dtype=np.float32)
+    acc = np.empty((n_ch, min(WARP_BLOCK_ROWS, w) * h))
+    tap = np.empty_like(acc)
+    (across_x, down_x), (across_y, down_y) = terms
+    for x0 in range(0, w, WARP_BLOCK_ROWS):
+        rows = slice(x0, x0 + WARP_BLOCK_ROWS)
+        lo_x, hi_x, wx0, wx1 = _axis_taps((across_x[rows, None] + down_x).ravel(), w)
+        lo_y, hi_y, wy0, wy1 = _axis_taps((across_y[rows, None] + down_y).ravel(), h)
+        block, gathered = acc[:, : lo_x.size], tap[:, : lo_x.size]
+        block.fill(0.0)
+        for ix, wx in ((lo_x * h, wx0), (hi_x * h, wx1)):
+            for iy, wy in ((lo_y, wy0), (hi_y, wy1)):
+                idx = ix + iy
+                for c in range(n_ch):
+                    # indices are in range; "clip" skips the buffered check of "raise"
+                    np.take(src[c], idx, out=gathered[c], mode="clip")
+                gathered *= wx
+                gathered *= wy
+                block += gathered
+        out[:, rows] = block.reshape(n_ch, -1, h)
     return out
 
 
@@ -199,10 +250,12 @@ def augment(stack: MipStack, seed: int, policy: AugmentPolicy) -> MipStack:
         )
         applied.append("affine")
     if angle != 0.0 or scale != 1.0 or shear != 0.0 or translate != (0.0, 0.0):
-        channels = _apply_warp(
-            np.ascontiguousarray(channels),
-            _warp_matrix((w, h), angle, scale, shear, translate),
-        )
+        # extreme magnitudes make the matrix non-finite, which _apply_warp refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            channels = _apply_warp(
+                np.ascontiguousarray(channels),
+                _warp_matrix((w, h), angle, scale, shear, translate),
+            )
 
     bri_rng = _stream(seed, "brightness")
     if bri_rng.random() < policy.brightness_p:

@@ -255,8 +255,18 @@ def subtract_clamped(post: Volume, pre: Volume) -> Volume:
 
 
 def mip_z(volume: Volume) -> np.ndarray:
-    """Maximum intensity projection along z: out[x, y] = max_z v[x, y, z]."""
-    return volume.data.max(axis=2)
+    """Maximum intensity projection along z: out[x, y] = max_z v[x, y, z].
+
+    Folded plane by plane as ``maximum(acc, plane)`` in z order, so a column
+    whose maximum is a zero of both signs gives the same sign at any memory
+    layout; numpy's ``max`` along a contiguous axis is a SIMD tree whose pick
+    depends on the depth and the CPU.
+    """
+    data = volume.data
+    out = data[:, :, 0].copy()
+    for z in range(1, data.shape[2]):
+        np.maximum(out, data[:, :, z], out=out)
+    return out
 
 
 def _side_channels(

@@ -467,7 +467,13 @@ def cmd_train(
         if config.policy.active:
             # augmentations are redrawn every epoch, seeded per breast
             seed = derive_seed(config.seed, stack.patient_id, stack.side, epoch)
-            stack = augment(stack, seed, config.policy)
+            try:
+                stack = augment(stack, seed, config.policy)
+            except (ValueError, OverflowError) as exc:
+                raise SchemaMismatch(
+                    f"augmenting patient {stack.patient_id} side {stack.side} at epoch {epoch}"
+                    f" failed ({exc}); the config's augment magnitudes are out of range"
+                ) from exc
         return extract_features(stack, config.pool_grid)
 
     def epoch_features(epoch: int) -> np.ndarray:

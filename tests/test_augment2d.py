@@ -1,11 +1,20 @@
 """Augmentation tests: identity, determinism, involution, channel
-alignment, dropout accounting, and interpolation bounds."""
+alignment, dropout accounting, interpolation bounds, and the warp's bytes
+against scipy's."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from warp_reference import scipy_warp
 
+from mipclass import augment2d
 from mipclass.augment2d import (
     AugmentPolicy,
+    _apply_warp,
+    _warp_matrix,
     augment,
     default_policy,
     derive_seed,
@@ -201,6 +210,70 @@ class TestBounds:
         for seed in range(6):
             out = augment(stack, seed, policy)
             assert out.channels.min() >= 0.0
+
+
+# the magnitudes augment draws under default_policy, widened, plus shifts that
+# move the whole image past every edge so every sample clamps
+_DEFAULT = default_policy()
+_ANGLES = st.one_of(
+    st.floats(-_DEFAULT.rotate_deg, _DEFAULT.rotate_deg), st.floats(-180.0, 180.0)
+)
+_SCALES = st.one_of(st.floats(*_DEFAULT.scale_range), st.floats(0.25, 4.0))
+_SHEARS = st.one_of(st.floats(-_DEFAULT.shear_deg, _DEFAULT.shear_deg), st.floats(-60.0, 60.0))
+_SHIFTS = st.one_of(
+    st.floats(-_DEFAULT.translate_frac, _DEFAULT.translate_frac),
+    st.floats(-3.0, 3.0),
+    st.sampled_from([-2.0, -1.0, 1.0, 2.0]),
+)
+
+
+class TestWarp:
+    @settings(max_examples=200)
+    @given(
+        w=st.integers(1, 80),
+        h=st.integers(1, 80),
+        block=st.sampled_from([1, 5, 32]),
+        angle=_ANGLES,
+        scale=_SCALES,
+        shear=_SHEARS,
+        shift=st.tuples(_SHIFTS, _SHIFTS),
+        values=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_equal_scipy_affine_transform(
+        self, w, h, block, angle, scale, shear, shift, values
+    ):
+        """Compared as uint32, so the sign of every zero counts too."""
+        rng = np.random.default_rng(values)
+        channels = (rng.standard_normal((4, w, h)) * 100).astype(np.float32)
+        signed_zeros = rng.random(channels.shape)
+        channels[signed_zeros < 0.15] = -0.0
+        channels[signed_zeros > 0.85] = 0.0
+        forward = _warp_matrix((w, h), angle, scale, shear, (shift[0] * w, shift[1] * h))
+        with mock.patch.object(augment2d, "WARP_BLOCK_ROWS", block):
+            out = _apply_warp(channels, forward)
+        expected = scipy_warp(channels, forward)
+        for c in range(4):
+            assert out[c].view(np.uint32).tobytes() == expected[c].view(np.uint32).tobytes()
+
+    @pytest.mark.parametrize(
+        "forward",
+        [
+            _warp_matrix((8, 8), 0.0, 5e-324, 0.0, (0.0, 0.0)),
+            np.diag([np.nan, 1.0, 1.0]),
+            np.array([[1.0, 0.0, np.inf], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            np.diag([1e-308, 1e-308, 1.0]),
+        ],
+        ids=["denormal_scale", "nan", "inf_shift", "coordinates_overflow"],
+    )
+    def test_non_finite_coordinates_refused(self, forward):
+        channels = np.ones((4, 8, 8), np.float32)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+            _apply_warp(channels, forward)
+
+    def test_augment_refuses_an_infinite_inverse(self):
+        policy = AugmentPolicy(affine_p=1.0, scale_range=(5e-324, 5e-324))
+        with pytest.raises(ValueError, match="non-finite source coordinates"):
+            augment(_stack(), 0, policy)
 
 
 class TestDeriveSeed:

@@ -236,6 +236,16 @@ class TestMip:
                     best = max(best, data[x, y, z])
                 assert out[x, y] == best
 
+    @pytest.mark.parametrize("depth", [17, 33, 65])
+    def test_signed_zero_sign_independent_of_layout(self, depth):
+        """Columns of +0.0, -0.0 and -1.0 fold plane by plane, so C- and F-ordered
+        copies give the same sign of every zero maximum."""
+        rng = np.random.default_rng(depth)
+        data = rng.choice(np.array([0.0, -0.0, -1.0], np.float32), size=(256, 16, depth))
+        c_order = mip_z(_vol(np.ascontiguousarray(data)))
+        f_order = mip_z(_vol(np.asfortranarray(data)))
+        assert c_order.view(np.uint32).tobytes() == f_order.view(np.uint32).tobytes()
+
     def test_dominates_every_slice(self):
         rng = np.random.default_rng(8)
         data = rng.random((6, 7, 5)).astype(np.float32)

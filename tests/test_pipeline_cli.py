@@ -20,6 +20,7 @@ import pytest
 from capped_process import run_capped
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from warp_reference import scipy_warp
 
 from mipclass import phantom
 from mipclass.augment2d import AugmentPolicy, default_policy
@@ -689,6 +690,67 @@ class TestTrain:
         first = (run / "models" / "natural_fold0.json").read_bytes()
         cmd_train(run / "manifest.csv", config, run, weighting="natural", fold=0)
         assert (run / "models" / "natural_fold0.json").read_bytes() == first
+
+    @pytest.mark.parametrize(
+        "augment",
+        [
+            {"brightness_p": 1.0, "brightness_delta": 1e308},
+            {"affine_p": 1.0, "scale_range": [5e-324, 5e-324]},
+        ],
+        ids=["brightness_overflow", "infinite_inverse"],
+    )
+    def test_augment_magnitude_failure_exits_two(self, cohort, tmp_path, augment, capsys):
+        """Magnitudes that load but cannot be drawn or warped name the breast and
+        epoch in one line, instead of a traceback."""
+        run = tmp_path / "run"
+        shutil.copytree(cohort, run)
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        config = _write_config(tmp_path, augment=augment, train={"epochs": 6})
+        argv = ["--manifest", str(run / "manifest.csv"), "--config", str(config), "--out", str(run)]
+        capsys.readouterr()
+        assert main(["train", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: augmenting patient p000 side right at epoch 0 failed (")
+        assert err.endswith("; the config's augment magnitudes are out of range\n")
+        assert err.count("\n") == 1
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+    def test_augmented_models_match_scipy_warp(self, tmp_path, monkeypatch):
+        """Every breast warps in every epoch; the model bytes equal those trained
+        with scipy's order-1, edge-clamped affine transform as the warp."""
+        import mipclass.augment2d as augment2d
+
+        run = tmp_path / "run"
+        config = load_config_from(
+            {
+                "spacing": [2.8, 2.8, 12.0],
+                "shape": [32, 32, 8],
+                "row_window": 16,
+                "augment": {"rotate_p": 1.0, "affine_p": 1.0},
+                "train": {"epochs": 3, "batch": 8, "lr_max": 0.05, "warmup_epochs": 1},
+                "k": 3,
+                "seed": 0,
+            }
+        )
+        phantom.write_cohort(6, seed=0, out_dir=run)
+        cmd_preprocess(run / "manifest.csv", config, run)
+        cmd_split(run / "manifest.csv", config, run)
+
+        def models() -> dict[str, bytes]:
+            assert cmd_train(run / "manifest.csv", config, run, weighting="both") == 0
+            return {p.name: p.read_bytes() for p in sorted((run / "models").iterdir())}
+
+        numpy_models = models()
+        warps = []
+
+        def reference(channels, forward):
+            warps.append(channels.shape)
+            return scipy_warp(channels, forward)
+
+        monkeypatch.setattr(augment2d, "_apply_warp", reference)
+        assert models() == numpy_models
+        assert len(numpy_models) == 2 * config.k
+        assert len(warps) == 2 * 6 * config.train.epochs
 
     def test_all_heads_in_one_pass_match_single_head_runs(self, tmp_path, monkeypatch):
         """Epoch-major training: every breast is read once and augmented once
