@@ -49,7 +49,8 @@ _POLICY_FIELDS = {
     "scale_range": (float, 2, POSITIVE, math.inf),
     "noise_sigma": (float, 0, 0.0, math.inf),
     "blur_sigma": (float, 0, 0.0, math.inf),
-    "dropout_max_holes": (int, 0, 0, math.inf),
+    # each hole is written in a Python loop, so the count bounds a breast-epoch's cost
+    "dropout_max_holes": (int, 0, 0, 1024),
     "dropout_max_size": (int, 0, 0, math.inf),
 }
 
@@ -189,30 +190,34 @@ def _apply_warp(channels: np.ndarray, forward: np.ndarray) -> np.ndarray:
     for across, down in terms:
         if not np.isfinite([across.min() + down.min(), across.max() + down.max()]).all():
             raise ValueError(f"warp {forward.tolist()} gives non-finite source coordinates")
-    src = channels.reshape(n_ch, w * h).astype(np.float64)
+    src = channels.reshape(n_ch, w * h)
     out = np.empty(channels.shape, dtype=np.float32)
     acc = np.empty((n_ch, min(WARP_BLOCK_ROWS, w) * h))
     tap = np.empty_like(acc)
+    tap32 = np.empty(acc.shape, dtype=np.float32)
     (across_x, down_x), (across_y, down_y) = terms
     for x0 in range(0, w, WARP_BLOCK_ROWS):
         rows = slice(x0, x0 + WARP_BLOCK_ROWS)
         lo_x, hi_x, wx0, wx1 = _axis_taps((across_x[rows, None] + down_x).ravel(), w)
         lo_y, hi_y, wy0, wy1 = _axis_taps((across_y[rows, None] + down_y).ravel(), h)
-        block, gathered = acc[:, : lo_x.size], tap[:, : lo_x.size]
+        block, gathered, g32 = acc[:, : lo_x.size], tap[:, : lo_x.size], tap32[:, : lo_x.size]
         block.fill(0.0)
         for ix, wx in ((lo_x * h, wx0), (hi_x * h, wx1)):
             for iy, wy in ((lo_y, wy0), (hi_y, wy1)):
                 idx = ix + iy
                 for c in range(n_ch):
                     # indices are in range; "clip" skips the buffered check of "raise"
-                    np.take(src[c], idx, out=gathered[c], mode="clip")
-                gathered *= wx
+                    np.take(src[c], idx, out=g32[c], mode="clip")
+                # float32 widens exactly, so this is float64(a)·wx
+                np.multiply(g32, wx, out=gathered)
                 gathered *= wy
                 block += gathered
         out[:, rows] = block.reshape(n_ch, -1, h)
     return out
 
 
+# extreme magnitudes end as non-finite values, which _apply_warp and MipStack refuse
+@np.errstate(over="ignore", invalid="ignore")
 def augment(stack: MipStack, seed: int, policy: AugmentPolicy) -> MipStack:
     """Apply the sampled transforms; pure in (stack, seed, policy).
 
@@ -250,12 +255,9 @@ def augment(stack: MipStack, seed: int, policy: AugmentPolicy) -> MipStack:
         )
         applied.append("affine")
     if angle != 0.0 or scale != 1.0 or shear != 0.0 or translate != (0.0, 0.0):
-        # extreme magnitudes make the matrix non-finite, which _apply_warp refuses
-        with np.errstate(over="ignore", invalid="ignore"):
-            channels = _apply_warp(
-                np.ascontiguousarray(channels),
-                _warp_matrix((w, h), angle, scale, shear, translate),
-            )
+        channels = _apply_warp(
+            np.ascontiguousarray(channels), _warp_matrix((w, h), angle, scale, shear, translate)
+        )
 
     bri_rng = _stream(seed, "brightness")
     if bri_rng.random() < policy.brightness_p:
@@ -273,7 +275,9 @@ def augment(stack: MipStack, seed: int, policy: AugmentPolicy) -> MipStack:
     if noise_rng.random() < policy.noise_p:
         sigma = float(noise_rng.uniform(0.0, policy.noise_sigma))
         if sigma > 0.0:
-            channels = channels + noise_rng.normal(0.0, sigma, channels.shape).astype(np.float32)
+            # in place, a channel at a time: the draws of one (4, W, H) draw, in order
+            for channel in channels:
+                channel += noise_rng.normal(0.0, sigma, channel.shape).astype(np.float32)
             applied.append("noise")
 
     blur_rng = _stream(seed, "blur")
@@ -282,9 +286,7 @@ def augment(stack: MipStack, seed: int, policy: AugmentPolicy) -> MipStack:
         if sigma > _BLUR_MIN_SIGMA:
             blurred = np.empty_like(channels, dtype=np.float32)
             for c in range(4):
-                blurred[c] = ndimage.gaussian_filter(
-                    channels[c].astype(np.float32), sigma, mode="nearest"
-                )
+                ndimage.gaussian_filter(channels[c], sigma, output=blurred[c], mode="nearest")
             channels = blurred
             applied.append("blur")
 
@@ -295,7 +297,6 @@ def augment(stack: MipStack, seed: int, policy: AugmentPolicy) -> MipStack:
         and drop_rng.random() < policy.dropout_p
     ):
         fills = _fill_values(stack)
-        channels = np.array(channels, dtype=np.float32)
         n_holes = int(drop_rng.integers(1, policy.dropout_max_holes + 1))
         for _ in range(n_holes):
             hw = int(drop_rng.integers(1, policy.dropout_max_size + 1))
@@ -309,7 +310,7 @@ def augment(stack: MipStack, seed: int, policy: AugmentPolicy) -> MipStack:
     if not stack.normalized:
         # the unnormalized domain is nonnegative by construction; additive
         # transforms must not take it below its floor
-        channels = np.maximum(channels, np.float32(0.0))
+        np.maximum(channels, np.float32(0.0), out=channels)
 
     return replace(
         stack,

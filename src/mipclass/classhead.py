@@ -146,18 +146,18 @@ def extract_features(stack: MipStack, grid: int = DEFAULT_POOL_GRID) -> np.ndarr
         raise ValueError("features are extracted from normalized stacks")
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
-    channels = stack.channels.astype(np.float64)
-    _, w, h = channels.shape
+    _, w, h = stack.channels.shape
     x_edges = [0] + [(w // grid) * (i + 1) for i in range(grid - 1)] + [w]
     y_edges = [0] + [(h // grid) * (i + 1) for i in range(grid - 1)] + [h]
     features = np.empty(feature_dim(grid), dtype=np.float64)
     pos = 0
     for c in range(4):
-        features[pos] = channels[c].mean()
+        channel = stack.channels[c].astype(np.float64)  # widened a channel at a time
+        features[pos] = channel.mean()
         pos += 1
         for xi in range(grid):
             for yi in range(grid):
-                cell = channels[c, x_edges[xi] : x_edges[xi + 1], y_edges[yi] : y_edges[yi + 1]]
+                cell = channel[x_edges[xi] : x_edges[xi + 1], y_edges[yi] : y_edges[yi + 1]]
                 features[pos] = cell.mean() if cell.size else 0.0
                 pos += 1
     return features.astype(np.float32)

@@ -122,6 +122,31 @@ def _lerp(low: np.ndarray, high: np.ndarray, w_low: np.ndarray, w_high: np.ndarr
     return low
 
 
+def _extents(shape, source, target) -> tuple[int, int, int]:
+    """Output shape of resampling `shape` at `source` mm onto `target` mm."""
+    if any(not np.isfinite(t) or t <= 0 for t in target):
+        raise ValueError(f"target spacing must be positive, got {target}")
+    # kept in float until checked, so a huge or infinite extent cannot overflow
+    extents = [
+        max(1.0, float(np.floor(shape[i] * source[i] / target[i] + 0.5))) for i in range(3)
+    ]
+    if math.prod(extents) > MAX_RESAMPLE_VOXELS:
+        named = ", ".join(f"{e:.0f}" for e in extents)
+        raise ValueError(
+            f"resampling {shape} at {source} mm onto {target} mm gives shape ({named}), "
+            f"more than MAX_RESAMPLE_VOXELS = {MAX_RESAMPLE_VOXELS} voxels"
+        )
+    return tuple(int(e) for e in extents)
+
+
+def resampled_shape(volume: Volume, target: tuple[float, float, float]) -> tuple[int, int, int]:
+    """``resample(reorient_canonical(volume), target, interp).shape``, made without either."""
+    world = [w for w, _ in dominant_axes(volume.affine)]
+    axes = sorted(range(3), key=world.__getitem__)  # the voxel axis on each canonical axis
+    shape, spacing = (tuple(v[a] for a in axes) for v in (volume.shape, volume.spacing))
+    return _extents(shape, spacing, tuple(float(t) for t in target))
+
+
 def resample(volume: Volume, target: tuple[float, float, float], interp: Interp) -> Volume:
     """Resample onto `target` spacing (mm); index (0,0,0) keeps its world position.
 
@@ -134,21 +159,9 @@ def resample(volume: Volume, target: tuple[float, float, float], interp: Interp)
     never holds a whole-volume float64 array.
     """
     target = tuple(float(t) for t in target)
-    if any(not np.isfinite(t) or t <= 0 for t in target):
-        raise ValueError(f"target spacing must be positive, got {target}")
     source = volume.spacing
     shape = volume.shape
-    # kept in float until checked, so a huge or infinite extent cannot overflow
-    extents = [
-        max(1.0, float(np.floor(shape[i] * source[i] / target[i] + 0.5))) for i in range(3)
-    ]
-    if math.prod(extents) > MAX_RESAMPLE_VOXELS:
-        named = ", ".join(f"{e:.0f}" for e in extents)
-        raise ValueError(
-            f"resampling {shape} at {source} mm onto {target} mm gives shape ({named}), "
-            f"more than MAX_RESAMPLE_VOXELS = {MAX_RESAMPLE_VOXELS} voxels"
-        )
-    n_out = tuple(int(e) for e in extents)
+    n_out = _extents(shape, source, target)
     ratios = tuple(target[i] / source[i] for i in range(3))
 
     if interp is Interp.NEAREST:
@@ -281,15 +294,40 @@ def split_lr(volume: Volume) -> tuple[Volume, Volume]:
     return cut_halves(volume, volume.shape, RowWindow(0, volume.shape[HEIGHT_AXIS]))
 
 
-def cut_halves(volume: Volume, target_shape, rows: RowWindow) -> tuple[Volume, Volume]:
-    """``split_lr(extract_rows(crop_or_pad(volume, target_shape), rows))``, with
-    the same bytes, world positions and errors, copied straight from `volume`
-    without making the `target_shape` grid in between."""
-    (x, y, z), (nx, ny, nz) = _window(volume.shape, target_shape, rows)
+def _halves(shape, target_shape, rows: RowWindow):
+    """(origin, shape) of each half :func:`cut_halves` cuts from a volume of `shape`."""
+    (x, y, z), (nx, ny, nz) = _window(shape, target_shape, rows)
     if nx < 2:
         raise WidthTooSmall(f"cannot split width {nx} < 2")
     half = nx // 2
-    return (
-        _box(volume, (x, y, z), (half, ny, nz)),
-        _box(volume, (x + half, y, z), (nx - half, ny, nz)),
-    )
+    return [((x, y, z), (half, ny, nz)), ((x + half, y, z), (nx - half, ny, nz))]
+
+
+def data_boxes(shapes, target_shape, rows: RowWindow) -> list[tuple[tuple, tuple]]:
+    """Per half of :func:`cut_halves`, its shape and data box: slices bounding, in x
+    and y, where volumes of any of `shapes` overlap it (else its first column), z
+    whole.  Outside the box those volumes' halves are zero fill."""
+    boxes = []
+    for halves in zip(*(_halves(shape, target_shape, rows) for shape in shapes)):
+        size = halves[0][1]
+        box = []
+        for a, t in enumerate(size[:2]):
+            spans = [(max(-o[a], 0), min(n[a] - o[a], t)) for (o, _), n in zip(halves, shapes)]
+            lo, hi = zip(*([s for s in spans if s[0] < s[1]] or [(0, 1)]))
+            box.append(slice(min(lo), max(hi)))
+        boxes.append((size, (*box, slice(0, size[2]))))
+    return boxes
+
+
+def cut_halves(volume: Volume, target_shape, rows: RowWindow, within=None) -> tuple[Volume, Volume]:
+    """``split_lr(extract_rows(crop_or_pad(volume, target_shape), rows))``, with
+    the same bytes, world positions and errors, copied straight from `volume`
+    without making the `target_shape` grid in between.  `within`, from
+    :func:`data_boxes`, cuts only each half's data box."""
+    halves = _halves(volume.shape, target_shape, rows)
+    if within is not None:  # each box as an origin and a shape
+        halves = [
+            ([o + s.start for o, s in zip(origin, box)], [s.stop - s.start for s in box])
+            for (origin, _), (_, box) in zip(halves, within)
+        ]
+    return tuple(_box(volume, *half) for half in halves)

@@ -36,9 +36,11 @@ from .geometry import (
     Interp,
     crop_or_pad,
     cut_halves,
+    data_boxes,
     localize_rows,
     reorient_canonical,
     resample,
+    resampled_shape,
 )
 from .tensorio import TensorBlob
 from .volume import Volume
@@ -311,31 +313,42 @@ def build_stacks(study: Study, cfg: BuildConfig = BuildConfig()) -> dict[str, Mi
 
     Reorient -> resample each distinct phase once; localize rows on post1
     crop/padded to ``cfg.shape``; cut each phase and the (identically
-    resampled) mask straight into its halves of that grid and window
-    (:func:`cut_halves`), so only post1 is ever held at full grid size.
-    Each side's four channels then come from one pass over its z-slowest
-    halves that masks, subtracts, clamps and projects plane by plane, with
-    the bytes of stacking :func:`mip_z` of the masked post1 and of
-    :func:`subtract_clamped` per post.  Keys follow ``SIDES``.
+    resampled) mask, once resampled, onto each side's data box in that grid
+    and window (:func:`data_boxes`), outside which every channel is +0.0.
+    One pass over each side's z-slowest cuts masks, subtracts, clamps and
+    projects plane by plane, with the bytes of stacking :func:`mip_z` of the
+    masked post1 and of :func:`subtract_clamped` per post.  Keys follow ``SIDES``.
     """
     phases = select_phases(study)
+    order = (phases.pre, phases.post1, phases.post2, phases.last)
 
     def resampled(vol: Volume, interp: Interp = Interp.TRILINEAR) -> Volume:
         return resample(reorient_canonical(vol), cfg.spacing, interp)
 
     post1 = resampled(phases.post1)
     rows = localize_rows(crop_or_pad(post1, cfg.shape), cfg.row_window)
-    halves = {id(phases.post1): cut_halves(post1, cfg.shape, rows)}
-    del post1
-    mask_halves: tuple[Volume, Volume] | None = None
+    shapes = [post1.shape if v is phases.post1 else resampled_shape(v, cfg.spacing) for v in order]
+    boxes = data_boxes(shapes, cfg.shape, rows)
+    cuts = {id(phases.post1): cut_halves(post1, cfg.shape, rows, boxes)}
+    keeps: list[np.ndarray | None] = [None] * len(SIDES)
     if study.mask is not None:
         lo, hi = float(study.mask.data.min()), float(study.mask.data.max())
         if lo < -_MASK_TOL or hi > 1.0 + _MASK_TOL:
             raise NonBinaryMask(f"mask values span [{lo}, {hi}], outside [0, 1]")
-        mask_halves = cut_halves(resampled(study.mask, Interp.NEAREST), cfg.shape, rows)
-    for vol in (phases.pre, phases.post2, phases.last):
-        if id(vol) not in halves:
-            halves[id(vol)] = cut_halves(resampled(vol), cfg.shape, rows)
+        mask = resampled(study.mask, Interp.NEAREST)
+        # subtraction needs all four phases on one grid, so post1's grid serves all
+        whole = None
+        for i, cut in enumerate(cut_halves(mask, cfg.shape, rows, boxes)):
+            if _same_grid(cuts[id(phases.post1)][i], cut):
+                keeps[i] = cut.data >= 0.5
+            else:  # regridded from whole halves, whose padded edge the regrid clamps to
+                whole = whole or [cut_halves(v, cfg.shape, rows) for v in (mask, post1)]
+                keeps[i] = _regrid_mask_nearest(whole[0][i], whole[1][i])[boxes[i][1]]
+        del mask, whole
+    del post1
+    for vol in order:
+        if id(vol) not in cuts:
+            cuts[id(vol)] = cut_halves(resampled(vol), cfg.shape, rows, boxes)
 
     meta = {
         "channel_order": list(CHANNEL_NAMES),
@@ -347,18 +360,12 @@ def build_stacks(study: Study, cfg: BuildConfig = BuildConfig()) -> dict[str, Mi
     }
     stacks = {}
     for i, side in enumerate(SIDES):
-        vols = [halves[id(v)][i] for v in (phases.pre, phases.post1, phases.post2, phases.last)]
-        keep = None
-        if mask_halves is not None:
-            # subtraction needs all four phases on one grid, so post1's grid serves all
-            mask = mask_halves[i]
-            if _same_grid(vols[1], mask):
-                keep = mask.data >= 0.5
-            else:
-                keep = _regrid_mask_nearest(mask, vols[1])
+        vols = [cuts[id(v)][i] for v in order]
         for post in vols[1:]:
             _check_subtraction_grid(post, vols[0])
-        channels = _side_channels(*(v.data for v in vols), keep)
+        (width, height, _), box = boxes[i]
+        channels = np.zeros((4, width, height), dtype=np.float32)
+        channels[(slice(None), *box[:2])] = _side_channels(*(v.data for v in vols), keeps[i])
         stacks[side] = MipStack(channels, side, study.patient_id, meta=dict(meta))
     return stacks
 

@@ -1,11 +1,13 @@
 """Augmentation tests: identity, determinism, involution, channel
-alignment, dropout accounting, interpolation bounds, and the warp's bytes
-against scipy's."""
+alignment, dropout accounting, interpolation bounds, the warp's bytes
+against scipy's, and augment's and extract_features' bytes against their
+whole-stack versions (tests/augment_reference.py)."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
+from augment_reference import reference_augment, reference_features
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from warp_reference import scipy_warp
@@ -19,6 +21,7 @@ from mipclass.augment2d import (
     default_policy,
     derive_seed,
 )
+from mipclass.classhead import extract_features
 from mipclass.mipbuild import PAPER_MEANS, PAPER_STDS, MipStack, normalize_stack
 
 PROB_FIELDS = (
@@ -274,6 +277,58 @@ class TestWarp:
         policy = AugmentPolicy(affine_p=1.0, scale_range=(5e-324, 5e-324))
         with pytest.raises(ValueError, match="non-finite source coordinates"):
             augment(_stack(), 0, policy)
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.view(np.uint32).tobytes() == b.view(np.uint32).tobytes()
+
+
+def _edge_stack(rng, w, h, normalized, order="C"):
+    """Random channels with signed zeros and ties; an unnormalized stack's are
+    nonnegative (-0.0 included), a normalized one's span both signs."""
+    values = rng.random((4, w, h)) * (4.0 if normalized else 2.0) - (2.0 if normalized else 0.0)
+    edges = rng.choice(np.array([-0.0, 0.0, 0.5, 1.0]), size=values.shape)
+    channels = np.where(rng.random(values.shape) < 0.3, edges, values).astype(np.float32)
+    return MipStack(np.asarray(channels, order=order), "left", "p0", normalized=normalized)
+
+
+class TestMatchesWholeStackReference:
+    """augment and extract_features give the bytes of their whole-stack versions."""
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_augment_and_features_bytes(self, data):
+        w = data.draw(st.sampled_from([1, 2, 3, 7, 16, 33]), label="w")
+        h = data.draw(st.sampled_from([1, 2, 5, 16, 31]), label="h")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="values"))
+        normalized = data.draw(st.booleans(), label="normalized")
+        stack = _edge_stack(rng, w, h, normalized, data.draw(st.sampled_from("CF"), label="order"))
+        if data.draw(st.booleans(), label="default_policy"):
+            policy = default_policy()
+        else:  # a mix of transforms that always fire
+            policy = AugmentPolicy(
+                **{name: data.draw(st.sampled_from([0.0, 1.0]), label=name) for name in PROB_FIELDS}
+            )
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        got, expected = augment(stack, seed, policy), reference_augment(stack, seed, policy)
+        assert _same_bytes(got.channels, expected.channels)
+        assert got.meta == expected.meta
+        if normalized:
+            grid = data.draw(st.integers(1, 4), label="grid")
+            for s in (stack, got):
+                assert _same_bytes(extract_features(s, grid), reference_features(s, grid))
+
+    @pytest.mark.parametrize("normalized", [False, True], ids=["unnormalized", "normalized"])
+    def test_vflip_brightness_contrast(self, normalized):
+        """With no warp, vflip leaves a negative-stride view for brightness and
+        contrast, whose float32 mean depends on the layout it sees."""
+        policy = AugmentPolicy(vflip_p=1.0, brightness_p=1.0, contrast_p=1.0)
+        rng = np.random.default_rng(5)
+        for seed, (w, h) in enumerate([(1, 1), (3, 5), (64, 64), (37, 129), (256, 256)]):
+            stack = _edge_stack(rng, w, h, normalized)
+            got, expected = augment(stack, seed, policy), reference_augment(stack, seed, policy)
+            assert got.meta["augment_applied"] == ["vflip", "brightness", "contrast"]
+            assert _same_bytes(got.channels, expected.channels)
 
 
 class TestDeriveSeed:

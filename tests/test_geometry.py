@@ -20,10 +20,12 @@ from mipclass.geometry import (
     RowWindow,
     crop_or_pad,
     cut_halves,
+    data_boxes,
     extract_rows,
     localize_rows,
     reorient_canonical,
     resample,
+    resampled_shape,
     split_lr,
 )
 from mipclass.volume import Volume, orientation_code
@@ -311,6 +313,76 @@ except ValueError as exc:
         peak, message = proc.stdout.splitlines()
         assert int(peak) < 64 * 1024
         assert "(1025, 1024, 1024)" in message
+
+
+def _oriented_affine(data, spacing):
+    """A permutation/flip affine with `spacing` on its voxel axes, drawn from `data`."""
+    perm = data.draw(st.permutations(range(3)), label="perm")
+    affine = np.zeros((4, 4))
+    affine[3, 3] = 1.0
+    for c in range(3):
+        affine[perm[c], c] = spacing[c] * data.draw(st.sampled_from([-1.0, 1.0]), label=f"sign{c}")
+    affine[:3, 3] = [data.draw(st.floats(-100.0, 100.0), label=f"t{i}") for i in range(3)]
+    return affine
+
+
+class TestResampledShape:
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_equals_the_shape_resample_makes(self, data):
+        """Random shapes, spacings and orientations, onto coarser and finer targets."""
+        shape = tuple(data.draw(st.integers(1, 12), label=f"n{i}") for i in range(3))
+        spacing = tuple(data.draw(st.floats(0.2, 5.0), label=f"s{i}") for i in range(3))
+        target = tuple(data.draw(st.floats(0.2, 5.0), label=f"target{i}") for i in range(3))
+        vol = Volume(np.zeros(shape, np.float32), spacing, _oriented_affine(data, spacing))
+        interp = data.draw(st.sampled_from(Interp), label="interp")
+        expected = resample(reorient_canonical(vol), target, interp).shape
+        assert resampled_shape(vol, target) == expected
+
+    @pytest.mark.parametrize("target", [(1e-4, 1.0, 1e-4), (5e-324, 1.0, 1.0), (0.0, 1.0, 1.0)])
+    def test_refuses_what_resample_refuses(self, target):
+        affine = np.diag((-1.0, 1.0, 1.0, 1.0))[:, [2, 0, 1, 3]]
+        vol = Volume(np.zeros((4, 5, 6), np.float32), (1.0, 1.0, 1.0), affine)
+        with pytest.raises(ValueError) as made:
+            resample(reorient_canonical(vol), target, Interp.NEAREST)
+        with pytest.raises(ValueError) as computed:
+            resampled_shape(vol, target)
+        assert str(computed.value) == str(made.value)
+
+
+class TestDataBoxes:
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_cuts_hold_every_voxel_of_the_halves(self, data):
+        """Volumes of several shapes, centred into one target and window: each
+        one's cut of a half's data box is that box of its whole half, and its
+        whole half is zero outside the box."""
+        target = tuple(
+            data.draw(st.integers(2 if i == 0 else 1, 13), label=f"t{i}") for i in range(3)
+        )
+        length = data.draw(st.integers(1, target[1]), label="length")
+        rows = RowWindow(data.draw(st.integers(0, target[1] - length), label="start"), length)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        vols = [
+            Volume.from_array((rng.random(shape) + 1).astype(np.float32), (0.7, 1.3, 3.0))
+            for shape in data.draw(
+                st.lists(st.tuples(*[st.integers(1, 9)] * 3), min_size=1, max_size=4),
+                label="shapes",
+            )
+        ]
+        boxes = data_boxes([v.shape for v in vols], target, rows)
+        for vol in vols:
+            halves = cut_halves(vol, target, rows)
+            for half, cut, (size, box) in zip(halves, cut_halves(vol, target, rows, boxes), boxes):
+                assert half.shape == size
+                assert cut.shape == half.data[box].shape
+                assert cut.data.tobytes(order="A") == half.data[box].tobytes(order="F")
+                outside = half.data.copy()
+                outside[box] = 0
+                assert not outside.any()
+                shift = half.affine[:3, :3] @ [s.start for s in box]
+                np.testing.assert_allclose(cut.affine[:3, 3], half.affine[:3, 3] + shift, atol=1e-9)
+                assert cut.data.flags.f_contiguous
 
 
 class TestCropOrPad:

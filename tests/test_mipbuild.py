@@ -19,11 +19,13 @@ from mipclass.errors import (
     MissingPre,
     NonBinaryMask,
     TooFewPhases,
+    WidthTooSmall,
 )
 from mipclass.geometry import (
     Interp,
     RowWindow,
     crop_or_pad,
+    cut_halves,
     extract_rows,
     localize_rows,
     reorient_canonical,
@@ -634,6 +636,120 @@ class TestSideChannels:
         shifted = replace(study, pre=Volume(pre.data, pre.spacing, affine))
         with pytest.raises(GridMismatch, match="^subtraction needs matching grids: "):
             build_stacks(shifted, PHANTOM_CFG)
+
+
+def _whole_halves_stacks(study, cfg):
+    """build_stacks as it was before data boxes: every phase and the mask cut
+    into whole halves (cut_halves), the channels made from those halves."""
+    phases = select_phases(study)
+
+    def resampled(vol, interp=Interp.TRILINEAR):
+        return resample(reorient_canonical(vol), cfg.spacing, interp)
+
+    post1 = resampled(phases.post1)
+    rows = localize_rows(crop_or_pad(post1, cfg.shape), cfg.row_window)
+    halves = {id(phases.post1): cut_halves(post1, cfg.shape, rows)}
+    mask_halves = None
+    if study.mask is not None:
+        lo, hi = float(study.mask.data.min()), float(study.mask.data.max())
+        if lo < -1e-6 or hi > 1.0 + 1e-6:
+            raise NonBinaryMask(f"mask values span [{lo}, {hi}], outside [0, 1]")
+        mask_halves = cut_halves(resampled(study.mask, Interp.NEAREST), cfg.shape, rows)
+    for vol in (phases.pre, phases.post2, phases.last):
+        if id(vol) not in halves:
+            halves[id(vol)] = cut_halves(resampled(vol), cfg.shape, rows)
+    stacks = {}
+    for i, side in enumerate(SIDES):
+        vols = [halves[id(v)][i] for v in (phases.pre, phases.post1, phases.post2, phases.last)]
+        keep = None
+        if mask_halves is not None:
+            mask = mask_halves[i]
+            if mipbuild._same_grid(vols[1], mask):
+                keep = mask.data >= 0.5
+            else:
+                keep = mipbuild._regrid_mask_nearest(mask, vols[1])
+        for post in vols[1:]:
+            mipbuild._check_subtraction_grid(post, vols[0])
+        channels = mipbuild._side_channels(*(v.data for v in vols), keep)
+        stacks[side] = MipStack(channels, side, study.patient_id)
+    return stacks
+
+
+def _outcome(build, study, cfg):
+    """Each side's channels as uint32 bytes, or the type of the error raised."""
+    try:
+        stacks = build(study, cfg)
+        return {side: s.channels.view(np.uint32).tobytes() for side, s in stacks.items()}
+    except (WidthTooSmall, GridMismatch, NonBinaryMask, ValueError) as exc:
+        return type(exc)
+
+
+class TestDataBox:
+    """build_stacks against whole halves: the same bytes and the same refusals."""
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_matches_whole_halves(self, data):
+        """Phases of several shapes (aligned when their offsets allow), cropped or
+        padded on each axis, z included; a mask on the post1 grid, on another grid,
+        non-binary or absent; two or three posts; signed zeros; data on one side."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="values"))
+        base = tuple(data.draw(st.integers(1, 8), label=f"n{i}") for i in range(3))
+        spacing = data.draw(st.sampled_from([(1.0, 1.0, 1.0), (2.0, 1.0, 1.0), (1.0, 0.5, 2.0)]))
+
+        def volume(grow=(0, 0, 0), values=None):
+            """`grow` more voxels on each end of each axis, so the grid stays aligned."""
+            shape = tuple(n + 2 * g for n, g in zip(base, grow))
+            affine = np.diag((*spacing, 1.0))
+            affine[:3, 3] = [-g * s for g, s in zip(grow, spacing)]
+            if values is None:
+                values = rng.uniform(0.0, 2.0, shape)
+                values[rng.random(shape) < 0.3] = rng.choice([-0.0, 0.0, 1.0])
+            return Volume(np.asarray(values, np.float32), spacing, affine)
+
+        def grow(label):
+            if not data.draw(st.booleans(), label=label):
+                return (0, 0, 0)
+            return tuple(data.draw(st.integers(0, 2), label=f"{label}{i}") for i in range(3))
+
+        pre, *posts = [volume(grow(f"grow{i}")) for i in range(data.draw(st.integers(3, 4)))]
+        mask_kind = data.draw(st.sampled_from([None, "same", "other", "non_binary"]), label="mask")
+        mask = None
+        if mask_kind is not None:
+            mask_grow = grow("mask_grow") if mask_kind == "other" else (0, 0, 0)
+            shape = tuple(n + 2 * g for n, g in zip(base, mask_grow))
+            values = (rng.random(shape) < 0.6).astype(np.float32)
+            if mask_kind == "non_binary":
+                values.flat[0] = 1.5
+            mask = volume(mask_grow, values)
+            if mask_kind == "other":  # off the phase grid by a fraction of a voxel
+                affine = mask.affine.copy()
+                affine[:3, 3] += [data.draw(st.floats(-0.9, 0.9), label=f"o{i}") for i in range(3)]
+                mask = Volume(mask.data, mask.spacing, affine)
+        study = _study(pre, posts, mask)
+        target = (
+            data.draw(st.sampled_from([*range(2, 17), 1]), label="t0"),  # 1 is WidthTooSmall
+            *(data.draw(st.integers(1, 12), label=f"t{i}") for i in (1, 2)),
+        )
+        cfg = BuildConfig(
+            spacing=(1.0, 1.0, 1.0),
+            shape=target,
+            row_window=data.draw(st.integers(1, target[1]), label="row_window"),
+        )
+        assert _outcome(build_stacks, study, cfg) == _outcome(_whole_halves_stacks, study, cfg)
+
+    @pytest.mark.parametrize("side", SIDES)
+    def test_one_empty_half(self, side):
+        """One-voxel-wide phases centred into an even or odd width land in one half."""
+        study = _random_study(0)
+        narrow = [Volume(v.data[:1], v.spacing, v.affine) for v in (study.pre, *study.posts)]
+        study = _study(narrow[0], narrow[1:])
+        width = 16 if side == "right" else 17
+        cfg = BuildConfig(spacing=(1.0, 1.0, 1.0), shape=(width, 16, 4), row_window=8)
+        stacks = build_stacks(study, cfg)
+        assert _outcome(build_stacks, study, cfg) == _outcome(_whole_halves_stacks, study, cfg)
+        other = SIDES[1 - SIDES.index(side)]
+        assert stacks[side].channels.any() and not stacks[other].channels.any()
 
 
 class TestNormalize:

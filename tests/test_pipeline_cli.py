@@ -231,6 +231,8 @@ FIELD_SPEC_REFUSALS = [
      "train.lr_max must be a finite number, got True"),
     ({"shape": [10**30, 512, 32]}, "preprocess", "shape_huge",
      "shape (1000000000000000000000000000000, 512, 32) exceeds MAX_RESAMPLE_VOXELS = 1073741824"),
+    ({"augment": {"dropout_max_holes": 100000000}}, "train", "dropout_max_holes_huge",
+     "augment.dropout_max_holes must be in [0, 1024], got 100000000"),
 ]
 
 # more refusals whose message names the key as the config spells it: (override, id, message)
@@ -714,6 +716,29 @@ class TestTrain:
         assert err.endswith("; the config's augment magnitudes are out of range\n")
         assert err.count("\n") == 1
         assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize(
+        "transform, magnitude",
+        [
+            ("noise", "noise_sigma"),
+            ("contrast", "contrast_delta"),
+            ("brightness", "brightness_delta"),
+        ],
+    )
+    def test_augment_overflow_prints_one_line(self, cohort, tmp_path, transform, magnitude):
+        """A magnitude that overflows float32 gives a non-finite stack: the CLI's
+        stderr is the one error line, with no numpy warning ahead of it."""
+        run = tmp_path / "run"
+        shutil.copytree(cohort, run)
+        augment = {f"{transform}_p": 1.0, magnitude: 1e300}
+        config = _write_config(tmp_path, augment=augment, train={"epochs": 6})
+        argv = ["--manifest", str(run / "manifest.csv"), "--config", str(config), "--out", str(run)]
+        proc = run_capped(["-m", "mipclass", "train", *argv], 3 << 30)
+        assert proc.returncode == 2
+        err = proc.stderr
+        assert err.startswith("error: augmenting patient p000 side right at epoch 0 failed (")
+        assert err.endswith("must be finite); the config's augment magnitudes are out of range\n")
+        assert err.count("\n") == 1
 
     def test_augmented_models_match_scipy_warp(self, tmp_path, monkeypatch):
         """Every breast warps in every epoch; the model bytes equal those trained
