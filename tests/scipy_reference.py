@@ -1,5 +1,6 @@
-"""scipy's order-1, edge-clamped affine transform, one channel at a time:
-the oracle whose bytes ``augment2d._apply_warp`` reproduces."""
+"""scipy's order-1, edge-clamped affine transform and its edge-clamped
+Gaussian blur, one channel at a time: the oracles whose bytes
+``augment2d._apply_warp`` and ``augment2d._blur`` reproduce."""
 
 from __future__ import annotations
 
@@ -19,4 +20,11 @@ def scipy_warp(channels: np.ndarray, forward: np.ndarray) -> np.ndarray:
             mode="nearest",
             output=np.float32,
         )
+    return out
+
+
+def scipy_blur(channels: np.ndarray, sigma: float) -> np.ndarray:
+    out = np.empty(channels.shape, dtype=np.float32)
+    for c, channel in enumerate(channels):
+        ndimage.gaussian_filter(channel, sigma, output=out[c], mode="nearest")
     return out

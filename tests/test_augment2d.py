@@ -1,21 +1,23 @@
 """Augmentation tests: identity, determinism, involution, channel
-alignment, dropout accounting, interpolation bounds, the warp's bytes
-against scipy's, and augment's and extract_features' bytes against their
-whole-stack versions (tests/augment_reference.py)."""
+alignment, dropout accounting, interpolation bounds, the warp's and the
+blur's bytes against scipy's, and augment's and extract_features' bytes
+against their whole-stack versions (tests/augment_reference.py)."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
 from augment_reference import reference_augment, reference_features
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from warp_reference import scipy_warp
+from scipy_reference import scipy_blur, scipy_warp
 
 from mipclass import augment2d
 from mipclass.augment2d import (
+    _BLUR_MIN_SIGMA,
     AugmentPolicy,
     _apply_warp,
+    _blur,
     _warp_matrix,
     augment,
     default_policy,
@@ -83,6 +85,11 @@ class TestPolicy:
     def test_non_finite_sigmas_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             AugmentPolicy(**{field: value})
+
+    def test_blur_sigma_bounded(self):
+        assert AugmentPolicy(blur_sigma=32.0).blur_sigma == 32.0
+        with pytest.raises(ValueError, match=r"blur_sigma must be in \[0.0, 32.0\]"):
+            AugmentPolicy(blur_sigma=float(np.nextafter(32.0, np.inf)))
 
     @pytest.mark.parametrize("value", [2.5, 8.0, True, "8"])
     @pytest.mark.parametrize("field", ["dropout_max_holes", "dropout_max_size"])
@@ -277,6 +284,47 @@ class TestWarp:
         policy = AugmentPolicy(affine_p=1.0, scale_range=(5e-324, 5e-324))
         with pytest.raises(ValueError, match="non-finite source coordinates"):
             augment(_stack(), 0, policy)
+
+
+# the radius int(4σ + 0.5) steps from 0 to 1 at σ 0.125 and reaches 128 at 31.875
+_SIGMAS = st.one_of(
+    st.floats(_BLUR_MIN_SIGMA, 0.2, exclude_min=True),
+    st.sampled_from([float(np.nextafter(_BLUR_MIN_SIGMA, 1.0)), 0.125, 31.875, 32.0]),
+    st.floats(0.2, 3.0),
+    st.floats(30.0, 32.0),
+)
+
+
+class TestBlur:
+    @settings(max_examples=300)
+    @given(
+        w=st.one_of(st.integers(1, 3), st.integers(1, 70)),
+        h=st.one_of(st.integers(1, 3), st.integers(1, 70)),
+        sigma=_SIGMAS,
+        block=st.sampled_from([1, 5, 32]),
+        layout=st.sampled_from(["C", "F", "flipped"]),
+        values=st.integers(0, 2**32 - 1),
+        wide=st.booleans(),
+    )
+    # found by search: summing the pairs in the order j = 1..r changes a byte here
+    @example(w=16, h=3, sigma=1.0, block=5, layout="C", values=165, wide=True)
+    def test_bytes_equal_scipy_gaussian_filter(self, w, h, sigma, block, layout, values, wide):
+        """Compared as uint32, so the sign of every zero counts too."""
+        rng = np.random.default_rng(values)
+        channels = (rng.standard_normal((4, w, h)) * 100).astype(np.float32)
+        if wide:  # magnitudes far apart, so a float64 sum can depend on its order
+            far = rng.choice(np.float32([1e20, -1e20, 3e19, -3e19, 2**24]), size=channels.shape)
+            channels = np.where(rng.random(channels.shape) < 0.3, far, channels)
+        signed_zeros = rng.random(channels.shape)
+        channels[signed_zeros < 0.15] = -0.0
+        channels[signed_zeros > 0.85] = 0.0
+        if layout == "F":
+            channels = np.asfortranarray(channels)
+        elif layout == "flipped":
+            channels = channels[:, ::-1, ::-1]
+        with mock.patch.object(augment2d, "BLUR_BLOCK_ROWS", block):
+            out = _blur(channels, sigma)
+        assert _same_bytes(out, scipy_blur(channels, sigma))
 
 
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:

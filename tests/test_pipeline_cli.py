@@ -8,6 +8,7 @@ import dataclasses
 import gzip
 import json
 import math
+import re
 import shutil
 import struct
 import tempfile
@@ -20,7 +21,7 @@ import pytest
 from capped_process import run_capped
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from warp_reference import scipy_warp
+from scipy_reference import scipy_blur, scipy_warp
 
 from mipclass import phantom
 from mipclass.augment2d import AugmentPolicy, default_policy
@@ -233,6 +234,8 @@ FIELD_SPEC_REFUSALS = [
      "shape (1000000000000000000000000000000, 512, 32) exceeds MAX_RESAMPLE_VOXELS = 1073741824"),
     ({"augment": {"dropout_max_holes": 100000000}}, "train", "dropout_max_holes_huge",
      "augment.dropout_max_holes must be in [0, 1024], got 100000000"),
+    ({"augment": {"blur_sigma": 1e12}}, "train", "blur_sigma_huge",
+     "augment.blur_sigma must be in [0.0, 32.0], got 1000000000000.0"),
 ]
 
 # more refusals whose message names the key as the config spells it: (override, id, message)
@@ -620,6 +623,45 @@ class TestSplit:
         assert rc == 2
 
 
+def _assert_models_match_oracle(tmp_path, monkeypatch, augment: dict, name: str, oracle) -> None:
+    """Train on 6 phantom studies with `augment`, then again with `oracle` patched
+    in as ``augment2d.<name>``: the model bytes are equal, and the oracle ran
+    once per breast and epoch."""
+    import mipclass.augment2d as augment2d
+
+    run = tmp_path / "run"
+    config = load_config_from(
+        {
+            "spacing": [2.8, 2.8, 12.0],
+            "shape": [32, 32, 8],
+            "row_window": 16,
+            "augment": augment,
+            "train": {"epochs": 3, "batch": 8, "lr_max": 0.05, "warmup_epochs": 1},
+            "k": 3,
+            "seed": 0,
+        }
+    )
+    phantom.write_cohort(6, seed=0, out_dir=run)
+    cmd_preprocess(run / "manifest.csv", config, run)
+    cmd_split(run / "manifest.csv", config, run)
+
+    def models() -> dict[str, bytes]:
+        assert cmd_train(run / "manifest.csv", config, run, weighting="both") == 0
+        return {p.name: p.read_bytes() for p in sorted((run / "models").iterdir())}
+
+    numpy_models = models()
+    calls = []
+
+    def reference(channels, *args):
+        calls.append(channels.shape)
+        return oracle(channels, *args)
+
+    monkeypatch.setattr(augment2d, name, reference)
+    assert models() == numpy_models
+    assert len(numpy_models) == 2 * config.k
+    assert len(calls) == 2 * 6 * config.train.epochs
+
+
 class TestTrain:
     def test_model_files_per_weighting_and_fold(self, trained, config):
         names = sorted(p.name for p in (trained / "models").glob("*.json"))
@@ -743,39 +785,13 @@ class TestTrain:
     def test_augmented_models_match_scipy_warp(self, tmp_path, monkeypatch):
         """Every breast warps in every epoch; the model bytes equal those trained
         with scipy's order-1, edge-clamped affine transform as the warp."""
-        import mipclass.augment2d as augment2d
+        augment = {"rotate_p": 1.0, "affine_p": 1.0}
+        _assert_models_match_oracle(tmp_path, monkeypatch, augment, "_apply_warp", scipy_warp)
 
-        run = tmp_path / "run"
-        config = load_config_from(
-            {
-                "spacing": [2.8, 2.8, 12.0],
-                "shape": [32, 32, 8],
-                "row_window": 16,
-                "augment": {"rotate_p": 1.0, "affine_p": 1.0},
-                "train": {"epochs": 3, "batch": 8, "lr_max": 0.05, "warmup_epochs": 1},
-                "k": 3,
-                "seed": 0,
-            }
-        )
-        phantom.write_cohort(6, seed=0, out_dir=run)
-        cmd_preprocess(run / "manifest.csv", config, run)
-        cmd_split(run / "manifest.csv", config, run)
-
-        def models() -> dict[str, bytes]:
-            assert cmd_train(run / "manifest.csv", config, run, weighting="both") == 0
-            return {p.name: p.read_bytes() for p in sorted((run / "models").iterdir())}
-
-        numpy_models = models()
-        warps = []
-
-        def reference(channels, forward):
-            warps.append(channels.shape)
-            return scipy_warp(channels, forward)
-
-        monkeypatch.setattr(augment2d, "_apply_warp", reference)
-        assert models() == numpy_models
-        assert len(numpy_models) == 2 * config.k
-        assert len(warps) == 2 * 6 * config.train.epochs
+    def test_augmented_models_match_scipy_blur(self, tmp_path, monkeypatch):
+        """Every breast blurs in every epoch; the model bytes equal those trained
+        with scipy's edge-clamped Gaussian filter as the blur."""
+        _assert_models_match_oracle(tmp_path, monkeypatch, {"blur_p": 1.0}, "_blur", scipy_blur)
 
     def test_all_heads_in_one_pass_match_single_head_runs(self, tmp_path, monkeypatch):
         """Epoch-major training: every breast is read once and augmented once
@@ -1371,6 +1387,24 @@ class TestMainDispatch:
         second = json.loads((run / "folds.json").read_text())
         assert first["seed"] == 0
         assert second["seed"] == 99
+
+    def test_runtime_is_numpy_only(self):
+        """No CLI process imports scipy, and the package's runtime dependencies
+        name numpy only: scipy is the tests' oracle, not the program's."""
+        for argv in (["-c", "import mipclass"], ["-m", "mipclass", "--help"]):
+            proc = run_capped(["-X", "importtime", *argv], 3 << 30)
+            assert proc.returncode == 0, proc.stderr
+            imported = {
+                line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")
+            }
+            assert {"numpy", "mipclass.pipeline_cli", "mipclass.augment2d"} <= imported
+            assert not {m for m in imported if m == "scipy" or m.startswith("scipy.")}
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+        names = [re.match(r"[\w.-]+", dep).group() for dep in pyproject["project"]["dependencies"]]
+        assert names == ["numpy"]
 
     def test_error_exit_code_is_two(self, tmp_path):
         rc = main(
