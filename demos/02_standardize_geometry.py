@@ -8,11 +8,10 @@ from mipclass import (
     Interp,
     Volume,
     crop_or_pad,
-    extract_rows,
+    cut_halves,
     localize_rows,
     reorient_canonical,
     resample,
-    split_lr,
 )
 
 rng = np.random.default_rng(0)
@@ -48,9 +47,8 @@ banded[:, 11:19, :] = 1.0
 band_vol = Volume(banded, (1, 1, 1), np.eye(4))
 window = localize_rows(band_vol, 8)
 print(f"brightest window starts at row {window.start} (band starts at 11)")
-trimmed = extract_rows(band_vol, window)
-print("trimmed shape:", trimmed.data.shape)
-
-# Split along x: the low-x half is the anatomical right side.
-right, left = split_lr(band_vol)
-print("halves:", right.data.shape, left.data.shape)
+# Cut that window and split it along x in one copy, without cropping or
+# padding (the target is the volume's own shape): the low-x half is the
+# anatomical right side.
+right, left = cut_halves(band_vol, band_vol.shape, window)
+print("trimmed + halves:", right.data.shape, left.data.shape)

@@ -9,7 +9,6 @@ from mipclass import (
     class_weights,
     forward,
     lr_schedule,
-    predict_labels,
     train_head,
     uniform_weights,
     weighted_ce,
@@ -35,7 +34,7 @@ features = centers[labels] + rng.normal(scale=0.5, size=(labels.size, 3))
 # The seed keys the Philox stream that shuffles each epoch's minibatches.
 result = train_head(features, labels, cfg, class_weights([60, 30, 15]), seed=0)
 probs = forward(features, result.params)
-accuracy = (predict_labels(probs) == labels).mean()
+accuracy = (probs.argmax(axis=1) == labels).mean()
 print(f"loss {result.loss_trace[0]:.4f} -> {result.loss_trace[-1]:.4f}, "
       f"training accuracy {accuracy:.3f}")
 

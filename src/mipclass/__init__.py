@@ -18,7 +18,6 @@ from .classhead import (
     forward,
     grad_weighted_ce,
     lr_schedule,
-    predict_labels,
     train_head,
     train_heads,
     uniform_weights,
@@ -49,11 +48,10 @@ from .geometry import (
     Interp,
     RowWindow,
     crop_or_pad,
-    extract_rows,
+    cut_halves,
     localize_rows,
     reorient_canonical,
     resample,
-    split_lr,
 )
 from .mipbuild import (
     CHANNEL_NAMES,

@@ -339,10 +339,3 @@ def sgd_epoch(
         W += vW
         b += vb
 
-
-def predict_labels(probs: np.ndarray) -> np.ndarray:
-    """Argmax per row; ties resolve to the lower class index."""
-    probs = np.asarray(probs)
-    if probs.ndim == 1:
-        probs = probs[None, :]
-    return probs.argmax(axis=1)

@@ -271,35 +271,14 @@ def localize_rows(volume: Volume, window: int = 256) -> RowWindow:
     return RowWindow(int(np.argmax(window_sums >= best - ROW_TIE_RTOL * abs(best))), window)
 
 
-def _window(shape, target_shape, rows: RowWindow):
-    """Origin and shape of the `rows` window of the `target_shape` box centred on `shape`."""
+def _halves(shape, target_shape, rows: RowWindow):
+    """(origin, shape) of each half :func:`cut_halves` cuts from a volume of `shape`."""
     (nx, ny, nz), (x, y, z) = _centred(shape, target_shape)
     if rows.stop > ny:
         raise ValueError(f"window [{rows.start}, {rows.stop}) exceeds axis extent {ny}")
-    return (x, y + rows.start, z), (nx, rows.length, nz)
-
-
-def extract_rows(volume: Volume, rows: RowWindow) -> Volume:
-    """Slice the row window out of the volume, keeping world positions."""
-    return _box(volume, *_window(volume.shape, volume.shape, rows))
-
-
-def split_lr(volume: Volume) -> tuple[Volume, Volume]:
-    """Split at 50% width: ``([0, nx//2), [nx//2, nx))`` along array axis 0.
-
-    In RAS the first (low-x) half is the patient's right side.  For odd
-    widths the second half gets the extra column.  Concatenating the halves
-    along axis 0 reproduces the input.
-    """
-    return cut_halves(volume, volume.shape, RowWindow(0, volume.shape[HEIGHT_AXIS]))
-
-
-def _halves(shape, target_shape, rows: RowWindow):
-    """(origin, shape) of each half :func:`cut_halves` cuts from a volume of `shape`."""
-    (x, y, z), (nx, ny, nz) = _window(shape, target_shape, rows)
     if nx < 2:
         raise WidthTooSmall(f"cannot split width {nx} < 2")
-    half = nx // 2
+    half, y, ny = nx // 2, y + rows.start, rows.length
     return [((x, y, z), (half, ny, nz)), ((x + half, y, z), (nx - half, ny, nz))]
 
 
@@ -320,10 +299,16 @@ def data_boxes(shapes, target_shape, rows: RowWindow) -> list[tuple[tuple, tuple
 
 
 def cut_halves(volume: Volume, target_shape, rows: RowWindow, within=None) -> tuple[Volume, Volume]:
-    """``split_lr(extract_rows(crop_or_pad(volume, target_shape), rows))``, with
-    the same bytes, world positions and errors, copied straight from `volume`
-    without making the `target_shape` grid in between.  `within`, from
-    :func:`data_boxes`, cuts only each half's data box."""
+    """The two width halves of the `rows` window of the `target_shape` box
+    centred on `volume` (as :func:`crop_or_pad` centres it), copied straight
+    from `volume` without making that box in between.
+
+    The halves are ``[0, nx//2)`` and ``[nx//2, nx)`` along array axis 0 of
+    the box, so for odd widths the second gets the extra column, and in RAS
+    the first (low-x) half is the patient's right side.  Retained voxels keep
+    their world positions; the rest are 0.  A window past the box's height is
+    a ``ValueError``, a box narrower than 2 is ``WidthTooSmall``.  `within`,
+    from :func:`data_boxes`, cuts only each half's data box."""
     halves = _halves(volume.shape, target_shape, rows)
     if within is not None:  # each box as an origin and a shape
         halves = [

@@ -138,16 +138,6 @@ class Study:
     label_right: int | None = None
 
 
-@dataclass(frozen=True)
-class PhaseSet:
-    """The four phases the channels are built from (post2 may alias last)."""
-
-    pre: Volume
-    post1: Volume
-    post2: Volume
-    last: Volume
-
-
 _BUILD_FIELDS = {
     "spacing": (float, 3, POSITIVE, math.inf),
     "shape": (int, 3, 1, math.inf),
@@ -196,8 +186,9 @@ class MipStack:
         object.__setattr__(self, "channels", channels)
 
 
-def select_phases(study: Study) -> PhaseSet:
-    """Pick pre, first, second and last post-contrast phases.
+def select_phases(study: Study) -> tuple[Volume, Volume, Volume, Volume]:
+    """Pick ``(pre, post1, post2, last)``: pre and the first, second and last
+    post-contrast phases.
 
     With exactly two posts, ``post2`` and ``last`` alias the same volume so
     the channel count stays fixed.
@@ -208,12 +199,7 @@ def select_phases(study: Study) -> PhaseSet:
         raise TooFewPhases(
             f"{study.patient_id}: need >= 2 post-contrast phases, got {len(study.posts)}"
         )
-    return PhaseSet(
-        pre=study.pre,
-        post1=study.posts[0],
-        post2=study.posts[1],
-        last=study.posts[-1],
-    )
+    return study.pre, study.posts[0], study.posts[1], study.posts[-1]
 
 
 def _same_grid(a: Volume, b: Volume) -> bool:
@@ -319,17 +305,17 @@ def build_stacks(study: Study, cfg: BuildConfig = BuildConfig()) -> dict[str, Mi
     projects plane by plane, with the bytes of stacking :func:`mip_z` of the
     masked post1 and of :func:`subtract_clamped` per post.  Keys follow ``SIDES``.
     """
-    phases = select_phases(study)
-    order = (phases.pre, phases.post1, phases.post2, phases.last)
+    order = select_phases(study)
+    first = order[1]
 
     def resampled(vol: Volume, interp: Interp = Interp.TRILINEAR) -> Volume:
         return resample(reorient_canonical(vol), cfg.spacing, interp)
 
-    post1 = resampled(phases.post1)
+    post1 = resampled(first)
     rows = localize_rows(crop_or_pad(post1, cfg.shape), cfg.row_window)
-    shapes = [post1.shape if v is phases.post1 else resampled_shape(v, cfg.spacing) for v in order]
+    shapes = [post1.shape if v is first else resampled_shape(v, cfg.spacing) for v in order]
     boxes = data_boxes(shapes, cfg.shape, rows)
-    cuts = {id(phases.post1): cut_halves(post1, cfg.shape, rows, boxes)}
+    cuts = {id(first): cut_halves(post1, cfg.shape, rows, boxes)}
     keeps: list[np.ndarray | None] = [None] * len(SIDES)
     if study.mask is not None:
         lo, hi = float(study.mask.data.min()), float(study.mask.data.max())
@@ -339,7 +325,7 @@ def build_stacks(study: Study, cfg: BuildConfig = BuildConfig()) -> dict[str, Mi
         # subtraction needs all four phases on one grid, so post1's grid serves all
         whole = None
         for i, cut in enumerate(cut_halves(mask, cfg.shape, rows, boxes)):
-            if _same_grid(cuts[id(phases.post1)][i], cut):
+            if _same_grid(cuts[id(first)][i], cut):
                 keeps[i] = cut.data >= 0.5
             else:  # regridded from whole halves, whose padded edge the regrid clamps to
                 whole = whole or [cut_halves(v, cfg.shape, rows) for v in (mask, post1)]
@@ -454,6 +440,3 @@ def stack_from_blob(blob: TensorBlob) -> MipStack:
         meta=meta,
     )
 
-
-def stack_filename(patient_id: str, side: str) -> str:
-    return f"{patient_id}_{side}.mct"

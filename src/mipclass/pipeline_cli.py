@@ -71,7 +71,6 @@ from .mipbuild import (
     build_stacks,
     check_fields,
     normalize_stack,
-    stack_filename,
     stack_from_blob,
     stack_to_blob,
 )
@@ -268,7 +267,7 @@ def load_config(path: str | Path | None) -> PipelineConfig:
 
 
 def _stack_path(out: Path, patient_id: str, side: str) -> Path:
-    return out / "stacks" / stack_filename(patient_id, side)
+    return out / "stacks" / f"{patient_id}_{side}.mct"
 
 
 def _read_stack(path: Path) -> MipStack:
@@ -677,32 +676,42 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of studies")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=lambda a: cmd_phantom(a.n, a.seed, a.out))
 
     p = sub.add_parser("preprocess", help="standardize studies into stack blobs")
-    common(p, "manifest", "config", "out", "seed")
+    common(p, "manifest", "config", "out")
     p.add_argument("--jobs", type=int, default=1, help="parallel studies (default 1)")
+    p.set_defaults(run=lambda a: cmd_preprocess(a.manifest, _config_from_args(a), a.out, a.jobs))
 
     p = sub.add_parser("split", help="write a stratified patient-level fold plan")
     common(p, "manifest", "config", "out", "seed")
+    p.set_defaults(run=lambda a: cmd_split(a.manifest, _config_from_args(a), a.out))
 
     p = sub.add_parser("train", help="train linear heads per fold and weighting")
     common(p, "manifest", "config", "out", "seed", "weighting", "fold")
+    p.set_defaults(
+        run=lambda a: cmd_train(a.manifest, _config_from_args(a), a.out, a.weighting, a.fold)
+    )
 
     p = sub.add_parser("predict", help="predict each fold's validation patients")
     common(p, "config", "out", "weighting", "fold")
+    p.set_defaults(run=lambda a: cmd_predict(a.out, a.weighting, a.fold))
 
     p = sub.add_parser("evaluate", help="score prediction CSVs against the manifest")
     common(p, "manifest", "out")
     p.add_argument("csvs", nargs="+", help="prediction CSV files")
+    p.set_defaults(run=lambda a: cmd_evaluate(a.manifest, a.out, a.csvs))
 
     p = sub.add_parser("ensemble", help="average prediction CSVs and re-evaluate")
     common(p, "manifest", "out")
     p.add_argument("csvs", nargs="+", help="prediction CSV files to average")
+    p.set_defaults(run=lambda a: cmd_ensemble(a.manifest, a.out, a.csvs))
 
     p = sub.add_parser("augment-preview", help="write one augmented copy of a stack blob")
     p.add_argument("--stack", required=True, help="stack blob (.mct) path")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=lambda a: cmd_augment_preview(a.stack, a.seed, a.out))
 
     return parser
 
@@ -721,25 +730,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "phantom":
-            return cmd_phantom(args.n, args.seed, args.out)
-        if args.command == "preprocess":
-            return cmd_preprocess(args.manifest, _config_from_args(args), args.out, args.jobs)
-        if args.command == "split":
-            return cmd_split(args.manifest, _config_from_args(args), args.out)
-        if args.command == "train":
-            return cmd_train(
-                args.manifest, _config_from_args(args), args.out, args.weighting, args.fold
-            )
-        if args.command == "predict":
-            return cmd_predict(args.out, args.weighting, args.fold)
-        if args.command == "evaluate":
-            return cmd_evaluate(args.manifest, args.out, args.csvs)
-        if args.command == "ensemble":
-            return cmd_ensemble(args.manifest, args.out, args.csvs)
-        if args.command == "augment-preview":
-            return cmd_augment_preview(args.stack, args.seed, args.out)
+        return args.run(args)
     except MipclassError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover

@@ -48,13 +48,6 @@ def orientation_code(affine: np.ndarray) -> str:
     return "".join(letters)
 
 
-def spacing_affine(spacing: tuple[float, float, float]) -> np.ndarray:
-    """Axis-aligned RAS affine with the given voxel spacing and zero origin."""
-    aff = np.eye(4, dtype=np.float64)
-    aff[0, 0], aff[1, 1], aff[2, 2] = spacing
-    return aff
-
-
 @dataclass(frozen=True)
 class Volume:
     """3D scalar grid with spacing and a voxel-index -> world-mm affine.
@@ -106,7 +99,7 @@ class Volume:
         spacing: tuple[float, float, float] = (1.0, 1.0, 1.0),
         affine: np.ndarray | None = None,
     ) -> "Volume":
-        """Build a volume; affine defaults to axis-aligned RAS at ``spacing``."""
+        """Build a volume; affine defaults to axis-aligned RAS at ``spacing``, zero origin."""
         if affine is None:
-            affine = spacing_affine(spacing)
+            affine = np.diag((*spacing, 1.0))
         return cls(data=data, spacing=spacing, affine=affine)

@@ -19,7 +19,6 @@ from mipclass.classhead import (
     forward,
     grad_weighted_ce,
     lr_schedule,
-    predict_labels,
     sgd_epoch,
     train_head,
     train_heads,
@@ -348,7 +347,7 @@ class TestTrainHead:
         feats, labels = _cluster_problem()
         cfg = TrainConfig(epochs=400, batch=10, lr_max=0.05, warmup_epochs=5)
         result = train_head(feats, labels, cfg, uniform_weights(), seed=1)
-        preds = predict_labels(forward(feats, result.params))
+        preds = forward(feats, result.params).argmax(axis=1)
         assert (preds == labels).mean() == 1.0
         assert result.loss_trace.shape == (400,)
         assert result.loss_trace[-1] < result.loss_trace[0]

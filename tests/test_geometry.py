@@ -21,12 +21,10 @@ from mipclass.geometry import (
     crop_or_pad,
     cut_halves,
     data_boxes,
-    extract_rows,
     localize_rows,
     reorient_canonical,
     resample,
     resampled_shape,
-    split_lr,
 )
 from mipclass.volume import Volume, orientation_code
 
@@ -521,31 +519,40 @@ class TestLocalizeRows:
         data[1, 500, 2] = np.inf
         assert localize_rows(Volume.from_array(data), 256).start == 64
 
-    def test_extract_rows_world_preserved(self):
+    def test_row_window_world_preserved(self):
         affine = np.diag((1.0, 2.0, 1.0, 1.0))
         data = np.arange(40, dtype=np.float32).reshape(2, 10, 2)
         vol = Volume(data, (1, 2, 1), affine)
-        out = extract_rows(vol, RowWindow(3, 4))
-        assert out.shape == (2, 4, 2)
-        np.testing.assert_array_equal(out.data, data[:, 3:7, :])
-        np.testing.assert_allclose(_world(out.affine, (0, 0, 0)), (0.0, 6.0, 0.0))
+        low, high = cut_halves(vol, vol.shape, RowWindow(3, 4))
+        assert low.shape == high.shape == (1, 4, 2)
+        np.testing.assert_array_equal(
+            np.concatenate([low.data, high.data], axis=0), data[:, 3:7, :]
+        )
+        np.testing.assert_allclose(_world(low.affine, (0, 0, 0)), (0.0, 6.0, 0.0))
 
-    def test_extract_rows_bounds_checked(self):
+    def test_row_window_bounds_checked(self):
         vol = Volume.from_array(np.zeros((2, 5, 2), np.float32))
         with pytest.raises(ValueError):
-            extract_rows(vol, RowWindow(3, 4))
+            cut_halves(vol, vol.shape, RowWindow(3, 4))
+
+
+def _split(vol):
+    """The halves :func:`cut_halves` cuts from the whole of `vol`."""
+    return cut_halves(vol, vol.shape, RowWindow(0, vol.shape[1]))
 
 
 class TestSplitLR:
+    """The width split of :func:`cut_halves`, with no crop, pad or row window."""
+
     def test_512_gives_two_256(self):
         vol = Volume.from_array(np.zeros((512, 4, 2), np.float32))
-        low, high = split_lr(vol)
+        low, high = _split(vol)
         assert low.shape == (256, 4, 2)
         assert high.shape == (256, 4, 2)
 
     def test_odd_width_5(self):
         vol = Volume.from_array(np.arange(5 * 2 * 2, dtype=np.float32).reshape(5, 2, 2))
-        low, high = split_lr(vol)
+        low, high = _split(vol)
         assert low.shape[0] == 2
         assert high.shape[0] == 3
 
@@ -553,7 +560,7 @@ class TestSplitLR:
         rng = np.random.default_rng(17)
         for nx in (2, 5, 8, 512):
             vol = Volume.from_array(rng.random((nx, 3, 2), dtype=np.float32))
-            low, high = split_lr(vol)
+            low, high = _split(vol)
             np.testing.assert_array_equal(
                 np.concatenate([low.data, high.data], axis=0), vol.data
             )
@@ -561,27 +568,37 @@ class TestSplitLR:
     def test_high_half_world_positions(self):
         affine = np.diag((0.7, 1.0, 1.0, 1.0))
         vol = Volume(np.zeros((6, 2, 2), np.float32), (0.7, 1, 1), affine)
-        _, high = split_lr(vol)
+        _, high = _split(vol)
         np.testing.assert_allclose(_world(high.affine, (0, 0, 0)), (2.1, 0.0, 0.0))
 
     def test_width_1_rejected(self):
         vol = Volume.from_array(np.zeros((1, 4, 4), np.float32))
         with pytest.raises(WidthTooSmall):
-            split_lr(vol)
+            _split(vol)
 
     def test_low_half_is_low_x(self):
         """In RAS the low-x half is the patient's right side."""
         data = np.zeros((4, 2, 2), np.float32)
         data[0] = 5.0  # marker at the lowest x slab
         vol = Volume.from_array(data)
-        low, high = split_lr(vol)
+        low, high = _split(vol)
         assert low.data.max() == 5.0
         assert high.data.max() == 0.0
         assert orientation_code(low.affine) == "RAS"
 
 
-def _composed_halves(vol, target_shape, rows):
-    return split_lr(extract_rows(crop_or_pad(vol, target_shape), rows))
+def _sliced_halves(vol, target_shape, rows):
+    """Reference for :func:`cut_halves`: the crop_or_pad box, then the row window
+    and the ``nx // 2`` width split by plain slicing, each half's origin moved
+    to its first voxel."""
+    box = crop_or_pad(vol, target_shape)
+    half = box.shape[0] // 2
+    halves = []
+    for lo, hi in ((0, half), (half, box.shape[0])):
+        affine = box.affine.copy()
+        affine[:3, 3] += affine[:3, :3] @ np.array([lo, rows.start, 0], dtype=np.float64)
+        halves.append(Volume(box.data[lo:hi, rows.start : rows.stop, :], box.spacing, affine))
+    return halves
 
 
 class TestCutHalves:
@@ -610,7 +627,7 @@ class TestCutHalves:
         rows = RowWindow(start, length)
 
         got = cut_halves(vol, target, rows)
-        expected = _composed_halves(vol, target, rows)
+        expected = _sliced_halves(vol, target, rows)
         for g, e in zip(got, expected):
             assert g.shape == e.shape
             assert g.data.dtype == np.float32
@@ -657,18 +674,25 @@ class TestCutHalves:
                 assert half.data[:, :, z].flags.f_contiguous
 
     @pytest.mark.parametrize(
-        "target, rows, error",
+        "target, rows, error, message",
         [
-            ((1, 4, 4), RowWindow(0, 2), WidthTooSmall),
-            ((4, 4, 4), RowWindow(3, 2), ValueError),
-            ((4, 0, 4), RowWindow(0, 1), ValueError),
+            ((1, 4, 4), RowWindow(0, 2), WidthTooSmall, "cannot split width 1 < 2"),
+            ((4, 4, 4), RowWindow(3, 2), ValueError, "window [3, 5) exceeds axis extent 4"),
+            (
+                (4, 0, 4),
+                RowWindow(0, 1),
+                ValueError,
+                "target shape must be >= 1 per axis, got (4, 0, 4)",
+            ),
+            # the window is checked before the width
+            ((1, 4, 4), RowWindow(3, 2), ValueError, "window [3, 5) exceeds axis extent 4"),
         ],
-        ids=["width_1", "window_past_the_grid", "empty_target"],
+        ids=["width_1", "window_past_the_grid", "empty_target", "window_before_width"],
     )
-    def test_refuses_what_the_composition_refuses(self, target, rows, error):
+    def test_refuses_what_the_composition_refuses(self, target, rows, error, message):
+        """Each refusal's exact type and message."""
         vol = Volume.from_array(np.ones((3, 5, 2), np.float32))
-        with pytest.raises(error) as composed:
-            _composed_halves(vol, target, rows)
-        with pytest.raises(error) as direct:
+        with pytest.raises(error) as refused:
             cut_halves(vol, target, rows)
-        assert str(direct.value) == str(composed.value)
+        assert type(refused.value) is error
+        assert str(refused.value) == message

@@ -26,11 +26,9 @@ from mipclass.geometry import (
     RowWindow,
     crop_or_pad,
     cut_halves,
-    extract_rows,
     localize_rows,
     reorient_canonical,
     resample,
-    split_lr,
 )
 from mipclass.mipbuild import (
     CHANNEL_NAMES,
@@ -40,7 +38,6 @@ from mipclass.mipbuild import (
     BuildConfig,
     MipStack,
     NormConstants,
-    PhaseSet,
     Study,
     build_stack,
     build_stacks,
@@ -72,16 +69,17 @@ SMALL_CFG = BuildConfig(spacing=(1.0, 1.0, 1.0), shape=(16, 16, 4), row_window=8
 class TestSelectPhases:
     def test_seven_posts_last_is_seventh(self):
         vols = [_vol(np.full((2, 2, 2), i)) for i in range(8)]
-        phases = select_phases(_study(vols[0], vols[1:8]))
-        assert phases.post1 is vols[1]
-        assert phases.post2 is vols[2]
-        assert phases.last is vols[7]
+        pre, post1, post2, last = select_phases(_study(vols[0], vols[1:8]))
+        assert pre is vols[0]
+        assert post1 is vols[1]
+        assert post2 is vols[2]
+        assert last is vols[7]
 
     def test_two_posts_alias(self):
         vols = [_vol(np.full((2, 2, 2), i)) for i in range(3)]
-        phases = select_phases(_study(vols[0], vols[1:3]))
-        assert phases.post2 is vols[2]
-        assert phases.last is vols[2]
+        _, _, post2, last = select_phases(_study(vols[0], vols[1:3]))
+        assert post2 is vols[2]
+        assert last is vols[2]
 
     def test_one_post_rejected(self):
         vols = [_vol(np.zeros((2, 2, 2))) for _ in range(2)]
@@ -171,8 +169,8 @@ class TestApplyMask:
         meta = stacks["left"].meta
         rows = RowWindow(meta["row_window_start"], meta["row_window_length"])
         fine = resample(study.mask, SMALL_CFG.spacing, Interp.NEAREST)
-        masks = split_lr(extract_rows(fine, rows))
-        posts = split_lr(extract_rows(study.posts[0], rows))
+        masks = cut_halves(fine, fine.shape, rows)
+        posts = cut_halves(study.posts[0], study.posts[0].shape, rows)
         for side, mask, post in zip(SIDES, masks, posts):
             inv = np.linalg.inv(mask.affine)
             kept = np.zeros(post.shape, dtype=bool)
@@ -328,8 +326,10 @@ class TestBuildStack:
         phases = [study.pre, *study.posts]
         std = [standardize(v, Interp.TRILINEAR) for v in phases]
         rows = localize_rows(std[1], cfg.row_window)
-        keep = extract_rows(standardize(study.mask, Interp.NEAREST), rows).data >= 0.5
-        unsplit = _masked_mips(*(extract_rows(v, rows) for v in std), keep)
+        window = slice(rows.start, rows.stop)  # only sums are compared: affines stay
+        keep = standardize(study.mask, Interp.NEAREST).data[:, window] >= 0.5
+        trimmed = [Volume(v.data[:, window], v.spacing, v.affine) for v in std]
+        unsplit = _masked_mips(*trimmed, keep)
         for c in range(4):
             split_sum = left.channels[c].sum(dtype=np.float64) + right.channels[c].sum(
                 dtype=np.float64
@@ -375,13 +375,9 @@ def _reference_stack(study, side, cfg):
         return crop_or_pad(resample(reorient_canonical(v), cfg.spacing, interp), cfg.shape)
 
     def half(v):
-        return split_lr(extract_rows(v, rows))[SIDES.index(side)]
+        return cut_halves(v, v.shape, rows)[SIDES.index(side)]
 
-    phases = select_phases(study)
-    pre, post1, post2, last = [
-        standardize(v, Interp.TRILINEAR)
-        for v in (phases.pre, phases.post1, phases.post2, phases.last)
-    ]
+    pre, post1, post2, last = [standardize(v, Interp.TRILINEAR) for v in select_phases(study)]
     rows = localize_rows(post1, cfg.row_window)
     vols = [half(v) for v in (pre, post1, post2, last)]
     keep = None
@@ -646,21 +642,21 @@ def _whole_halves_stacks(study, cfg):
     def resampled(vol, interp=Interp.TRILINEAR):
         return resample(reorient_canonical(vol), cfg.spacing, interp)
 
-    post1 = resampled(phases.post1)
+    post1 = resampled(phases[1])
     rows = localize_rows(crop_or_pad(post1, cfg.shape), cfg.row_window)
-    halves = {id(phases.post1): cut_halves(post1, cfg.shape, rows)}
+    halves = {id(phases[1]): cut_halves(post1, cfg.shape, rows)}
     mask_halves = None
     if study.mask is not None:
         lo, hi = float(study.mask.data.min()), float(study.mask.data.max())
         if lo < -1e-6 or hi > 1.0 + 1e-6:
             raise NonBinaryMask(f"mask values span [{lo}, {hi}], outside [0, 1]")
         mask_halves = cut_halves(resampled(study.mask, Interp.NEAREST), cfg.shape, rows)
-    for vol in (phases.pre, phases.post2, phases.last):
+    for vol in phases:
         if id(vol) not in halves:
             halves[id(vol)] = cut_halves(resampled(vol), cfg.shape, rows)
     stacks = {}
     for i, side in enumerate(SIDES):
-        vols = [halves[id(v)][i] for v in (phases.pre, phases.post1, phases.post2, phases.last)]
+        vols = [halves[id(v)][i] for v in phases]
         keep = None
         if mask_halves is not None:
             mask = mask_halves[i]

@@ -395,7 +395,7 @@ class TestConfig:
         assert not (tmp_path / "run" / "folds.json").exists()
 
     @pytest.mark.parametrize("seed", ["-5", str(2**128)], ids=["negative", "2**128"])
-    @pytest.mark.parametrize("command", ["split", "train", "preprocess"])
+    @pytest.mark.parametrize("command", ["split", "train"])
     def test_out_of_range_seed_flag_exits_two(self, cohort, tmp_path, command, seed, capsys):
         run = tmp_path / "run"
         shutil.copytree(cohort, run)
@@ -406,6 +406,20 @@ class TestConfig:
         assert main([command, *argv, "--seed", seed]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --seed: seed must be in [0, 2**128)")
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+    def test_preprocess_takes_no_seed_flag(self, cohort, tmp_path, capsys):
+        """preprocess uses no seed, so argparse refuses --seed before any work."""
+        run = tmp_path / "run"
+        shutil.copytree(cohort, run)
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        config = _write_config(tmp_path)
+        argv = ["--manifest", str(run / "manifest.csv"), "--config", str(config), "--out", str(run)]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exited:
+            main(["preprocess", *argv, "--seed", "0"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
         assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
 
