@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimMismatch, EmptyClass
+from .errors import DimMismatch, Diverged, EmptyClass
 from .evalkit import N_CLASSES
 from .mipbuild import PHILOX_MAX, MipStack, check_fields
 
@@ -97,7 +97,6 @@ class HeadParams:
 @dataclass(frozen=True)
 class LossValue:
     value: float
-    batch_size: int
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value) or self.value < 0:
@@ -163,64 +162,70 @@ def extract_features(stack: MipStack, grid: int = DEFAULT_POOL_GRID) -> np.ndarr
     return features.astype(np.float32)
 
 
-def _as_batch(features: np.ndarray) -> tuple[np.ndarray, bool]:
+def _as_batch(features: np.ndarray, params: HeadParams) -> np.ndarray:
     arr = np.asarray(features, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    if arr.ndim == 2:
-        return arr, False
-    raise DimMismatch(f"features must be (D,) or (N, D), got shape {arr.shape}")
+    if arr.ndim not in (1, 2):
+        raise DimMismatch(f"features must be (D,) or (N, D), got shape {arr.shape}")
+    if arr.shape[-1] != params.dim:
+        raise DimMismatch(f"feature dim {arr.shape[-1]} != head dim {params.dim}")
+    return np.atleast_2d(arr)
+
+
+def _check_labels(labels: np.ndarray, n: int) -> np.ndarray:
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise DimMismatch(f"labels shape {labels.shape} != ({n},)")
+    if labels.size and (labels.min() < 0 or labels.max() >= N_CLASSES):
+        raise ValueError(f"labels must be in 0..2, got range {labels.min()}..{labels.max()}")
+    return labels.astype(np.int64)
+
+
+# Unchecked kernels over a stack of heads: X (..., n, D), W (..., D, 3), b (..., 3),
+# labels and their class weights wl (..., n).  np.matmul runs each head's slice
+# as its own product, so every head in a stack keeps the bytes it has alone.
+def _probs(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    logits = np.matmul(X, W) + b[..., None, :]
+    logits = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(logits)
+    return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def _loss(probs: np.ndarray, labels: np.ndarray, wl: np.ndarray) -> np.ndarray:
+    true_probs = np.maximum(np.take_along_axis(probs, labels[..., None], -1)[..., 0], LOG_FLOOR)
+    return -(wl * np.log(true_probs)).sum(axis=-1) / labels.shape[-1]
+
+
+def _grad(X: np.ndarray, labels: np.ndarray, wl: np.ndarray, W: np.ndarray, b: np.ndarray):
+    dz = _probs(X, W, b)
+    dz -= labels[..., None] == np.arange(N_CLASSES)  # subtracting 0.0 keeps a value's bytes
+    dz *= (wl / X.shape[-2])[..., None]
+    return np.matmul(np.swapaxes(X, -1, -2), dz), dz.sum(axis=-2)
 
 
 def forward(features: np.ndarray, params: HeadParams) -> np.ndarray:
     """Softmax probabilities for one feature vector or a batch of them."""
-    batch, squeeze = _as_batch(features)
-    if batch.shape[1] != params.dim:
-        raise DimMismatch(f"feature dim {batch.shape[1]} != head dim {params.dim}")
-    logits = batch @ params.W + params.b
-    logits = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    return probs[0] if squeeze else probs
-
-
-def _check_batch(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
-    if probs.ndim != 2 or probs.shape[1] != N_CLASSES:
-        raise DimMismatch(f"probs must be (N, 3), got {probs.shape}")
-    if labels.shape != (probs.shape[0],):
-        raise DimMismatch(f"labels shape {labels.shape} != ({probs.shape[0]},)")
-    if labels.size and (labels.min() < 0 or labels.max() >= N_CLASSES):
-        raise ValueError(f"labels must be in 0..2, got range {labels.min()}..{labels.max()}")
-    return probs, labels.astype(np.int64)
+    probs = _probs(_as_batch(features, params), params.W, params.b)
+    return probs[0] if np.ndim(features) == 1 else probs
 
 
 def weighted_ce(probs: np.ndarray, labels: np.ndarray, weights: ClassWeights) -> LossValue:
     """Eq.-style weighted cross-entropy over a batch of simplex rows."""
-    probs, labels = _check_batch(probs, labels)
-    n = probs.shape[0]
-    if n == 0:
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 2 or probs.shape[1] != N_CLASSES:
+        raise DimMismatch(f"probs must be (N, 3), got {probs.shape}")
+    labels = _check_labels(labels, probs.shape[0])
+    if not labels.size:
         raise DimMismatch("empty batch")
-    w = np.asarray(weights.w, dtype=np.float64)
-    true_probs = np.maximum(probs[np.arange(n), labels], LOG_FLOOR)
-    value = float(-(w[labels] * np.log(true_probs)).sum() / n)
-    return LossValue(value=value, batch_size=n)
+    return LossValue(float(_loss(probs, labels, np.asarray(weights.w)[labels])))
 
 
 def grad_weighted_ce(
     features: np.ndarray, labels: np.ndarray, params: HeadParams, weights: ClassWeights
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic (dW, db): per sample dz_i = w_{y_i}·(ŷ_i − e_{y_i})/N."""
-    batch, _ = _as_batch(features)
-    probs = forward(batch, params)
-    probs, labels = _check_batch(probs, labels)
-    n = batch.shape[0]
-    w = np.asarray(weights.w, dtype=np.float64)
-    dz = probs.copy()
-    dz[np.arange(n), labels] -= 1.0
-    dz *= (w[labels] / n)[:, None]
-    return batch.T @ dz, dz.sum(axis=0)
+    batch = _as_batch(features, params)
+    labels = _check_labels(labels, batch.shape[0])
+    return _grad(batch, labels, np.asarray(weights.w)[labels], params.W, params.b)
 
 
 def lr_schedule(t: int, cfg: TrainConfig) -> float:
@@ -247,18 +252,17 @@ class TrainResult:
 class HeadSpec:
     """One head to train: its feature rows, their labels, its weights and shuffle seed."""
 
-    rows: np.ndarray  # (n,) row indices, in training order
-    labels: np.ndarray  # (n,) int64, one per row
+    rows: np.ndarray  # (n,) row indices, in training order; n >= 1
+    labels: np.ndarray  # (n,) int64 in 0..2, one per row
     weights: ClassWeights
     seed: int
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.intp)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if rows.ndim != 1 or labels.shape != rows.shape:
-            raise DimMismatch(f"rows {rows.shape} vs labels {labels.shape}")
+        if rows.ndim != 1 or not rows.size:
+            raise DimMismatch(f"rows must be a non-empty (n,) index array, got shape {rows.shape}")
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _check_labels(self.labels, rows.size))
         # it keys np.random.Philox, which takes [0, 2**128)
         check_fields(self, {"seed": (int, 0, 0, PHILOX_MAX)})
 
@@ -272,70 +276,60 @@ def train_heads(
     inputs) and is called once per epoch for all heads; every epoch's matrix
     keeps epoch 0's shape.  All heads follow ``cfg``.  Each head trains on
     its own rows, from zero-initialized params, with its own momentum and a
-    Philox permutation stream keyed by its ``seed``; its result is the same
-    as training it alone.
+    Philox permutation stream keyed by its ``seed``.  Heads with equal row
+    counts step together as one (G, ...) stack, running the float64
+    operations of training each alone in the same order, so every head's
+    result has the bytes of training it alone.  Raises ``Diverged`` at the
+    end of the first epoch that leaves a param or loss non-finite.
     """
     first = np.asarray(features(0), dtype=np.float64)
     if first.ndim != 2:
         raise DimMismatch(f"features must be (N, D), got shape {first.shape}")
-    for head in heads:
-        if head.rows.size and not 0 <= head.rows.min() <= head.rows.max() < first.shape[0]:
+    # heads sorted by row count, so each group of equal counts is a slice of the stacks
+    order = sorted(range(len(heads)), key=lambda i: heads[i].rows.size)
+    specs = [heads[i] for i in order]
+    sizes = [head.rows.size for head in specs]
+    rngs = [np.random.Generator(np.random.Philox(key=head.seed)) for head in specs]
+    W, vW = np.zeros((2, len(specs), first.shape[1], N_CLASSES))
+    b, vb = np.zeros((2, len(specs), N_CLASSES))
+    traces = np.empty((len(specs), cfg.epochs))
+    groups = []  # (slice of specs, rows, labels, their class weights), each (G, n)
+    for n in sorted(set(sizes)):
+        at = slice(sizes.index(n), sizes.index(n) + sizes.count(n))
+        rows = np.stack([head.rows for head in specs[at]])
+        if not 0 <= rows.min() <= rows.max() < first.shape[0]:
             raise DimMismatch(f"head rows outside the {first.shape[0]} feature rows")
-    W = [np.zeros((first.shape[1], N_CLASSES)) for _ in heads]
-    b = [np.zeros(N_CLASSES) for _ in heads]
-    vW = [np.zeros_like(w) for w in W]
-    vb = [np.zeros_like(v) for v in b]
-    rngs = [np.random.Generator(np.random.Philox(key=head.seed)) for head in heads]
-    traces = [np.empty(cfg.epochs, dtype=np.float64) for _ in heads]
+        labels = np.stack([head.labels for head in specs[at]])
+        w = np.array([head.weights.w for head in specs[at]])
+        groups.append((at, rows, labels, np.take_along_axis(w, labels, axis=1)))
     for epoch in range(cfg.epochs):
         feats = np.asarray(features(epoch), dtype=np.float64) if epoch else first
         if feats.shape != first.shape:
             raise DimMismatch(f"epoch {epoch} features {feats.shape} != epoch 0's {first.shape}")
         lr = lr_schedule(epoch, cfg)
-        for i, head in enumerate(heads):
-            rows, labs, weights = feats[head.rows], head.labels, head.weights
-            perm = rngs[i].permutation(labs.shape[0])
-            sgd_epoch(
-                W[i], b[i], vW[i], vb[i], rows, labs, weights, lr, cfg.momentum, cfg.batch, perm
-            )
-            probs = forward(rows, HeadParams(W[i], b[i]))
-            traces[i][epoch] = weighted_ce(probs, labs, weights).value
-    return [TrainResult(HeadParams(W[i], b[i]), traces[i]) for i in range(len(heads))]
+        # a diverging head is reported by the check below, not by numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for at, rows, labels, wl in groups:
+                Wg, bg, vWg, vbg = W[at], b[at], vW[at], vb[at]
+                perm = np.stack([rng.permutation(rows.shape[1]) for rng in rngs[at]])
+                prows, plabels, pwl = (np.take_along_axis(a, perm, 1) for a in (rows, labels, wl))
+                for start in range(0, rows.shape[1], cfg.batch):
+                    batch = np.s_[:, start : start + cfg.batch]
+                    dW, db = _grad(feats[prows[batch]], plabels[batch], pwl[batch], Wg, bg)
+                    vWg[...] = cfg.momentum * vWg - lr * dW
+                    vbg[...] = cfg.momentum * vbg - lr * db
+                    Wg += vWg
+                    bg += vbg
+                traces[at, epoch] = _loss(_probs(feats[rows], Wg, bg), labels, wl)
+        if not all(np.isfinite(a).all() for a in (W, b, traces[:, epoch])):
+            raise Diverged(f"training diverged at epoch {epoch}: params or loss not finite;"
+                           f" lower train.lr_max (now {cfg.lr_max!r})")
+    return [TrainResult(HeadParams(W[j], b[j]), traces[j]) for j in np.argsort(order)]
 
 
 def train_head(
-    features: np.ndarray,
-    labels: np.ndarray,
-    cfg: TrainConfig,
-    weights: ClassWeights,
-    seed: int = 0,
+    features: np.ndarray, labels: np.ndarray, cfg: TrainConfig, weights: ClassWeights, seed: int = 0
 ) -> TrainResult:
     """One head on every row of one (N, D) matrix; see :func:`train_heads`."""
     head = HeadSpec(np.arange(len(features)), labels, weights, seed)
     return train_heads(lambda epoch: features, [head], cfg)[0]
-
-
-def sgd_epoch(
-    W: np.ndarray,
-    b: np.ndarray,
-    vW: np.ndarray,
-    vb: np.ndarray,
-    features: np.ndarray,
-    labels: np.ndarray,
-    weights: ClassWeights,
-    lr: float,
-    momentum: float,
-    batch_size: int,
-    perm: np.ndarray,
-) -> None:
-    """One epoch of momentum-SGD mini-batches, updating arrays in place."""
-    for start in range(0, perm.shape[0], batch_size):
-        idx = perm[start : start + batch_size]
-        dW, db = grad_weighted_ce(features[idx], labels[idx], HeadParams(W, b), weights)
-        vW *= momentum
-        vW -= lr * dW
-        vb *= momentum
-        vb -= lr * db
-        W += vW
-        b += vb
-

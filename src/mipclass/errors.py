@@ -74,6 +74,10 @@ class DimMismatch(MipclassError):
     """Array dimensions disagree with the head parameters."""
 
 
+class Diverged(MipclassError):
+    """Training left the finite range: the learning rate is too high."""
+
+
 # --- evaluation ---
 
 class TooFewPatients(MipclassError):

@@ -7,6 +7,8 @@ problem for the training loop.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mipclass.classhead import (
     ClassWeights,
@@ -19,13 +21,12 @@ from mipclass.classhead import (
     forward,
     grad_weighted_ce,
     lr_schedule,
-    sgd_epoch,
     train_head,
     train_heads,
     uniform_weights,
     weighted_ce,
 )
-from mipclass.errors import DimMismatch, EmptyClass
+from mipclass.errors import DimMismatch, Diverged, EmptyClass
 from mipclass.mipbuild import MipStack
 
 
@@ -418,8 +419,9 @@ class TestTrainHead:
 
 
 def _reference_train(features, rows, labels, cfg, weights, seed):
-    """One head trained alone, written out step by step: zero init, one
-    Philox permutation stream, momentum SGD, full-data loss per epoch."""
+    """One head trained alone, written out batch by batch on the public
+    forward, grad_weighted_ce and weighted_ce: zero init, one Philox
+    permutation stream, momentum SGD, full-data loss per epoch."""
     labels = np.asarray(labels, dtype=np.int64)
     W, b = np.zeros((features(0).shape[1], 3)), np.zeros(3)
     vW, vb = np.zeros_like(W), np.zeros_like(b)
@@ -429,9 +431,46 @@ def _reference_train(features, rows, labels, cfg, weights, seed):
         feats = np.asarray(features(epoch), dtype=np.float64)[rows]
         perm = rng.permutation(labels.shape[0])
         lr = lr_schedule(epoch, cfg)
-        sgd_epoch(W, b, vW, vb, feats, labels, weights, lr, cfg.momentum, cfg.batch, perm)
+        for start in range(0, perm.shape[0], cfg.batch):
+            idx = perm[start : start + cfg.batch]
+            dW, db = grad_weighted_ce(feats[idx], labels[idx], HeadParams(W, b), weights)
+            vW = cfg.momentum * vW - lr * dW
+            vb = cfg.momentum * vb - lr * db
+            W = W + vW
+            b = b + vb
         trace[epoch] = weighted_ce(forward(feats, HeadParams(W, b)), labels, weights).value
     return W, b, trace
+
+
+@st.composite
+def _head_sets(draw):
+    """A feature source and 1-5 heads over it: overlapping rows, two row
+    counts (one leaves a remainder batch of 1), both weightings."""
+    n_feats = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.normal(0, 2, (n_feats, draw(st.integers(1, 6)))).astype(np.float32)
+    all_labels = rng.integers(0, 3, n_feats)
+    batch = draw(st.integers(1, 5))
+    sizes = [batch * draw(st.integers(1, 3)) + 1, draw(st.integers(1, 14))]
+    heads = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.sampled_from(sizes))
+        rows = np.asarray(draw(st.lists(st.integers(0, n_feats - 1), min_size=n, max_size=n)))
+        labels = all_labels[rows]
+        counts = np.maximum(np.bincount(labels, minlength=3), 1)
+        weights = draw(st.sampled_from([uniform_weights(), class_weights(counts)]))
+        heads.append(HeadSpec(rows, labels, weights, draw(st.integers(0, 2**64 - 1))))
+    if draw(st.booleans()):
+        def source(epoch):
+            return (base * np.float32(1.0 + 0.05 * epoch)).astype(np.float32)
+    else:
+        def source(epoch):
+            return base
+    epochs = draw(st.integers(2, 5))
+    cfg = TrainConfig(
+        epochs=epochs, batch=batch, lr_max=draw(st.sampled_from([0.01, 0.5])), warmup_epochs=1
+    )
+    return source, heads, cfg
 
 
 class TestHeadSpec:
@@ -451,6 +490,18 @@ class TestHeadSpec:
         cfg = TrainConfig(epochs=2, warmup_epochs=1)
         (result,) = train_heads(lambda epoch: np.ones((1, 2)), [head], cfg)
         assert result.loss_trace.shape == (2,)
+
+    @pytest.mark.parametrize("labels", [[0, 1, 2, -1], [0, 3, 1, 1]], ids=["negative", "three"])
+    def test_labels_outside_the_classes_refused(self, labels):
+        with pytest.raises(ValueError, match="labels must be in 0..2"):
+            HeadSpec(rows=np.arange(4), labels=labels, weights=uniform_weights(), seed=0)
+
+    def test_empty_rows_refused(self):
+        with pytest.raises(DimMismatch, match="non-empty"):
+            HeadSpec(rows=[], labels=[], weights=uniform_weights(), seed=0)
+        cfg = TrainConfig(epochs=3, warmup_epochs=1)
+        with pytest.raises(DimMismatch, match="non-empty"):
+            train_head(np.zeros((0, 2)), np.zeros(0), cfg, uniform_weights())
 
     def test_rows_and_labels_must_pair(self):
         with pytest.raises(DimMismatch):
@@ -515,3 +566,24 @@ class TestTrainHeads:
         feats, heads = self._problem()
         with pytest.raises(DimMismatch, match="epoch 3"):
             train_heads(lambda epoch: feats[:, : 6 - (epoch == 3)], heads, self.CFG)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_head_sets())
+    def test_stacked_heads_match_reference(self, case):
+        """Heads with equal and unequal row counts, stepped as stacks, each
+        have the reference's bytes for training them alone."""
+        source, heads, cfg = case
+        results = train_heads(source, heads, cfg)
+        for head, result in zip(heads, results, strict=True):
+            W, b, trace = _reference_train(
+                source, head.rows, head.labels, cfg, head.weights, head.seed
+            )
+            assert result.params.W.tobytes() == W.tobytes()
+            assert result.params.b.tobytes() == b.tobytes()
+            assert result.loss_trace.tobytes() == trace.tobytes()
+
+    def test_divergence_is_a_typed_error(self):
+        feats, heads = self._problem()
+        cfg = TrainConfig(epochs=25, batch=4, lr_max=1.7e308, warmup_epochs=2)
+        with pytest.raises(Diverged, match=r"at epoch \d+: .*train\.lr_max"):
+            train_heads(lambda epoch: feats, heads, cfg)

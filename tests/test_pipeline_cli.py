@@ -807,6 +807,43 @@ class TestTrain:
         with scipy's edge-clamped Gaussian filter as the blur."""
         _assert_models_match_oracle(tmp_path, monkeypatch, {"blur_p": 1.0}, "_blur", scipy_blur)
 
+    def test_diverged_head_exits_two(self, cohort, tmp_path, capsys):
+        """A finite but far too high lr_max drives the params out of the finite
+        range: one error line names the epoch and train.lr_max, and no model
+        file is written."""
+        run = tmp_path / "run"
+        shutil.copytree(cohort, run)
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        train = {"epochs": 30, "batch": 8, "lr_max": 1.7e308, "warmup_epochs": 3}
+        config = _write_config(tmp_path, train=train)
+        argv = ["--manifest", str(run / "manifest.csv"), "--config", str(config), "--out", str(run)]
+        capsys.readouterr()
+        assert main(["train", *argv]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: training diverged at epoch \d+: .*train\.lr_max.*\n", err)
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("n_studies", [12, 7], ids=["one_group", "two_groups"])
+    def test_selected_head_matches_all_heads(self, tmp_path, n_studies):
+        """Which other heads train alongside it does not change a head's bytes,
+        whether all heads have one row count or (n % k != 0) two."""
+        run = tmp_path / "run"
+        config = _write_config(
+            tmp_path, spacing=[2.8, 2.8, 12.0], shape=[32, 32, 8], row_window=16
+        )
+        argv = ["--manifest", str(run / "manifest.csv"), "--config", str(config), "--out", str(run)]
+        assert main(["phantom", "--n", str(n_studies), "--seed", "0", "--out", str(run)]) == 0
+        assert main(["preprocess", *argv]) == 0
+        assert main(["split", *argv]) == 0
+        assert main(["train", *argv]) == 0
+        together = {p.name: p.read_bytes() for p in (run / "models").glob("*.json")}
+        assert len(together) == 2 * FAST_CONFIG["k"]
+        sizes = {json.loads(raw)["n_train_samples"] for raw in together.values()}
+        assert len(sizes) == (1 if n_studies % FAST_CONFIG["k"] == 0 else 2)
+        (run / "models" / "natural_fold1.json").unlink()
+        assert main(["train", *argv, "--weighting", "natural", "--fold", "1"]) == 0
+        assert (run / "models" / "natural_fold1.json").read_bytes() == together["natural_fold1.json"]
+
     def test_all_heads_in_one_pass_match_single_head_runs(self, tmp_path, monkeypatch):
         """Epoch-major training: every breast is read once and augmented once
         per epoch for all 2·k heads, and each model's bytes equal those of
