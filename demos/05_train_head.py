@@ -5,11 +5,12 @@ warmup+cosine schedule, and momentum SGD on separable clusters."""
 import numpy as np
 
 from mipclass import (
+    HeadSpec,
     TrainConfig,
     class_weights,
     forward,
     lr_schedule,
-    train_head,
+    train_heads,
     uniform_weights,
     weighted_ce,
 )
@@ -31,8 +32,11 @@ centers = np.array([[4.0, 0.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 4.0]])
 labels = np.repeat([0, 1, 2], [60, 30, 15])  # imbalanced on purpose
 features = centers[labels] + rng.normal(scale=0.5, size=(labels.size, 3))
 
-# The seed keys the Philox stream that shuffles each epoch's minibatches.
-result = train_head(features, labels, cfg, class_weights([60, 30, 15]), seed=0)
+# One head on every row; its seed keys the Philox stream that shuffles
+# each epoch's minibatches.  The feature source maps an epoch to its
+# matrix: here the same one every epoch, as with augmentation off.
+head = HeadSpec(np.arange(labels.size), labels, class_weights([60, 30, 15]), seed=0)
+(result,) = train_heads(lambda epoch: features, [head], cfg)
 probs = forward(features, result.params)
 accuracy = (probs.argmax(axis=1) == labels).mean()
 print(f"loss {result.loss_trace[0]:.4f} -> {result.loss_trace[-1]:.4f}, "

@@ -18,7 +18,6 @@ from .classhead import (
     forward,
     grad_weighted_ce,
     lr_schedule,
-    train_head,
     train_heads,
     uniform_weights,
     weighted_ce,

@@ -89,10 +89,6 @@ class HeadParams:
     def dim(self) -> int:
         return self.W.shape[0]
 
-    @classmethod
-    def zeros(cls, dim: int) -> "HeadParams":
-        return cls(np.zeros((dim, N_CLASSES)), np.zeros(N_CLASSES))
-
 
 @dataclass(frozen=True)
 class LossValue:
@@ -175,9 +171,12 @@ def _check_labels(labels: np.ndarray, n: int) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise DimMismatch(f"labels shape {labels.shape} != ({n},)")
-    if labels.size and (labels.min() < 0 or labels.max() >= N_CLASSES):
+    if labels.size and not (labels.min() >= 0 and labels.max() < N_CLASSES):  # NaN fails too
         raise ValueError(f"labels must be in 0..2, got range {labels.min()}..{labels.max()}")
-    return labels.astype(np.int64)
+    whole = labels.astype(np.int64)
+    if not np.array_equal(whole, labels):
+        raise ValueError(f"labels must be whole numbers, got {labels[whole != labels][0]}")
+    return whole
 
 
 # Unchecked kernels over a stack of heads: X (..., n, D), W (..., D, 3), b (..., 3),
@@ -326,10 +325,3 @@ def train_heads(
                            f" lower train.lr_max (now {cfg.lr_max!r})")
     return [TrainResult(HeadParams(W[j], b[j]), traces[j]) for j in np.argsort(order)]
 
-
-def train_head(
-    features: np.ndarray, labels: np.ndarray, cfg: TrainConfig, weights: ClassWeights, seed: int = 0
-) -> TrainResult:
-    """One head on every row of one (N, D) matrix; see :func:`train_heads`."""
-    head = HeadSpec(np.arange(len(features)), labels, weights, seed)
-    return train_heads(lambda epoch: features, [head], cfg)[0]

@@ -154,16 +154,17 @@ class Manifest:
     def patient_ids(self) -> list[str]:
         return [r.patient_id for r in self.rows]
 
-    def row(self, patient_id: str) -> ManifestRow:
-        return self._by_id[patient_id]
-
     def labels_for(self, patient_id: str) -> dict[str, int]:
         """Per-side labels, keyed 'right'/'left'.
 
         The single label access point: training-time leakage audits wrap
         this method and assert it is never called for validation patients.
         """
-        row = self._by_id[patient_id]
+        row = self._by_id.get(patient_id)
+        if row is None:
+            raise SchemaMismatch(
+                f"patient {patient_id!r} is not in the manifest; rerun split with this manifest"
+            )
         return {"right": row.label_right, "left": row.label_left}
 
     def load_study(self, patient_id: str) -> Study:
@@ -188,7 +189,6 @@ _PIPELINE_FIELDS = {
     "k": (int, 0, 2, math.inf),
     # the fold shuffle keys np.random.Philox with it, which takes [0, 2**128)
     "seed": (int, 0, 0, PHILOX_MAX),
-    "pool_grid": (int, 0, 1, math.inf),
 }
 
 
@@ -202,7 +202,6 @@ class PipelineConfig:
     train: TrainConfig = TrainConfig()
     k: int = 5
     seed: int = 0
-    pool_grid: int = DEFAULT_POOL_GRID
 
     def __post_init__(self) -> None:
         check_fields(self, _PIPELINE_FIELDS)
@@ -396,10 +395,7 @@ def cmd_split(manifest_path: str | Path, config: PipelineConfig, out_dir: str | 
     out = Path(out_dir)
     _make_dir(out)
     patients = manifest.patient_ids
-    strat = [
-        max_label(manifest.row(p).label_left, manifest.row(p).label_right)
-        for p in patients
-    ]
+    strat = [max_label(**manifest.labels_for(p)) for p in patients]
     plan = stratified_kfold(patients, strat, k=config.k, seed=config.seed)
     _write_json(
         out / "folds.json",
@@ -473,7 +469,7 @@ def cmd_train(
                     f"augmenting patient {stack.patient_id} side {stack.side} at epoch {epoch}"
                     f" failed ({exc}); the config's augment magnitudes are out of range"
                 ) from exc
-        return extract_features(stack, config.pool_grid)
+        return extract_features(stack)
 
     def epoch_features(epoch: int) -> np.ndarray:
         return np.stack([breast_features(s, epoch) for s in stacks])
@@ -489,7 +485,7 @@ def cmd_train(
             "model_id": _model_id(w, f),
             "weighting": w,
             "fold": f,
-            "pool_grid": config.pool_grid,
+            "pool_grid": DEFAULT_POOL_GRID,
             "feature_dim": params.dim,
             "n_train_samples": int(spec.labels.shape[0]),
             "train_class_counts": counts,
@@ -507,29 +503,24 @@ def cmd_train(
     return 0
 
 
-def _read_model(out: Path, model_id: str) -> tuple[HeadParams, dict]:
+def _read_model(out: Path, model_id: str) -> HeadParams:
     path = out / "models" / f"{model_id}.json"
     raw = _read_json(path, "model", "; run train first")
-    missing = {"W", "b", "fold", "model_id", "pool_grid"} - raw.keys()
+    missing = {"W", "b", "fold", "model_id"} - raw.keys()
     if missing:
         raise SchemaMismatch(f"model file {path} lacks keys {sorted(missing)}")
     if raw["model_id"] != model_id:
         raise SchemaMismatch(f"model file {path} names model {raw['model_id']!r}, not {model_id!r}")
     try:
-        check_fields(raw, {"pool_grid": _PIPELINE_FIELDS["pool_grid"]})
         params = HeadParams(
             W=np.asarray(raw["W"], dtype=np.float64),
             b=np.asarray(raw["b"], dtype=np.float64),
         )
     except (TypeError, ValueError) as exc:
         raise SchemaMismatch(f"malformed model file {path}: {exc}") from exc
-    # checked before any stack is pooled on a grid the file may make huge
-    grid = raw["pool_grid"]
-    if params.dim != feature_dim(grid):
-        raise SchemaMismatch(
-            f"model file {path}: W has {params.dim} rows, pool_grid {grid} needs {feature_dim(grid)}"
-        )
-    return params, raw
+    if params.dim != feature_dim():
+        raise SchemaMismatch(f"model file {path}: W has {params.dim} rows, not {feature_dim()}")
+    return params
 
 
 def cmd_predict(
@@ -543,16 +534,11 @@ def cmd_predict(
         models = {_model_id(w, f): _read_model(out, _model_id(w, f)) for w in weightings}
         # each validation stack is read and featurized once for every model of the fold
         breasts = [(p, side) for p in plan.patients_in_fold(f) for side in SIDES]
-        grids = {record["pool_grid"] for _, record in models.values()}
-        features: dict[int, list[np.ndarray]] = {grid: [] for grid in grids}
-        for patient_id, side in breasts:
-            stack = _load_stack(out, patient_id, side)
-            for grid in grids:
-                features[grid].append(extract_features(stack, grid))
-        for model_id, (params, record) in models.items():
+        features = [extract_features(_load_stack(out, p, side)) for p, side in breasts]
+        for model_id, params in models.items():
             predictions = [
                 Prediction(patient_id, side, forward(x, params), model_id)
-                for (patient_id, side), x in zip(breasts, features[record["pool_grid"]])
+                for (patient_id, side), x in zip(breasts, features)
             ]
             csv_path = out / "predictions" / f"{model_id}.csv"
             write_predictions_csv(predictions, csv_path)
@@ -560,20 +546,12 @@ def cmd_predict(
     return 0
 
 
-def _truths_for(manifest: Manifest, predictions: Sequence[Prediction]) -> np.ndarray:
-    try:
-        truths = [manifest.labels_for(p.patient_id)[p.side] for p in predictions]
-    except KeyError as exc:
-        raise SchemaMismatch(f"prediction references patient {exc} not in the manifest") from exc
-    return np.asarray(truths, dtype=np.int64)
-
-
 def _evaluate_csv(manifest: Manifest, csv_path: Path, out: Path) -> Path:
     predictions = read_predictions_csv(csv_path)
     if not predictions:
         raise SchemaMismatch(f"no prediction rows in {csv_path}")
     probs = np.stack([p.probs for p in predictions])
-    truths = _truths_for(manifest, predictions)
+    truths = np.asarray([manifest.labels_for(p.patient_id)[p.side] for p in predictions], np.int64)
     report = evaluate(probs, truths)
     payload = report.to_dict()
     payload["source"] = csv_path.name

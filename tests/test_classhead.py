@@ -21,7 +21,6 @@ from mipclass.classhead import (
     forward,
     grad_weighted_ce,
     lr_schedule,
-    train_head,
     train_heads,
     uniform_weights,
     weighted_ce,
@@ -132,7 +131,7 @@ class TestExtractFeatures:
 
 class TestForward:
     def test_zero_params_uniform(self):
-        params = HeadParams.zeros(5)
+        params = HeadParams(np.zeros((5, 3)), np.zeros(3))
         probs = forward(np.ones(5), params)
         np.testing.assert_allclose(probs, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
@@ -162,13 +161,13 @@ class TestForward:
         np.testing.assert_allclose(forward(f, params), forward(f, shifted), atol=1e-12)
 
     def test_batch_shape(self):
-        params = HeadParams.zeros(4)
+        params = HeadParams(np.zeros((4, 3)), np.zeros(3))
         probs = forward(np.ones((7, 4)), params)
         assert probs.shape == (7, 3)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            forward(np.ones(5), HeadParams.zeros(4))
+            forward(np.ones(5), HeadParams(np.zeros((4, 3)), np.zeros(3)))
 
 
 class TestWeightedCE:
@@ -343,11 +342,17 @@ def _cluster_problem(n_per=20, dim=6, margin=10.0, seed=0):
     return np.concatenate(feats), np.asarray(labels)
 
 
+def _train_alone(feats, labels, cfg, weights, seed=0):
+    """One head on every row of one fixed matrix."""
+    head = HeadSpec(np.arange(len(feats)), labels, weights, seed)
+    return train_heads(lambda epoch: feats, [head], cfg)[0]
+
+
 class TestTrainHead:
     def test_separable_clusters_reach_full_accuracy(self):
         feats, labels = _cluster_problem()
         cfg = TrainConfig(epochs=400, batch=10, lr_max=0.05, warmup_epochs=5)
-        result = train_head(feats, labels, cfg, uniform_weights(), seed=1)
+        result = _train_alone(feats, labels, cfg, uniform_weights(), seed=1)
         preds = forward(feats, result.params).argmax(axis=1)
         assert (preds == labels).mean() == 1.0
         assert result.loss_trace.shape == (400,)
@@ -356,7 +361,7 @@ class TestTrainHead:
     def test_zero_lr_keeps_params_at_init(self):
         feats, labels = _cluster_problem(n_per=5)
         cfg = TrainConfig(epochs=10, batch=5, lr_max=1e-30, warmup_epochs=2)
-        result = train_head(feats, labels, cfg, uniform_weights())
+        result = _train_alone(feats, labels, cfg, uniform_weights())
         # an lr this small cannot move f64 params off zero by any visible amount
         assert np.abs(result.params.W).max() < 1e-20
         assert np.abs(result.params.b).max() < 1e-20
@@ -367,12 +372,13 @@ class TestTrainHead:
         feats, labels = _cluster_problem(n_per=8, seed=3)
         cfg = TrainConfig(epochs=50, batch=7, lr_max=0.01, warmup_epochs=3)
         cw = class_weights([8, 8, 8])
-        a = train_head(feats, labels, cfg, cw, seed=9)
+        a = _train_alone(feats, labels, cfg, cw, seed=9)
         if per_epoch:
+            # a fresh copy each epoch, so no step can lean on seeing one array twice
             head = HeadSpec(rows=np.arange(labels.size), labels=labels, weights=cw, seed=9)
-            (b,) = train_heads(lambda epoch: feats, [head], cfg)
+            (b,) = train_heads(lambda epoch: feats.copy(), [head], cfg)
         else:
-            b = train_head(feats, labels, cfg, cw, seed=9)
+            b = _train_alone(feats, labels, cfg, cw, seed=9)
         assert a.params.W.tobytes() == b.params.W.tobytes()
         assert a.params.b.tobytes() == b.params.b.tobytes()
         assert a.loss_trace.tobytes() == b.loss_trace.tobytes()
@@ -381,8 +387,8 @@ class TestTrainHead:
         feats, labels = _cluster_problem(n_per=8, seed=3)
         cw = uniform_weights()
         cfg = TrainConfig(epochs=30, batch=3, lr_max=0.01, warmup_epochs=2)
-        a = train_head(feats, labels, cfg, cw, seed=1)
-        b = train_head(feats, labels, cfg, cw, seed=2)
+        a = _train_alone(feats, labels, cfg, cw, seed=1)
+        b = _train_alone(feats, labels, cfg, cw, seed=2)
         assert a.params.W.tobytes() != b.params.W.tobytes()
 
     def test_weight_scale_equals_lr_scale(self):
@@ -392,7 +398,7 @@ class TestTrainHead:
         cfg_b = TrainConfig(epochs=40, batch=6, lr_max=0.01, warmup_epochs=2)
         counts = (6, 6, 6)
         uniform_third = ClassWeights(w=(1 / 3, 1 / 3, 1 / 3), counts=counts)
-        a = train_head(feats, labels, cfg_a, uniform_third, seed=4)
+        a = _train_alone(feats, labels, cfg_a, uniform_third, seed=4)
 
         # weights 3x larger are outside the sum-to-1 type; emulate with the
         # identity w·lr = const by comparing uniform (1/3) at lr to a run at lr/3
@@ -481,9 +487,6 @@ class TestHeadSpec:
         labels = np.array([0, 1, 2])
         with pytest.raises(ValueError, match="seed must be"):
             HeadSpec(rows=np.arange(3), labels=labels, weights=uniform_weights(), seed=seed)
-        cfg = TrainConfig(epochs=3, warmup_epochs=1)
-        with pytest.raises(ValueError, match="seed must be"):
-            train_head(np.zeros((3, 2)), labels, cfg, uniform_weights(), seed=seed)
 
     def test_largest_philox_key_accepted(self):
         head = HeadSpec(rows=[0], labels=[1], weights=uniform_weights(), seed=2**128 - 1)
@@ -496,19 +499,34 @@ class TestHeadSpec:
         with pytest.raises(ValueError, match="labels must be in 0..2"):
             HeadSpec(rows=np.arange(4), labels=labels, weights=uniform_weights(), seed=0)
 
+    @pytest.mark.parametrize("labels", [[1.7, 2.9], [0.5, 1.0], [1.0, np.nan]],
+                             ids=["fractions", "one_fraction", "nan"])
+    def test_fractional_labels_refused(self, labels):
+        """They used to be truncated: [1.7, 2.9] trained as classes [1, 2]."""
+        with pytest.raises(ValueError, match="labels must be"):
+            HeadSpec(rows=[0, 1], labels=labels, weights=uniform_weights(), seed=0)
+
+    def test_fractional_labels_refused_by_the_loss(self):
+        """weighted_ce used to score labels [0.5, 1.2] as classes [0, 1]."""
+        with pytest.raises(ValueError, match="labels must be whole numbers, got 0.5"):
+            weighted_ce(np.full((2, 3), 1 / 3), np.array([0.5, 1.2]), uniform_weights())
+
+    def test_whole_labels_keep_their_bytes(self):
+        """Integer and whole-float labels both become the same int64 array."""
+        for labels in ([0, 2, 1], [0.0, 2.0, 1.0], np.array([0, 2, 1], np.uint8)):
+            head = HeadSpec(rows=[0, 1, 2], labels=labels, weights=uniform_weights(), seed=0)
+            assert head.labels.dtype == np.int64
+            assert head.labels.tobytes() == np.array([0, 2, 1], np.int64).tobytes()
+
     def test_empty_rows_refused(self):
         with pytest.raises(DimMismatch, match="non-empty"):
             HeadSpec(rows=[], labels=[], weights=uniform_weights(), seed=0)
-        cfg = TrainConfig(epochs=3, warmup_epochs=1)
-        with pytest.raises(DimMismatch, match="non-empty"):
-            train_head(np.zeros((0, 2)), np.zeros(0), cfg, uniform_weights())
+        with pytest.raises(DimMismatch, match="empty batch"):
+            weighted_ce(np.zeros((0, 3)), np.zeros(0), uniform_weights())
 
     def test_rows_and_labels_must_pair(self):
         with pytest.raises(DimMismatch):
             HeadSpec(rows=np.arange(3), labels=np.zeros(2), weights=uniform_weights(), seed=0)
-        cfg = TrainConfig(epochs=3, warmup_epochs=1)
-        with pytest.raises(DimMismatch):
-            train_head(np.zeros((4, 2)), np.zeros(3), cfg, uniform_weights())
 
 
 class TestTrainHeads:
@@ -529,7 +547,7 @@ class TestTrainHeads:
     @pytest.mark.parametrize("per_epoch", [False, True], ids=["matrix", "callable"])
     def test_each_head_matches_training_it_alone(self, per_epoch):
         """Redrawn per epoch, or one fixed matrix, every head gets the bytes of
-        training it alone; a fixed matrix also matches train_head on its rows."""
+        training it alone; a fixed matrix also matches training a head on just its rows."""
         feats, heads = self._problem()
 
         def source(epoch):
@@ -550,7 +568,9 @@ class TestTrainHeads:
             )
             got = [result]
             if not per_epoch:
-                alone = train_head(feats[head.rows], head.labels, self.CFG, head.weights, head.seed)
+                alone = _train_alone(
+                    feats[head.rows], head.labels, self.CFG, head.weights, head.seed
+                )
                 got.append(alone)
             for one in got:
                 assert one.params.W.tobytes() == W.tobytes()

@@ -1,5 +1,6 @@
-"""Smoke test: every quick demo runs to completion as a script, and the
-README's library example imports only names the package has."""
+"""Smoke test: every quick demo runs to completion as a script, the
+README's library example imports only names the package has, and its
+config example loads."""
 
 import ast
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import mipclass
+from mipclass import PipelineConfig, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 # 07 drives the whole CLI on a phantom cohort; the end-to-end tests cover it
@@ -50,3 +52,12 @@ def test_readme_library_use_imports_exist():
     ]
     assert names
     assert [name for name in names if not hasattr(mipclass, name)] == []
+
+
+def test_readme_config_example_loads(tmp_path):
+    """A key the README still lists after the config dropped it fails the load."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration", 1)[1]
+    config = tmp_path / "config.json"
+    config.write_text(section.split("```json\n", 1)[1].split("```", 1)[0], encoding="utf-8")
+    assert isinstance(load_config(config), PipelineConfig)

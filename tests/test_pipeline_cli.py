@@ -119,7 +119,8 @@ class TestManifest:
     def test_reads_phantom_manifest(self, cohort):
         manifest = Manifest.read(cohort / "manifest.csv")
         assert manifest.patient_ids == [f"p{i:03d}" for i in range(12)]
-        row = manifest.row("p001")
+        row = manifest.rows[1]
+        assert row.patient_id == "p001"
         assert len(row.post_paths) == 3
         assert row.mask_path is not None
         assert manifest.labels_for("p001") == {"right": 1, "left": 0}
@@ -165,8 +166,8 @@ class TestManifest:
             "p0,pre.nii,a.nii;b.nii,,no_lesion,malignant\n"
         )
         manifest = Manifest.read(good)
-        assert manifest.row("p0").mask_path is None
-        assert manifest.row("p0").label_right == 2
+        assert manifest.rows[0].mask_path is None
+        assert manifest.rows[0].label_right == 2
 
     def test_missing_file_is_parse_error(self, tmp_path):
         with pytest.raises(ManifestParse):
@@ -245,7 +246,6 @@ KEYED_REFUSALS = [
     ({"augment": {"hflip_p": 2}}, "hflip_p_two", "augment.hflip_p must be in [0.0, 1.0], got 2"),
     ({"spacing": [0.7, 0, 3]}, "spacing_zero", "spacing[1] must be in (0, inf], got 0"),
     ({"seed": -3}, "seed_negative", "seed must be in [0, 2**128), got -3"),
-    ({"pool_grid": 0}, "pool_grid_zero", "pool_grid must be in [1, inf], got 0"),
 ]
 
 
@@ -296,6 +296,16 @@ class TestConfig:
     def test_bad_k(self):
         with pytest.raises(SchemaMismatch):
             load_config_from({"k": 1})
+
+    def test_pool_grid_is_an_unknown_key(self, cohort, tmp_path, capsys):
+        """Features always pool on a 4x4 grid, so a config naming a grid is refused."""
+        config = _write_config(tmp_path, pool_grid=2)
+        run = tmp_path / "run"
+        argv = ["--manifest", str(cohort / "manifest.csv"), "--config", str(config)]
+        capsys.readouterr()
+        assert main(["train", *argv, "--out", str(run)]) == 2
+        assert capsys.readouterr().err == "error: unknown config keys: ['pool_grid']\n"
+        assert not run.exists()
 
     def test_train_seed_points_to_top_level_seed(self):
         # each head's seed derives from the top-level seed, so a train.seed would be ignored
@@ -610,10 +620,7 @@ class TestPreprocess:
 class TestSplit:
     def test_delegates_to_stratified_kfold(self, cohort, config):
         manifest = Manifest.read(cohort / "manifest.csv")
-        strat = [
-            max_label(manifest.row(p).label_left, manifest.row(p).label_right)
-            for p in manifest.patient_ids
-        ]
+        strat = [max_label(row.label_left, row.label_right) for row in manifest.rows]
         expected = stratified_kfold(manifest.patient_ids, strat, k=config.k, seed=config.seed)
         stored = json.loads((cohort / "folds.json").read_text())
         assert stored["assignment"] == expected.assignment
@@ -823,6 +830,23 @@ class TestTrain:
         assert re.fullmatch(r"error: training diverged at epoch \d+: .*train\.lr_max.*\n", err)
         assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
+    def test_patient_missing_from_manifest_exits_two(self, cohort, tmp_path, capsys):
+        """folds.json names p006 but this manifest lacks it: one error line that
+        names the patient, and no model is written (it was a raw KeyError)."""
+        run = tmp_path / "run"
+        shutil.copytree(cohort, run, ignore=shutil.ignore_patterns("models"))
+        manifest = tmp_path / "manifest.csv"
+        lines = (run / "manifest.csv").read_text().splitlines(True)
+        manifest.write_text("".join(line for line in lines if not line.startswith("p006,")))
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        argv = ["--manifest", str(manifest), "--config", str(_write_config(tmp_path))]
+        capsys.readouterr()
+        assert main(["train", *argv, "--out", str(run)]) == 2
+        assert capsys.readouterr().err == (
+            "error: patient 'p006' is not in the manifest; rerun split with this manifest\n"
+        )
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+
     @pytest.mark.parametrize("n_studies", [12, 7], ids=["one_group", "two_groups"])
     def test_selected_head_matches_all_heads(self, tmp_path, n_studies):
         """Which other heads train alongside it does not change a head's bytes,
@@ -987,7 +1011,8 @@ class TestPredictEvaluateEnsemble:
         capsys.readouterr()
         assert cmd_evaluate(predicted / "manifest.csv", predicted, [csv_path]) == 2
         assert capsys.readouterr().err == (
-            f"error: {csv_path}: prediction references patient 'zz9' not in the manifest\n"
+            f"error: {csv_path}: patient 'zz9' is not in the manifest;"
+            " rerun split with this manifest\n"
         )
 
     def test_evaluate_scores_every_csv_and_names_each_failure(self, predicted, tmp_path, capsys):
@@ -1057,7 +1082,7 @@ class TestCorruptRunDirectory:
             ("sidecar_wrong_side", "train"),
             ("sidecar_bad_bounds", "train"),
             ("stale_mct1", "train"),
-            ("model_bad_pool_grid", "predict"),
+            ("model_wrong_feature_dim", "predict"),
             ("model_id_mismatch", "predict"),
             ("nan_stack", "train"),
             ("empty_fold", "train"),
@@ -1097,10 +1122,11 @@ class TestCorruptRunDirectory:
             (run / "folds.json").write_text(json.dumps(folds))
         elif case == "truncated_model":
             _truncate(run / "models" / "natural_fold0.json")
-        elif case == "model_bad_pool_grid":
+        elif case == "model_wrong_feature_dim":
+            # a head for a 2x2 grid's 20 features, as a bigger pool_grid once wrote
             model = run / "models" / "natural_fold0.json"
             record = json.loads(model.read_text())
-            record["pool_grid"] = "x"
+            record["W"] = record["W"][:20]
             model.write_text(json.dumps(record))
         elif case == "model_id_mismatch":
             # naming the CSV after this field would write outside the run directory
@@ -1159,6 +1185,14 @@ class TestCorruptRunDirectory:
 
 _PREDICTION_HEADER = "patient_id,side,p_nolesion,p_benign,p_malignant,model_id\n"
 
+# the whole error output of TestBadInput cases whose refusal nothing else pins
+_BAD_INPUT_ERRORS = {
+    "evaluate_header_only": "{tmp}/bad.csv: no prediction rows in {tmp}/bad.csv",
+    "ensemble_header_only": "no predictions to ensemble",
+    "manifest_five_fields": "line 2: expected 6 fields, got 5",
+    "config_is_a_list": "config {tmp}/list.json must hold a JSON object",
+}
+
 
 class TestBadInput:
     """Out-of-range CLI values and unreadable CSVs are typed errors: exit 2, nothing written."""
@@ -1181,6 +1215,10 @@ class TestBadInput:
             "phantom_zero_studies",
             "preprocess_jobs_zero",
             "preprocess_jobs_negative",
+            "evaluate_header_only",
+            "ensemble_header_only",
+            "manifest_five_fields",
+            "config_is_a_list",
         ],
     )
     def test_exits_two_without_traceback(self, predicted, tmp_path, case, capsys):
@@ -1227,12 +1265,27 @@ class TestBadInput:
         elif case.startswith("preprocess_jobs"):
             jobs = "0" if case.endswith("zero") else "-3"
             argv = ["preprocess", *base, "--config", str(_write_config(tmp_path)), "--jobs", jobs]
+        elif case.endswith("header_only"):
+            bad_csv.write_text(_PREDICTION_HEADER)
+            csvs = [str(bad_csv)] * (2 if case.startswith("ensemble") else 1)
+            argv = [case.split("_")[0], *base, *csvs]
+        elif case == "manifest_five_fields":
+            lines = manifest.read_text().splitlines(True)
+            lines[1] = lines[1].rsplit(",", 1)[0] + "\n"
+            manifest.write_text("".join(lines))
+            argv = ["evaluate", *base, str(run / "predictions" / "natural_fold0.csv")]
+        elif case == "config_is_a_list":
+            config = tmp_path / "list.json"
+            config.write_text("[1, 2]")
+            argv = ["train", *base, "--config", str(config)]
         before = sorted(p for p in run.rglob("*") if p.is_file())
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        if case in _BAD_INPUT_ERRORS:
+            assert err == f"error: {_BAD_INPUT_ERRORS[case].format(tmp=tmp_path)}\n"
         assert sorted(p for p in run.rglob("*") if p.is_file()) == before
 
 
@@ -1299,8 +1352,8 @@ class TestStackFuzz:
 
 
 # values a damaged or hand-edited run file may hold where a number, list or object
-# belongs; 10**6 stands for a huge k or pool_grid, small enough that code which
-# allocates by it (a range(k) set, a list of grid edges) cannot exhaust memory
+# belongs; 10**6 stands for a huge k, small enough that code which allocates
+# by it (a range(k) set) cannot exhaust memory
 _ODD_VALUES = (
     None, True, -1, 0, 7, 10**6, 1e308, float("nan"), float("inf"), "x",
     [], [1, "a"], [[1.0], [1.0, 2.0]], {}, {"p000": 0},
@@ -1374,8 +1427,7 @@ class TestRunFileFuzz:
 
     def test_fuzzed_models_never_crash(self, trained, tmp_path, capsys):
         def load(run):
-            params, record = _read_model(run, "natural_fold0")
-            assert isinstance(params, HeadParams) and isinstance(record, dict)
+            assert isinstance(_read_model(run, "natural_fold0"), HeadParams)
 
         self._fuzz(trained, tmp_path, capsys, "models/natural_fold0.json", load, seed=5678)
 
@@ -1494,7 +1546,7 @@ _JSON_VALUES = st.one_of(
 
 _CONFIG_PATHS = [
     *[(key,) for key in ("spacing", "shape", "row_window", "norm_means", "norm_stds")],
-    *[(key,) for key in ("augment", "train", "k", "seed", "pool_grid")],
+    *[(key,) for key in ("augment", "train", "k", "seed")],
     *[("augment", f.name) for f in dataclasses.fields(AugmentPolicy)],
     *[("train", f.name) for f in dataclasses.fields(TrainConfig)],
 ]
