@@ -101,17 +101,20 @@ RESAMPLE_SLAB_ROWS = 8
 MAX_RESAMPLE_VOXELS = 2**30
 
 
-def _taps(n_in: int, n_out: int, ratio: float, axis: int):
-    """Low/high source indices along `axis` for samples at ``pos = j*ratio``,
-    and their weights shaped to broadcast along that axis of a 3D array."""
-    pos = np.arange(n_out, dtype=np.float64) * ratio
+def _taps(n_in: int, n_out: int, box: slice, ratio: float, axis: int):
+    """For samples at ``pos = j*ratio``, j in `box`: the source slice they reach, and low/high
+    indices into it and weights that broadcast along `axis` (None on an identity axis)."""
+    if n_out == n_in and ratio == 1.0:
+        return box, None
+    pos = np.arange(box.start, box.stop, dtype=np.float64) * ratio
     lo = np.clip(np.floor(pos).astype(np.int64), 0, n_in - 1)
     hi = np.minimum(lo + 1, n_in - 1)
     # clamp-to-edge: once both taps hit the same voxel, the blend must be
     # an exact copy, not a*(1-f)+a*f (which can differ by an ulp)
     frac = np.where(hi == lo, 0.0, pos - lo)
-    shape = (n_out,) + (1,) * (2 - axis)
-    return lo, hi, (1.0 - frac).reshape(shape), frac.reshape(shape)
+    shape = (len(pos),) + (1,) * (2 - axis)
+    taps = lo - lo[0], hi - lo[0], (1.0 - frac).reshape(shape), frac.reshape(shape)
+    return slice(lo[0], hi[-1] + 1), taps
 
 
 def _lerp(low: np.ndarray, high: np.ndarray, w_low: np.ndarray, w_high: np.ndarray):
@@ -147,7 +150,9 @@ def resampled_shape(volume: Volume, target: tuple[float, float, float]) -> tuple
     return _extents(shape, spacing, tuple(float(t) for t in target))
 
 
-def resample(volume: Volume, target: tuple[float, float, float], interp: Interp) -> Volume:
+def resample(
+    volume: Volume, target: tuple[float, float, float], interp: Interp, *, box=None
+) -> Volume:
     """Resample onto `target` spacing (mm); index (0,0,0) keeps its world position.
 
     Output extents are ``max(1, round(n_i * s_i / t_i))`` per axis; an output
@@ -156,30 +161,28 @@ def resample(volume: Volume, target: tuple[float, float, float], interp: Interp)
     take the edge value.  Trilinear interpolation runs separably in float64
     (axis 0, then 1, then 2) and is exact when the target equals the source
     spacing.  It works in slabs of ``RESAMPLE_SLAB_ROWS`` output x-rows and
-    never holds a whole-volume float64 array.
+    never holds a whole-volume float64 array.  `box`, three slices inside the
+    output grid, makes only that box of it, with the bytes of slicing the whole.
     """
     target = tuple(float(t) for t in target)
     source = volume.spacing
     shape = volume.shape
     n_out = _extents(shape, source, target)
     ratios = tuple(target[i] / source[i] for i in range(3))
+    box = box or [slice(0, n) for n in n_out]
+    if any(not 0 <= b.start < b.stop <= n for b, n in zip(box, n_out)):
+        raise ValueError(f"box {box} is empty or outside the output grid {n_out}")
 
     if interp is Interp.NEAREST:
-        idx = []
-        for i in range(3):
-            pos = np.arange(n_out[i], dtype=np.float64) * ratios[i]
-            idx.append(np.clip(np.rint(pos).astype(np.int64), 0, shape[i] - 1))
-        data = volume.data[np.ix_(*idx)]
+        data = volume.data
+        for i in (2, 1, 0):  # one separable take per axis: the voxels of np.ix_
+            pos = np.arange(box[i].start, box[i].stop, dtype=np.float64) * ratios[i]
+            data = data.take(np.clip(np.rint(pos).astype(np.int64), 0, shape[i] - 1), axis=i)
     else:
-        taps = [
-            None
-            if n_out[i] == shape[i] and ratios[i] == 1.0
-            else _taps(shape[i], n_out[i], ratios[i], i)
-            for i in range(3)
-        ]
-        src = volume.data
-        data = np.empty(n_out, dtype=np.float32)
-        for x0 in range(0, n_out[0], RESAMPLE_SLAB_ROWS):
+        reach, taps = zip(*(_taps(shape[i], n_out[i], b, ratios[i], i) for i, b in enumerate(box)))
+        src = volume.data[reach]
+        data = np.empty([b.stop - b.start for b in box], dtype=np.float32)
+        for x0 in range(0, data.shape[0], RESAMPLE_SLAB_ROWS):
             rows = slice(x0, x0 + RESAMPLE_SLAB_ROWS)
             if taps[0] is None:
                 slab = src[rows].astype(np.float64)
@@ -198,11 +201,15 @@ def resample(volume: Volume, target: tuple[float, float, float], interp: Interp)
                         np.take(slab, lo, axis=axis), np.take(slab, hi, axis=axis), w_lo, w_hi
                     )
             data[rows] = slab  # the same float64 -> float32 rounding as astype
+    return Volume(data, target, resampled_affine(volume, target, [b.start for b in box]))
 
+
+def resampled_affine(volume: Volume, target, start) -> np.ndarray:
+    """The affine of the box of :func:`resample`'s output that starts at voxel `start`."""
     affine = np.array(volume.affine, dtype=np.float64)
-    for i in range(3):
-        affine[:3, i] *= ratios[i]
-    return Volume(np.ascontiguousarray(data), target, affine)
+    affine[:3, :3] *= np.divide(target, volume.spacing)  # column i times target[i] / spacing[i]
+    affine[:3, 3] += affine[:3, :3] @ np.asarray(start, dtype=np.float64)
+    return affine
 
 
 def _box(volume: Volume, origin: tuple[int, int, int], shape: tuple[int, int, int]) -> Volume:
@@ -271,15 +278,22 @@ def localize_rows(volume: Volume, window: int = 256) -> RowWindow:
     return RowWindow(int(np.argmax(window_sums >= best - ROW_TIE_RTOL * abs(best))), window)
 
 
-def _halves(shape, target_shape, rows: RowWindow):
-    """(origin, shape) of each half :func:`cut_halves` cuts from a volume of `shape`."""
+def _halves(shape, target_shape, rows: RowWindow, within=None):
+    """(origin, shape) of each half :func:`cut_halves` cuts from a volume of
+    `shape`; with `within`, from :func:`data_boxes`, only each half's data box."""
     (nx, ny, nz), (x, y, z) = _centred(shape, target_shape)
     if rows.stop > ny:
         raise ValueError(f"window [{rows.start}, {rows.stop}) exceeds axis extent {ny}")
     if nx < 2:
         raise WidthTooSmall(f"cannot split width {nx} < 2")
     half, y, ny = nx // 2, y + rows.start, rows.length
-    return [((x, y, z), (half, ny, nz)), ((x + half, y, z), (nx - half, ny, nz))]
+    halves = [((x, y, z), (half, ny, nz)), ((x + half, y, z), (nx - half, ny, nz))]
+    if within is None:
+        return halves
+    return [
+        ([o + s.start for o, s in zip(origin, box)], [s.stop - s.start for s in box])
+        for (origin, _), (_, box) in zip(halves, within)
+    ]
 
 
 def data_boxes(shapes, target_shape, rows: RowWindow) -> list[tuple[tuple, tuple]]:
@@ -298,7 +312,21 @@ def data_boxes(shapes, target_shape, rows: RowWindow) -> list[tuple[tuple, tuple
     return boxes
 
 
-def cut_halves(volume: Volume, target_shape, rows: RowWindow, within=None) -> tuple[Volume, Volume]:
+def cut_plan(volume: Volume, target, target_shape, rows: RowWindow, within):
+    """For a canonical `volume` resampled onto `target`, without resampling it:
+    that grid's shape, its least box (a voxel at least per axis) holding what
+    ``cut_halves(..., within)`` copies from it, and the affines of those cuts."""
+    shape = _extents(volume.shape, volume.spacing, tuple(float(t) for t in target))
+    origins, sizes = zip(*_halves(shape, target_shape, rows, within))
+    lo = np.clip(np.min(origins, axis=0), 0, np.subtract(shape, 1))
+    hi = np.maximum(np.minimum(np.max(np.add(origins, sizes), axis=0), shape), lo + 1)
+    box = tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))
+    return shape, box, [resampled_affine(volume, target, o) for o in origins]
+
+
+def cut_halves(
+    volume: Volume, target_shape, rows: RowWindow, within=None, grid=None
+) -> tuple[Volume, Volume]:
     """The two width halves of the `rows` window of the `target_shape` box
     centred on `volume` (as :func:`crop_or_pad` centres it), copied straight
     from `volume` without making that box in between.
@@ -308,11 +336,8 @@ def cut_halves(volume: Volume, target_shape, rows: RowWindow, within=None) -> tu
     the first (low-x) half is the patient's right side.  Retained voxels keep
     their world positions; the rest are 0.  A window past the box's height is
     a ``ValueError``, a box narrower than 2 is ``WidthTooSmall``.  `within`,
-    from :func:`data_boxes`, cuts only each half's data box."""
-    halves = _halves(volume.shape, target_shape, rows)
-    if within is not None:  # each box as an origin and a shape
-        halves = [
-            ([o + s.start for o, s in zip(origin, box)], [s.stop - s.start for s in box])
-            for (origin, _), (_, box) in zip(halves, within)
-        ]
-    return tuple(_box(volume, *half) for half in halves)
+    from :func:`data_boxes`, cuts only each half's data box.  `grid`, a shape
+    and a box of it, has `volume` be that box of a grid of that shape."""
+    shape, box = grid or (volume.shape, [slice(0, None)] * 3)
+    halves = _halves(shape, target_shape, rows, within)
+    return tuple(_box(volume, [a - b.start for a, b in zip(at, box)], t) for at, t in halves)

@@ -36,6 +36,7 @@ from .geometry import (
     Interp,
     crop_or_pad,
     cut_halves,
+    cut_plan,
     data_boxes,
     localize_rows,
     reorient_canonical,
@@ -299,42 +300,51 @@ def build_stacks(study: Study, cfg: BuildConfig = BuildConfig()) -> dict[str, Mi
 
     Reorient -> resample each distinct phase once; localize rows on post1
     crop/padded to ``cfg.shape``; cut each phase and the (identically
-    resampled) mask, once resampled, onto each side's data box in that grid
-    and window (:func:`data_boxes`), outside which every channel is +0.0.
+    resampled) mask onto each side's data box in that grid and window
+    (:func:`data_boxes`), outside which every channel is +0.0.  Every phase
+    but post1, and a mask on its grid, is resampled on just the box holding
+    both data boxes (:func:`cut_plan`).
     One pass over each side's z-slowest cuts masks, subtracts, clamps and
     projects plane by plane, with the bytes of stacking :func:`mip_z` of the
     masked post1 and of :func:`subtract_clamped` per post.  Keys follow ``SIDES``.
     """
     order = select_phases(study)
     first = order[1]
-
-    def resampled(vol: Volume, interp: Interp = Interp.TRILINEAR) -> Volume:
-        return resample(reorient_canonical(vol), cfg.spacing, interp)
-
-    post1 = resampled(first)
+    post1 = resample(reorient_canonical(first), cfg.spacing, Interp.TRILINEAR)
     rows = localize_rows(crop_or_pad(post1, cfg.shape), cfg.row_window)
     shapes = [post1.shape if v is first else resampled_shape(v, cfg.spacing) for v in order]
     boxes = data_boxes(shapes, cfg.shape, rows)
     cuts = {id(first): cut_halves(post1, cfg.shape, rows, boxes)}
+
+    def boxed_halves(vol: Volume, interp: Interp = Interp.TRILINEAR):
+        """The data-box cuts of a canonical `vol`, resampled on only the box holding them."""
+        shape, box, _ = cut_plan(vol, cfg.spacing, cfg.shape, rows, boxes)
+        part = resample(vol, cfg.spacing, interp, box=box)
+        return cut_halves(part, cfg.shape, rows, boxes, grid=(shape, box))
+
     keeps: list[np.ndarray | None] = [None] * len(SIDES)
     if study.mask is not None:
         lo, hi = float(study.mask.data.min()), float(study.mask.data.max())
         if lo < -_MASK_TOL or hi > 1.0 + _MASK_TOL:
             raise NonBinaryMask(f"mask values span [{lo}, {hi}], outside [0, 1]")
-        mask = resampled(study.mask, Interp.NEAREST)
+        mask = reorient_canonical(study.mask)
         # subtraction needs all four phases on one grid, so post1's grid serves all
-        whole = None
-        for i, cut in enumerate(cut_halves(mask, cfg.shape, rows, boxes)):
-            if _same_grid(cuts[id(first)][i], cut):
-                keeps[i] = cut.data >= 0.5
-            else:  # regridded from whole halves, whose padded edge the regrid clamps to
-                whole = whole or [cut_halves(v, cfg.shape, rows) for v in (mask, post1)]
-                keeps[i] = _regrid_mask_nearest(whole[0][i], whole[1][i])[boxes[i][1]]
-        del mask, whole
+        affines = cut_plan(mask, cfg.spacing, cfg.shape, rows, boxes)[2]  # of the mask's cuts
+        same = [_same_grid(cut, replace(cut, affine=a)) for cut, a in zip(cuts[id(first)], affines)]
+        if all(same):
+            keeps = [cut.data >= 0.5 for cut in boxed_halves(mask, Interp.NEAREST)]
+        else:  # regridded from whole halves, whose padded edge the regrid clamps to
+            mask = resample(mask, cfg.spacing, Interp.NEAREST)
+            whole = [cut_halves(v, cfg.shape, rows) for v in (mask, post1)]
+            keeps = [
+                (m.data >= 0.5 if s else _regrid_mask_nearest(m, p))[b]
+                for s, m, p, (_, b) in zip(same, *whole, boxes)
+            ]
+            del mask, whole
     del post1
     for vol in order:
         if id(vol) not in cuts:
-            cuts[id(vol)] = cut_halves(resampled(vol), cfg.shape, rows, boxes)
+            cuts[id(vol)] = boxed_halves(reorient_canonical(vol))
 
     meta = {
         "channel_order": list(CHANNEL_NAMES),

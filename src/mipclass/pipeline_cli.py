@@ -503,14 +503,19 @@ def cmd_train(
     return 0
 
 
-def _read_model(out: Path, model_id: str) -> HeadParams:
+def _read_model(out: Path, weighting: str, fold: int) -> HeadParams:
+    model_id = _model_id(weighting, fold)
     path = out / "models" / f"{model_id}.json"
     raw = _read_json(path, "model", "; run train first")
-    missing = {"W", "b", "fold", "model_id"} - raw.keys()
+    missing = {"W", "b", "fold", "model_id", "weighting"} - raw.keys()
     if missing:
         raise SchemaMismatch(f"model file {path} lacks keys {sorted(missing)}")
     if raw["model_id"] != model_id:
         raise SchemaMismatch(f"model file {path} names model {raw['model_id']!r}, not {model_id!r}")
+    for key, want in (("weighting", weighting), ("fold", fold)):
+        # by type too: JSON true == 1 and 1.0 == 1 in Python
+        if type(raw[key]) is not type(want) or raw[key] != want:
+            raise SchemaMismatch(f"model file {path}: {key} is {raw[key]!r}, not {want!r}")
     try:
         params = HeadParams(
             W=np.asarray(raw["W"], dtype=np.float64),
@@ -531,7 +536,7 @@ def cmd_predict(
     weightings, folds = _selected_heads(plan, weighting, fold)
     _make_dir(out / "predictions")
     for f in folds:
-        models = {_model_id(w, f): _read_model(out, _model_id(w, f)) for w in weightings}
+        models = {_model_id(w, f): _read_model(out, w, f) for w in weightings}
         # each validation stack is read and featurized once for every model of the fold
         breasts = [(p, side) for p in plan.patients_in_fold(f) for side in SIDES]
         features = [extract_features(_load_stack(out, p, side)) for p, side in breasts]

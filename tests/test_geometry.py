@@ -20,6 +20,7 @@ from mipclass.geometry import (
     RowWindow,
     crop_or_pad,
     cut_halves,
+    cut_plan,
     data_boxes,
     localize_rows,
     reorient_canonical,
@@ -324,6 +325,55 @@ def _oriented_affine(data, spacing):
     return affine
 
 
+def _nearest_ix(vol: Volume, target, n_out) -> np.ndarray:
+    """Nearest resampling onto `n_out` samples as one ``np.ix_`` index: the
+    oracle for resample's three separable takes."""
+    idx = []
+    for i, n in enumerate(n_out):
+        pos = np.arange(n, dtype=np.float64) * (target[i] / vol.spacing[i])
+        idx.append(np.clip(np.rint(pos).astype(np.int64), 0, vol.shape[i] - 1))
+    return vol.data[np.ix_(*idx)]
+
+
+class TestResampleBox:
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_box_is_the_slice_of_the_whole(self, data):
+        """Random shapes, each axis up, down or identity (ratio 1.0), boxes
+        anywhere in the output grid: the boxed output is the whole output's
+        slice, byte for byte, and its affine is moved by ``A @ start``."""
+        shape = tuple(data.draw(st.integers(1, 9), label=f"n{i}") for i in range(3))
+        spacing = tuple(data.draw(st.sampled_from([0.5, 0.7, 1.0, 3.0])) for _ in range(3))
+        ratios = st.sampled_from([0.25, 0.4, 0.7, 1.0, 1.1, 1.5, 3.0])
+        target = tuple(s * data.draw(ratios, label=f"ratio{i}") for i, s in enumerate(spacing))
+        finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
+        values = data.draw(arrays(np.float32, shape, elements=finite), label="values")
+        vol = Volume(values, spacing, _oriented_affine(data, spacing))
+        interp = data.draw(st.sampled_from(Interp), label="interp")
+        with np.errstate(over="ignore"):
+            whole = resample(vol, target, interp)
+        box = []
+        for i, n in enumerate(whole.shape):
+            start = data.draw(st.integers(0, n - 1), label=f"start{i}")
+            box.append(slice(start, data.draw(st.integers(start + 1, n), label=f"stop{i}")))
+        box = tuple(box)
+        with np.errstate(over="ignore"):
+            part = resample(vol, target, interp, box=box)
+        assert np.array_equal(part.data.view(np.uint32), whole.data[box].view(np.uint32))
+        expected = whole.affine.copy()
+        expected[:3, 3] += expected[:3, :3] @ np.array([b.start for b in box], dtype=np.float64)
+        assert part.affine.tobytes() == expected.tobytes()
+        if interp is Interp.NEAREST:
+            oracle = _nearest_ix(vol, target, whole.shape)
+            assert np.array_equal(whole.data.view(np.uint32), oracle.view(np.uint32))
+
+    @pytest.mark.parametrize("box", [(slice(2, 2),) * 3, (slice(0, 4), slice(4, 9), slice(0, 1))])
+    def test_empty_box_refused(self, box):
+        vol = Volume.from_array(np.zeros((4, 4, 4), np.float32))
+        with pytest.raises(ValueError, match="empty or outside the output grid"):
+            resample(vol, (1.0, 1.0, 1.0), Interp.TRILINEAR, box=box)
+
+
 class TestResampledShape:
     @settings(max_examples=200)
     @given(data=st.data())
@@ -381,6 +431,14 @@ class TestDataBoxes:
                 shift = half.affine[:3, :3] @ [s.start for s in box]
                 np.testing.assert_allclose(cut.affine[:3, 3], half.affine[:3, 3] + shift, atol=1e-9)
                 assert cut.data.flags.f_contiguous
+            # the same cuts from only the box of `vol` that cut_plan names
+            shape, box, affines = cut_plan(vol, vol.spacing, target, rows, boxes)
+            part = resample(vol, vol.spacing, Interp.NEAREST, box=box)
+            cuts = cut_halves(vol, target, rows, boxes)
+            assert [a.tobytes() for a in affines] == [c.affine.tobytes() for c in cuts]
+            for cut, sub in zip(cuts, cut_halves(part, target, rows, boxes, grid=(shape, box))):
+                assert sub.data.tobytes(order="A") == cut.data.tobytes(order="A")
+                np.testing.assert_allclose(sub.affine, cut.affine, atol=1e-9)
 
 
 class TestCropOrPad:

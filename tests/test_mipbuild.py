@@ -398,9 +398,9 @@ def _reference_stack(study, side, cfg):
 def _count_resample(monkeypatch):
     calls = []
 
-    def counting(volume, target, interp):
+    def counting(volume, target, interp, *, box=None):
         calls.append(interp)
-        return resample(volume, target, interp)
+        return resample(volume, target, interp, box=box)
 
     monkeypatch.setattr(mipbuild, "resample", counting)
     return calls

@@ -320,7 +320,6 @@ class TestConfig:
             ({"train": {"epochs": 2}}, "train"),
             ({"shape": [128, 128]}, "preprocess"),
             ({"spacing": 1.0}, "preprocess"),
-            ({"pool_grid": "x"}, "train"),
             ({"train": [1]}, "train"),
             ({"augment": 5}, "train"),
             ({"row_window": "x"}, "preprocess"),
@@ -330,8 +329,6 @@ class TestConfig:
             ({"train": {"seed": 12345}}, "train"),
             ({"k": 3.0}, "split"),
             ({"seed": "x"}, "split"),
-            ({"pool_grid": 2.5}, "train"),
-            ({"pool_grid": True}, "train"),
             ({"spacing": [float("inf"), 0.7, 3.0]}, "preprocess"),
             ({"norm_means": [float("nan"), 0.1, 0.1, 0.1]}, "preprocess"),
             ({"norm_stds": [float("inf"), 1, 1, 1]}, "preprocess"),
@@ -344,9 +341,9 @@ class TestConfig:
             *[case[:2] for case in FIELD_SPEC_REFUSALS],
         ],
         ids=[
-            "k", "norm_stds", "epochs", "shape", "spacing", "pool_grid", "train", "augment",
+            "k", "norm_stds", "epochs", "shape", "spacing", "train", "augment",
             "row_window_str", "row_window_zero", "row_window_negative", "row_window_bool",
-            "train_seed", "k_float", "seed_str", "pool_grid_float", "pool_grid_bool",
+            "train_seed", "k_float", "seed_str",
             "spacing_inf", "norm_means_nan", "norm_stds_inf", "lr_max_inf", "noise_sigma_inf",
             "epochs_float", "batch_float", "batch_bool", "dropout_max_holes_float",
             *[case[2] for case in FIELD_SPEC_REFUSALS],
@@ -1084,6 +1081,8 @@ class TestCorruptRunDirectory:
             ("stale_mct1", "train"),
             ("model_wrong_feature_dim", "predict"),
             ("model_id_mismatch", "predict"),
+            ("model_wrong_fold", "predict"),
+            ("model_wrong_weighting", "predict"),
             ("nan_stack", "train"),
             ("empty_fold", "train"),
             ("empty_fold", "predict"),
@@ -1134,6 +1133,14 @@ class TestCorruptRunDirectory:
             record = json.loads(model.read_text())
             record["model_id"] = "../../escaped"
             model.write_text(json.dumps(record))
+        elif case in ("model_wrong_fold", "model_wrong_weighting"):
+            model = run / "models" / "natural_fold0.json"
+            record = json.loads(model.read_text())
+            if case == "model_wrong_fold":
+                record["fold"] = "x"
+            else:
+                record["weighting"] = "inverse"
+            model.write_text(json.dumps(record))
         elif case == "nan_stack":
             for stack in stacks:
                 blob = read_blob(stack)
@@ -1180,6 +1187,8 @@ class TestCorruptRunDirectory:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        if case in ("model_wrong_fold", "model_wrong_weighting"):
+            assert f"natural_fold0.json: {case.removeprefix('model_wrong_')} is " in err
         assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == before
 
 
@@ -1427,7 +1436,7 @@ class TestRunFileFuzz:
 
     def test_fuzzed_models_never_crash(self, trained, tmp_path, capsys):
         def load(run):
-            assert isinstance(_read_model(run, "natural_fold0"), HeadParams)
+            assert isinstance(_read_model(run, "natural", 0), HeadParams)
 
         self._fuzz(trained, tmp_path, capsys, "models/natural_fold0.json", load, seed=5678)
 
