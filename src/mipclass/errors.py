@@ -53,7 +53,7 @@ class MissingPre(MipclassError):
 
 
 class NonBinaryMask(MipclassError):
-    """Mask values fall outside [0, 1] beyond tolerance."""
+    """Mask values fall outside [0, 1] beyond tolerance, or are NaN."""
 
 
 class GridMismatch(MipclassError):

@@ -211,21 +211,19 @@ def _same_grid(a: Volume, b: Volume) -> bool:
     )
 
 
-def _regrid_mask_nearest(mask: Volume, target: Volume) -> np.ndarray:
-    """Binary mask sampled at target voxel centers by nearest neighbor.
-
-    Composes target-index -> world -> mask-index and rounds; indices are
-    clamped to the mask grid (same edge convention as resampling).
-    """
-    to_mask = np.linalg.inv(mask.affine) @ target.affine
-    rot, shift = to_mask[:3, :3], to_mask[:3, 3]
-    x, y, z = np.indices(target.shape, sparse=True)
-    binary = mask.data >= 0.5
+def _nearest_voxels(post_half: np.ndarray, mask_half: np.ndarray, box, size) -> list[np.ndarray]:
+    """Per axis, the voxel of a mask's whole half that each voxel in `box` of
+    post1's whole half reads: index -> world -> mask index between the halves'
+    affines in float64, rounded and clamped to the half's `size` (the padded edge).
+    Terms whose coefficient is exactly 0 are left out, so an axis-aligned map gives
+    1-D arrays that broadcast as an open mesh over `box`."""
+    to_mask = np.linalg.inv(mask_half) @ post_half
+    mesh = np.ix_(*(np.arange(b.start, b.stop) for b in box))
     idx = []
-    for i in range(3):
-        pos = rot[i, 0] * x + rot[i, 1] * y + rot[i, 2] * z + shift[i]
-        idx.append(np.clip(np.rint(pos).astype(np.int64), 0, mask.shape[i] - 1))
-    return binary[tuple(idx)]
+    for row, n in zip(to_mask[:3], size):
+        terms = [c * v for c, v in zip(row[:3], mesh) if c != 0]
+        idx.append(np.clip(np.rint(sum(terms[1:], terms[0]) + row[3]).astype(np.int64), 0, n - 1))
+    return idx
 
 
 def _check_subtraction_grid(post: Volume, pre: Volume) -> None:
@@ -299,11 +297,12 @@ def build_stacks(study: Study, cfg: BuildConfig = BuildConfig()) -> dict[str, Mi
     """Run the §-ordered pipeline once per study and stack the 4 MIPs per side.
 
     Reorient -> resample each distinct phase once; localize rows on post1
-    crop/padded to ``cfg.shape``; cut each phase and the (identically
-    resampled) mask onto each side's data box in that grid and window
-    (:func:`data_boxes`), outside which every channel is +0.0.  Every phase
-    but post1, and a mask on its grid, is resampled on just the box holding
-    both data boxes (:func:`cut_plan`).
+    crop/padded to ``cfg.shape``; cut each phase onto each side's data box in
+    that grid and window (:func:`data_boxes`), outside which every channel is
+    +0.0.  Every phase but post1 is resampled on just the box holding both
+    data boxes (:func:`cut_plan`).  Each voxel of a side's data box keeps the
+    mask voxel nearest in world space (:func:`_nearest_voxels`), and the mask
+    is resampled, with ``NEAREST``, on just the box those voxels reach.
     One pass over each side's z-slowest cuts masks, subtracts, clamps and
     projects plane by plane, with the bytes of stacking :func:`mip_z` of the
     masked post1 and of :func:`subtract_clamped` per post.  Keys follow ``SIDES``.
@@ -316,31 +315,29 @@ def build_stacks(study: Study, cfg: BuildConfig = BuildConfig()) -> dict[str, Mi
     boxes = data_boxes(shapes, cfg.shape, rows)
     cuts = {id(first): cut_halves(post1, cfg.shape, rows, boxes)}
 
-    def boxed_halves(vol: Volume, interp: Interp = Interp.TRILINEAR):
-        """The data-box cuts of a canonical `vol`, resampled on only the box holding them."""
-        shape, box, _ = cut_plan(vol, cfg.spacing, cfg.shape, rows, boxes)
+    def boxed_halves(vol: Volume, interp: Interp = Interp.TRILINEAR, within=boxes):
+        """The `within` cuts of a canonical `vol`, resampled on only the box holding them."""
+        shape, box, _ = cut_plan(vol, cfg.spacing, cfg.shape, rows, within)
         part = resample(vol, cfg.spacing, interp, box=box)
-        return cut_halves(part, cfg.shape, rows, boxes, grid=(shape, box))
+        return cut_halves(part, cfg.shape, rows, within, grid=(shape, box))
 
     keeps: list[np.ndarray | None] = [None] * len(SIDES)
     if study.mask is not None:
         lo, hi = float(study.mask.data.min()), float(study.mask.data.max())
-        if lo < -_MASK_TOL or hi > 1.0 + _MASK_TOL:
+        if not (lo >= -_MASK_TOL and hi <= 1.0 + _MASK_TOL):  # NaN fails both
             raise NonBinaryMask(f"mask values span [{lo}, {hi}], outside [0, 1]")
         mask = reorient_canonical(study.mask)
-        # subtraction needs all four phases on one grid, so post1's grid serves all
-        affines = cut_plan(mask, cfg.spacing, cfg.shape, rows, boxes)[2]  # of the mask's cuts
-        same = [_same_grid(cut, replace(cut, affine=a)) for cut, a in zip(cuts[id(first)], affines)]
-        if all(same):
-            keeps = [cut.data >= 0.5 for cut in boxed_halves(mask, Interp.NEAREST)]
-        else:  # regridded from whole halves, whose padded edge the regrid clamps to
-            mask = resample(mask, cfg.spacing, Interp.NEAREST)
-            whole = [cut_halves(v, cfg.shape, rows) for v in (mask, post1)]
-            keeps = [
-                (m.data >= 0.5 if s else _regrid_mask_nearest(m, p))[b]
-                for s, m, p, (_, b) in zip(same, *whole, boxes)
-            ]
-            del mask, whole
+        # subtraction needs all four phases on one grid, so post1's grid serves all;
+        # the mask is resampled on just the reach of its lookup, the voxels it reads
+        halves = [cut_plan(v, cfg.spacing, cfg.shape, rows, None)[2] for v in (post1, mask)]
+        idx = [_nearest_voxels(p, m, box, size) for p, m, (size, box) in zip(*halves, boxes)]
+        reach = [[slice(int(i.min()), int(i.max()) + 1) for i in ix] for ix in idx]
+        for i, cut in enumerate(boxed_halves(mask, Interp.NEAREST, [(None, r) for r in reach])):
+            keep = cut.data >= 0.5
+            rel = [ix - r.start for ix, r in zip(idx[i], reach[i])]
+            if not all(map(np.array_equal, rel, np.indices(keep.shape, sparse=True))):
+                keep = keep.T[tuple(ix.T for ix in reversed(rel))].T  # z-slowest, as the cuts
+            keeps[i] = keep
     del post1
     for vol in order:
         if id(vol) not in cuts:

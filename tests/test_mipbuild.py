@@ -1,6 +1,6 @@
 """Stack construction tests.
 
-The oracles: a scalar per-voxel loop for the mask regrid, a triple loop for
+The oracles: a scalar per-voxel loop for the mask lookup, a triple loop for
 the z-projection, hand arithmetic for the normalization constants, and a
 synthetic two-blob study with known lesion coordinates.
 """
@@ -117,7 +117,7 @@ def _channels(study, cfg=SMALL_CFG):
 
 
 class TestApplyMask:
-    """The mask step of build_stacks: threshold, tolerance and regrid."""
+    """The mask step of build_stacks: threshold, tolerance and lookup."""
 
     BINARY = (np.random.default_rng(5).random((16, 16, 4)) > 0.4).astype(np.float32)
 
@@ -134,6 +134,13 @@ class TestApplyMask:
         for value in (2.0, -0.5):
             with pytest.raises(NonBinaryMask):
                 build_stacks(_random_study(2, np.full((16, 16, 4), value)), SMALL_CFG)
+
+    def test_nan_rejected(self):
+        """NaN compares false with both range bounds, so the check must refuse it."""
+        mask = self.BINARY.copy()
+        mask[3, 5, 1] = np.nan
+        with pytest.raises(NonBinaryMask, match="nan"):
+            build_stacks(_random_study(2, mask), SMALL_CFG)
 
     def test_small_float_noise_tolerated(self):
         noisy = np.where(self.BINARY, 1.0 + 5e-7, -5e-7)
@@ -447,7 +454,7 @@ ODD_CFG = BuildConfig(spacing=(0.7, 0.7, 3.0), shape=(121, 141, 35), row_window=
 
 def _coarse_shifted_mask(study):
     """The same study with its mask stored at half the in-plane resolution and
-    shifted off the phase grid, so the mask halves must be regridded."""
+    shifted off the phase grid, so no mask voxel centre lies on a phase voxel centre."""
     mask = study.mask
     affine = mask.affine.copy()
     affine[:3, :2] *= 2.0
@@ -455,6 +462,19 @@ def _coarse_shifted_mask(study):
     spacing = (2 * mask.spacing[0], 2 * mask.spacing[1], mask.spacing[2])
     coarse = Volume(np.ascontiguousarray(mask.data[::2, ::2]), spacing, affine)
     return Study(patient_id=study.patient_id, pre=study.pre, posts=study.posts, mask=coarse)
+
+
+def _oblique_mask(study):
+    """The same study with its mask turned 0.12 rad about world z through its
+    centre and moved by a fraction of a voxel, so no mask axis lies on a phase axis."""
+    mask = study.mask
+    c, s = np.cos(0.12), np.sin(0.12)
+    rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    affine = mask.affine.copy()
+    centre = affine[:3, :3] @ (np.subtract(mask.shape, 1) / 2) + affine[:3, 3]
+    affine[:3, :3] = rotation @ affine[:3, :3]
+    affine[:3, 3] = rotation @ (affine[:3, 3] - centre) + centre + (0.3, -0.2, 0.4)
+    return replace(study, mask=Volume(mask.data, mask.spacing, affine))
 
 
 # name: (study factory, what to drop from it, config)
@@ -468,6 +488,7 @@ BUILD_CASES = {
     "phantom_permuted": (lambda: _permuted(_generated()), {}, PHANTOM_CFG),
     "phantom_odd": (_generated, {}, ODD_CFG),
     "phantom_coarse_mask": (lambda: _coarse_shifted_mask(_generated()), {}, PHANTOM_CFG),
+    "phantom_oblique_mask": (lambda: _oblique_mask(_generated()), {}, PHANTOM_CFG),
 }
 
 
@@ -487,17 +508,19 @@ class TestBuildStacks:
             assert (stack.side, stack.patient_id) == (side, study.patient_id)
             assert not stack.normalized and stack.norm_bounds is None
 
-    def test_coarse_mask_halves_are_regridded(self, monkeypatch):
+    def test_coarse_mask_is_resampled_once_on_a_box(self, monkeypatch):
+        """A mask off the phase grid is resampled once, on only the voxels its lookup reads."""
         calls = []
 
-        def counting(mask, target):
-            calls.append(mask.shape)
-            return regrid(mask, target)
+        def counting(volume, target, interp, *, box=None):
+            out = resample(volume, target, interp, box=box)
+            calls.append((interp, out.shape))
+            return out
 
-        regrid = mipbuild._regrid_mask_nearest
-        monkeypatch.setattr(mipbuild, "_regrid_mask_nearest", counting)
+        monkeypatch.setattr(mipbuild, "resample", counting)
         build_stacks(_coarse_shifted_mask(_generated()), PHANTOM_CFG)
-        assert len(calls) == len(SIDES)
+        (shape,) = [shape for interp, shape in calls if interp is Interp.NEAREST]
+        assert np.prod(shape) < 128 * 128 * 32  # the mask's whole resampled grid
 
     @pytest.mark.parametrize(
         "drop", [{}, {"mask": False}, {"n_posts": 2}], ids=["masked", "unmasked", "two_posts"]
@@ -634,6 +657,23 @@ class TestSideChannels:
             build_stacks(shifted, PHANTOM_CFG)
 
 
+def _regrid_mask_nearest(mask: Volume, target: Volume) -> np.ndarray:
+    """Binary mask sampled at target voxel centers by nearest neighbor.
+
+    Composes target-index -> world -> mask-index and rounds; indices are
+    clamped to the mask grid (same edge convention as resampling).
+    """
+    to_mask = np.linalg.inv(mask.affine) @ target.affine
+    rot, shift = to_mask[:3, :3], to_mask[:3, 3]
+    x, y, z = np.indices(target.shape, sparse=True)
+    binary = mask.data >= 0.5
+    idx = []
+    for i in range(3):
+        pos = rot[i, 0] * x + rot[i, 1] * y + rot[i, 2] * z + shift[i]
+        idx.append(np.clip(np.rint(pos).astype(np.int64), 0, mask.shape[i] - 1))
+    return binary[tuple(idx)]
+
+
 def _whole_halves_stacks(study, cfg):
     """build_stacks as it was before data boxes: every phase and the mask cut
     into whole halves (cut_halves), the channels made from those halves."""
@@ -663,7 +703,7 @@ def _whole_halves_stacks(study, cfg):
             if mipbuild._same_grid(vols[1], mask):
                 keep = mask.data >= 0.5
             else:
-                keep = mipbuild._regrid_mask_nearest(mask, vols[1])
+                keep = _regrid_mask_nearest(mask, vols[1])
         for post in vols[1:]:
             mipbuild._check_subtraction_grid(post, vols[0])
         channels = mipbuild._side_channels(*(v.data for v in vols), keep)

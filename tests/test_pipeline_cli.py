@@ -536,6 +536,23 @@ class TestPreprocess:
         assert not (run / "stacks" / "p001_left.mct").exists()
         assert "p001" in capsys.readouterr().err
 
+    def test_nan_in_mask_fails_study(self, tmp_path, capsys):
+        """A NaN mask voxel is not binary: its study fails, the others are built."""
+        run = tmp_path / "run"
+        phantom.write_cohort(3, seed=1, out_dir=run)
+        self._set_nan(run / "studies" / "p001_mask.nii.gz", np.array([[0, 0, 0]]))
+        config = _write_config(tmp_path)
+        argv = ["--manifest", str(run / "manifest.csv"), "--config", str(config), "--out", str(run)]
+        capsys.readouterr()
+        assert main(["preprocess", *argv]) == 1
+        report = json.loads((run / "preprocess_report.json").read_text())
+        assert report["succeeded"] == ["p000", "p002"]
+        assert sorted(report["failed"]) == ["p001"]
+        assert report["failed"]["p001"].startswith("NonBinaryMask: ")
+        assert not (run / "stacks" / "p001_left.mct").exists()
+        err = capsys.readouterr().err
+        assert "FAILED p001: NonBinaryMask" in err and "Traceback" not in err
+
     def test_pre_off_the_post_grid_fails_study(self, tmp_path, config, capsys):
         """A pre shifted by one voxel in its affine fails its study alone."""
         run = tmp_path / "run"

@@ -1,20 +1,26 @@
 """Stack bytes pinned across changes.
 
-`phantom --n 6 --seed 1` preprocessed at three small configs must give stack
-blobs with exactly these sha256 digests.  They were recorded before
-``resample`` learned to compute only a box of its output, so a change to
-resampling, cutting or channel building that moves any stack byte fails
-here, without a benchmark run or a hand-made ``diff -r`` of run trees.
-A change that means to alter stack bytes says so and records new digests.
+`phantom --n 6 --seed 1` preprocessed at four small configs must give stack
+blobs with exactly these sha256 digests.  The first three were recorded before
+``resample`` learned to compute only a box of its output, and ``off_grid_mask``
+(the same cohort with every mask moved off the phase grid) before the mask was
+looked up voxel by voxel from its boxed resample, so a change to resampling,
+cutting, masking or channel building that moves any stack byte fails here,
+without a benchmark run or a hand-made ``diff -r`` of run trees.  A change that
+means to alter stack bytes says so and records new digests.
 """
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mipclass import main
+from mipclass.tensorio import read_nifti, write_nifti
+from mipclass.volume import Volume
 
 CONFIGS = {
     # the accept30 grid: a 64-row window of a 128-row grid
@@ -23,6 +29,8 @@ CONFIGS = {
     "z_padded": {"spacing": [0.7, 0.7, 2.0], "shape": [128, 128, 64], "row_window": 100},
     # 128 resampled x-rows centre-cropped to 100
     "x_cropped": {"spacing": [0.7, 0.7, 3.0], "shape": [100, 128, 32], "row_window": 50},
+    # the accept30 grid again, on the cohort with off-grid masks (`off_grid_manifest`)
+    "off_grid_mask": {"spacing": [0.7, 0.7, 3.0], "shape": [128, 128, 32], "row_window": 64},
 }
 
 DIGESTS = {
@@ -68,6 +76,20 @@ DIGESTS = {
         "p005_left.mct": "1c08b3387a94f0a985a45ff30d3951df92bc6dd130a050d26cd7b4ecf4ac6bf3",
         "p005_right.mct": "aa11f53d9909ed2b5fcdd71802643857c6183d45fa32ccae2295be4fcf5b2f64",
     },
+    "off_grid_mask": {
+        "p000_left.mct": "41187ac8f55ee602e5ae992e9d743ce43c281af5e504eea084c06472b110ff81",
+        "p000_right.mct": "5d9a25f7d42565ef669a1f964f8acf0d4e2bcdb15d3e5630f3523ab73ef7157f",
+        "p001_left.mct": "9df4df8638e1e838e54d9d9bbf3ce4fe4206b5ce9d01731494d0a6a9b24628e5",
+        "p001_right.mct": "2c4062dade86e2e7a981f9071508433a17f1357a5815e6d10bc8b66c414e497e",
+        "p002_left.mct": "357a00c11149f45638f9dab063941d396bc8d2dacbe419e1c79724f8f14fa2d7",
+        "p002_right.mct": "10be0a124268eeb03dd23d58e79d4268f9b88884cb34f4eb339797bae76bf6d8",
+        "p003_left.mct": "06bd91b14fd35ddaa7087e133f08f7c1b454f5bc9d7069d30b611f1702ba7caa",
+        "p003_right.mct": "f089515e75f856ff9cb2920325c458a52def1d7fbf4c5561b79983a123176548",
+        "p004_left.mct": "6281365a1feeeb7def934c9eaa606c43693d19516f44eb82868d9ff185744753",
+        "p004_right.mct": "42158956a39cf3ce47dbcae91005e2ae9527ed3c99e4f78589186f6c85e7043f",
+        "p005_left.mct": "f0b04887a8890cac0ddb6d89882343deff74ae2920ae66d79168b71a255c7fca",
+        "p005_right.mct": "bba5e7168a74cedce7c1e60ac51640cdd38d44507d345c83f4b79450689ff00a",
+    },
 }
 
 
@@ -78,8 +100,34 @@ def manifest(tmp_path_factory) -> Path:
     return out / "manifest.csv"
 
 
+def _off_grid(mask: Volume, turn: float) -> Volume:
+    """`mask` at half its in-plane resolution, moved off the phase grid by a
+    fraction of a voxel and turned `turn` rad about world z through its centre."""
+    data = np.ascontiguousarray(mask.data[::2, ::2])
+    affine = mask.affine.copy()
+    affine[:3, :2] *= 2.0
+    centre = affine[:3, :3] @ (np.subtract(data.shape, 1) / 2) + affine[:3, 3]
+    c, s = math.cos(turn), math.sin(turn)
+    rotation = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    affine[:3, :3] = rotation @ affine[:3, :3]
+    affine[:3, 3] = rotation @ (affine[:3, 3] - centre) + centre + (0.9, -1.3, 1.7)
+    spacing = (2 * mask.spacing[0], 2 * mask.spacing[1], mask.spacing[2])
+    return Volume(data, spacing, affine)
+
+
+@pytest.fixture(scope="module")
+def off_grid_manifest(tmp_path_factory) -> Path:
+    """The cohort of `manifest` with each mask coarse and shifted, every third also turned."""
+    out = tmp_path_factory.mktemp("cohort6_off_grid")
+    assert main(["phantom", "--n", "6", "--seed", "1", "--out", str(out)]) == 0
+    for i, path in enumerate(sorted((out / "studies").glob("*_mask.nii.gz"))):
+        write_nifti(_off_grid(read_nifti(path), 0.12 if i % 3 == 0 else 0.0), path)
+    return out / "manifest.csv"
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_stack_digests(manifest, tmp_path, name):
+def test_stack_digests(request, tmp_path, name):
+    manifest = request.getfixturevalue("off_grid_manifest" if name == "off_grid_mask" else "manifest")
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CONFIGS[name]))
     run = tmp_path / "run"
