@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mipbuild import PAPER_MEANS, PAPER_STDS, POSITIVE, MipStack, check_fields
+from .mipbuild import PAPER_MEANS, PAPER_STDS, POSITIVE, MipStack, bounded, check_fields
+from .mipbuild import field_specs
 
 # fixed stream indices; changing these changes every sampled augmentation
 _STREAMS = {
@@ -39,48 +40,35 @@ _PROB_FIELDS = tuple(f"{name}_p" for name in _STREAMS)
 
 _BLUR_MIN_SIGMA = 1e-3
 
-_POLICY_FIELDS = {
-    **dict.fromkeys(_PROB_FIELDS, (float, 0, 0.0, 1.0)),
-    **dict.fromkeys(
-        ("rotate_deg", "shear_deg", "translate_frac", "brightness_delta", "contrast_delta"),
-        (float, 0, -math.inf, math.inf),
-    ),
-    "scale_range": (float, 2, POSITIVE, math.inf),
-    "noise_sigma": (float, 0, 0.0, math.inf),
-    # a blur's cost grows with its radius, 4σ: σ 32 blurs a 4×256×256 stack in about 0.1 s
-    "blur_sigma": (float, 0, 0.0, 32.0),
-    # each hole is one write, in a Python loop, so the count bounds a breast-epoch's cost
-    "dropout_max_holes": (int, 0, 0, 1024),
-    "dropout_max_size": (int, 0, 0, math.inf),
-}
-
 
 @dataclass(frozen=True)
 class AugmentPolicy:
     """Per-transform probabilities and magnitude ranges."""
 
-    hflip_p: float = 0.0
-    vflip_p: float = 0.0
-    rotate_p: float = 0.0
+    hflip_p: float = bounded(0.0, 0.0, 1.0)
+    vflip_p: float = bounded(0.0, 0.0, 1.0)
+    rotate_p: float = bounded(0.0, 0.0, 1.0)
     rotate_deg: float = 15.0
-    affine_p: float = 0.0
-    scale_range: tuple[float, float] = (0.9, 1.1)
+    affine_p: float = bounded(0.0, 0.0, 1.0)
+    scale_range: tuple[float, float] = bounded((0.9, 1.1), POSITIVE)
     shear_deg: float = 10.0
     translate_frac: float = 0.05
-    brightness_p: float = 0.0
+    brightness_p: float = bounded(0.0, 0.0, 1.0)
     brightness_delta: float = 0.2
-    contrast_p: float = 0.0
+    contrast_p: float = bounded(0.0, 0.0, 1.0)
     contrast_delta: float = 0.2
-    noise_p: float = 0.0
-    noise_sigma: float = 0.05
-    blur_p: float = 0.0
-    blur_sigma: float = 1.5
-    dropout_p: float = 0.0
-    dropout_max_holes: int = 8
-    dropout_max_size: int = 32
+    noise_p: float = bounded(0.0, 0.0, 1.0)
+    noise_sigma: float = bounded(0.05, 0.0)
+    blur_p: float = bounded(0.0, 0.0, 1.0)
+    # a blur's cost grows with its radius, 4σ: σ 32 blurs a 4×256×256 stack in about 0.1 s
+    blur_sigma: float = bounded(1.5, 0.0, 32.0)
+    dropout_p: float = bounded(0.0, 0.0, 1.0)
+    # each hole is one write, in a Python loop, so the count bounds a breast-epoch's cost
+    dropout_max_holes: int = bounded(8, 0, 1024)
+    dropout_max_size: int = bounded(32, 0)
 
     def __post_init__(self) -> None:
-        check_fields(self, _POLICY_FIELDS)
+        check_fields(self, field_specs(type(self)))
         if self.scale_range[1] < self.scale_range[0]:
             raise ValueError(f"scale_range must be ordered, got {self.scale_range}")
 

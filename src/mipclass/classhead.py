@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimMismatch, Diverged, EmptyClass
 from .evalkit import N_CLASSES
-from .mipbuild import PHILOX_MAX, MipStack, check_fields
+from .mipbuild import PHILOX_MAX, MipStack, bounded, check_fields, field_specs
 
 LOG_FLOOR = 1e-12
 DEFAULT_POOL_GRID = 4
@@ -99,27 +99,17 @@ class LossValue:
             raise ValueError(f"loss must be finite and >= 0, got {self.value}")
 
 
-_TRAIN_FIELDS = {
-    "epochs": (int, 0, 1, math.inf),
-    "batch": (int, 0, 1, math.inf),
-    "lr_max": (float, 0, 0.0, math.inf),
-    "warmup_epochs": (int, 0, 0, math.inf),
-    "lr_min": (float, 0, 0.0, math.inf),
-    "momentum": (float, 0, 0.0, math.nextafter(1.0, 0.0)),
-}
-
-
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 300
-    batch: int = 10
-    lr_max: float = 1e-4
-    warmup_epochs: int = 5
-    lr_min: float = 0.0
-    momentum: float = 0.9
+    epochs: int = bounded(300, 1)
+    batch: int = bounded(10, 1)
+    lr_max: float = bounded(1e-4, 0.0)
+    warmup_epochs: int = bounded(5, 0)
+    lr_min: float = bounded(0.0, 0.0)
+    momentum: float = bounded(0.9, 0.0, math.nextafter(1.0, 0.0))
 
     def __post_init__(self) -> None:
-        check_fields(self, _TRAIN_FIELDS)
+        check_fields(self, field_specs(type(self)))
         if not self.epochs > self.warmup_epochs:
             raise ValueError(f"need epochs > warmup_epochs, got {self.epochs}, {self.warmup_epochs}")
         if not self.lr_max > self.lr_min:

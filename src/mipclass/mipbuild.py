@@ -19,8 +19,8 @@ import math
 import numbers
 import reprlib
 import sys
-from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -110,10 +110,24 @@ def check_fields(obj: Any, spec: Mapping[str, tuple[type, int, float, float]]) -
             object.__setattr__(obj, name, tuple(value))
 
 
-_NORM_FIELDS = {
-    "means": (float, 4, -math.inf, math.inf),
-    "stds": (float, 4, POSITIVE, math.inf),
-}
+def bounded(default: Any, lo: float, hi: float = math.inf) -> Any:
+    """A dataclass field whose every number lies in ``[lo, hi]``; see `field_specs`."""
+    return field(default=default, metadata={"range": (lo, hi)})
+
+
+def field_specs(cls: type) -> dict[str, tuple[type, int, float, float]]:
+    """The `check_fields` spec of a dataclass: every field annotated int, float or
+    a tuple of one of them, its length 0 for a scalar, its range from `bounded`
+    or else unbounded."""
+    spec = {}
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        hint = hints[f.name]
+        items = get_args(hint) if get_origin(hint) is tuple else ()
+        kind = items[0] if items and items.count(items[0]) == len(items) else hint
+        if kind in _KINDS:
+            spec[f.name] = (kind, len(items), *f.metadata.get("range", (-math.inf, math.inf)))
+    return spec
 
 
 @dataclass(frozen=True)
@@ -121,10 +135,10 @@ class NormConstants:
     """Per-channel means/stds applied after min-max rescaling."""
 
     means: tuple[float, float, float, float] = PAPER_MEANS
-    stds: tuple[float, float, float, float] = PAPER_STDS
+    stds: tuple[float, float, float, float] = bounded(PAPER_STDS, POSITIVE)
 
     def __post_init__(self) -> None:
-        check_fields(self, _NORM_FIELDS)
+        check_fields(self, field_specs(type(self)))
 
 
 @dataclass(frozen=True)
@@ -139,23 +153,16 @@ class Study:
     label_right: int | None = None
 
 
-_BUILD_FIELDS = {
-    "spacing": (float, 3, POSITIVE, math.inf),
-    "shape": (int, 3, 1, math.inf),
-    "row_window": (int, 0, 1, math.inf),
-}
-
-
 @dataclass(frozen=True)
 class BuildConfig:
     """Geometry parameters for stack construction."""
 
-    spacing: tuple[float, float, float] = (0.7, 0.7, 3.0)
-    shape: tuple[int, int, int] = (512, 512, 32)
-    row_window: int = 256
+    spacing: tuple[float, float, float] = bounded((0.7, 0.7, 3.0), POSITIVE)
+    shape: tuple[int, int, int] = bounded((512, 512, 32), 1)
+    row_window: int = bounded(256, 1)
 
     def __post_init__(self) -> None:
-        check_fields(self, _BUILD_FIELDS)
+        check_fields(self, field_specs(type(self)))
         if math.prod(map(int, self.shape)) > MAX_RESAMPLE_VOXELS:
             raise ValueError(f"shape {self.shape} exceeds MAX_RESAMPLE_VOXELS = {MAX_RESAMPLE_VOXELS}")
 
@@ -436,7 +443,9 @@ def stack_from_blob(blob: TensorBlob) -> MipStack:
     meta = dict(blob.meta)
     patient_id = meta.pop("patient_id", "")
     side = meta.pop("side", "")
-    normalized = bool(meta.pop("normalized", False))
+    normalized = meta.pop("normalized", False)
+    if not isinstance(normalized, bool):
+        raise ValueError(f"normalized must be true or false, got {normalized!r}")
     bounds = meta.pop("norm_bounds", None)
     return MipStack(
         channels=blob.data,

@@ -16,7 +16,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -68,8 +67,10 @@ from .mipbuild import (
     NormConstants,
     Study,
     _FieldError,
+    bounded,
     build_stacks,
     check_fields,
+    field_specs,
     normalize_stack,
     stack_from_blob,
     stack_to_blob,
@@ -185,13 +186,6 @@ class Manifest:
 # config
 
 
-_PIPELINE_FIELDS = {
-    "k": (int, 0, 2, math.inf),
-    # the fold shuffle keys np.random.Philox with it, which takes [0, 2**128)
-    "seed": (int, 0, 0, PHILOX_MAX),
-}
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """One bag of knobs for a whole run; defaults reproduce the published setup."""
@@ -200,17 +194,14 @@ class PipelineConfig:
     norm: NormConstants = NormConstants()
     policy: AugmentPolicy = default_policy()
     train: TrainConfig = TrainConfig()
-    k: int = 5
-    seed: int = 0
+    k: int = bounded(5, 2)
+    # the fold shuffle keys np.random.Philox with it, which takes [0, 2**128)
+    seed: int = bounded(0, 0, PHILOX_MAX)
 
     def __post_init__(self) -> None:
-        check_fields(self, _PIPELINE_FIELDS)
+        check_fields(self, field_specs(type(self)))
 
 
-# the top-level config keys that set BuildConfig and NormConstants fields, by field
-_BUILD_KEYS = {"spacing": "spacing", "shape": "shape", "row_window": "row_window"}
-_NORM_KEYS = {"norm_means": "means", "norm_stds": "stds"}
-_CONFIG_SECTIONS = {*_BUILD_KEYS, *_NORM_KEYS, "augment", "train", *_PIPELINE_FIELDS}
 # what a config key puts before the name of the field it sets, by the field's class
 _KEY_PREFIX = {NormConstants: "norm_", AugmentPolicy: "augment.", TrainConfig: "train."}
 
@@ -231,13 +222,22 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     if path is None:
         return defaults
     raw = _read_json(Path(path), "config")
-    unknown = sorted(set(raw) - _CONFIG_SECTIONS)
+    # the number fields of these classes are set by top-level keys; the other
+    # keys are the "augment" and "train" sections
+    flat = {
+        cls: {_KEY_PREFIX.get(cls, "") + name: name for name in field_specs(cls)}
+        for cls in (BuildConfig, NormConstants, PipelineConfig)
+    }
+    unknown = sorted(set(raw).difference({"augment", "train"}, *flat.values()))
     if unknown:
         raise SchemaMismatch(f"unknown config keys: {unknown}")
 
+    def top(cls) -> dict[str, Any]:
+        return {name: raw[key] for key, name in flat[cls].items() if key in raw}
+
     try:
-        build = BuildConfig(**{f: raw[key] for key, f in _BUILD_KEYS.items() if key in raw})
-        norm = NormConstants(**{f: raw[key] for key, f in _NORM_KEYS.items() if key in raw})
+        build = BuildConfig(**top(BuildConfig))
+        norm = NormConstants(**top(NormConstants))
         # "augment": null switches augmentation off entirely; an empty or
         # partial section keeps the published defaults for unnamed fields
         augment_raw = raw.get("augment", {})
@@ -252,8 +252,9 @@ def load_config(path: str | Path | None) -> PipelineConfig:
                 "each head's seed derives from the top-level seed"
             )
         train = _replace_from(TrainConfig, defaults.train, train_raw, "train")
-        top = {key: raw[key] for key in _PIPELINE_FIELDS if key in raw}
-        return PipelineConfig(build=build, norm=norm, policy=policy, train=train, **top)
+        return PipelineConfig(
+            build=build, norm=norm, policy=policy, train=train, **top(PipelineConfig)
+        )
     except _FieldError as exc:
         prefix = _KEY_PREFIX.get(exc.owner, "")
         raise SchemaMismatch(f"invalid value in config {path}: {prefix}{exc}") from exc
@@ -287,6 +288,8 @@ def _load_stack(out: Path, patient_id: str, side: str) -> MipStack:
     found = (stack.patient_id, stack.side)
     if found != (patient_id, side):
         raise SchemaMismatch(f"stack {path} holds patient/side {found}, not {(patient_id, side)}")
+    if not stack.normalized:
+        raise SchemaMismatch(f"stack {path} is not normalized; rerun preprocess")
     return stack
 
 
@@ -555,6 +558,13 @@ def _evaluate_csv(manifest: Manifest, csv_path: Path, out: Path) -> Path:
     predictions = read_predictions_csv(csv_path)
     if not predictions:
         raise SchemaMismatch(f"no prediction rows in {csv_path}")
+    seen: set[tuple[str, str]] = set()
+    for breast in ((p.patient_id, p.side) for p in predictions):
+        if breast in seen:
+            raise SchemaMismatch(
+                f"{csv_path} scores patient/side {breast} twice; ensemble averages repeated rows"
+            )
+        seen.add(breast)
     probs = np.stack([p.probs for p in predictions])
     truths = np.asarray([manifest.labels_for(p.patient_id)[p.side] for p in predictions], np.int64)
     report = evaluate(probs, truths)

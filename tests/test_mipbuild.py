@@ -888,6 +888,14 @@ class TestStackBlobs:
         np.testing.assert_array_equal(back.channels, stack.channels)
         assert back.meta["laterality_convention"] == "low-x-is-right"
 
+    @pytest.mark.parametrize("flag", ["no", 1, 0, None, [True]])
+    def test_normalized_must_be_a_json_bool(self, flag):
+        """bool("no") is True: a string once loaded as a normalized stack."""
+        blob = stack_to_blob(normalize_stack(build_stack(_phantom_study(), "left", SMALL_CFG)))
+        blob.meta["normalized"] = flag
+        with pytest.raises(ValueError, match=r"^normalized must be true or false, got "):
+            stack_from_blob(blob)
+
     def test_sidecar_carries_audit_fields(self, tmp_path):
         """The audit fields travel inside the one .mct file; no .json is written."""
         stack = normalize_stack(build_stack(_phantom_study(), "right", SMALL_CFG))

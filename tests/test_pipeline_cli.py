@@ -35,7 +35,7 @@ from mipclass.evalkit import (
     stratified_kfold,
     write_predictions_csv,
 )
-from mipclass.mipbuild import MipStack
+from mipclass.mipbuild import POSITIVE, BuildConfig, MipStack, NormConstants, field_specs
 from mipclass.pipeline_cli import (
     Manifest,
     PipelineConfig,
@@ -1050,6 +1050,26 @@ class TestPredictEvaluateEnsemble:
         written = sorted(p.name for p in (run / "metrics").iterdir())
         assert written == sorted(f"{p.stem}.json" for p in good[:3])
 
+    def test_evaluate_refuses_a_breast_scored_twice(self, predicted, tmp_path, capsys):
+        """A fold CSV with its rows repeated once scored 2n breasts; it is refused,
+        pointing to ensemble, and the other listed CSVs are still scored."""
+        run = tmp_path / "run"
+        shutil.copytree(predicted, run)
+        shutil.rmtree(run / "metrics", ignore_errors=True)
+        good = run / "predictions" / "natural_fold1.csv"
+        header, *rows = (run / "predictions" / "natural_fold0.csv").read_text().splitlines(True)
+        twice = tmp_path / "twice.csv"
+        twice.write_text("".join([header, *rows, *rows]))
+        first = rows[0].split(",")[:2]
+        argv = ["evaluate", "--manifest", str(run / "manifest.csv"), "--out", str(run)]
+        capsys.readouterr()
+        assert main([*argv, str(twice), str(good)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {twice}: {twice} scores patient/side {tuple(first)} twice;"
+            " ensemble averages repeated rows\n"
+        )
+        assert sorted(p.name for p in (run / "metrics").iterdir()) == ["natural_fold1.json"]
+
     def test_predict_without_model_is_typed_error(self, cohort, tmp_path):
         run = tmp_path / "run"
         shutil.copytree(cohort, run)
@@ -1101,6 +1121,9 @@ class TestCorruptRunDirectory:
             ("model_wrong_fold", "predict"),
             ("model_wrong_weighting", "predict"),
             ("nan_stack", "train"),
+            ("unnormalized_stack", "train"),
+            ("unnormalized_stack", "predict"),
+            ("normalized_not_bool", "train"),
             ("empty_fold", "train"),
             ("empty_fold", "predict"),
             ("fold_is_true", "predict"),
@@ -1163,6 +1186,19 @@ class TestCorruptRunDirectory:
                 blob = read_blob(stack)
                 blob.data[0, 0, 0] = np.nan
                 write_blob(blob, stack)
+        elif case == "unnormalized_stack":
+            # nonnegative channels whose metadata says normalize_stack never ran
+            for stack in stacks:
+                blob = read_blob(stack)
+                blob.data[:] = np.abs(blob.data)
+                blob.meta["normalized"] = False
+                write_blob(blob, stack)
+        elif case == "normalized_not_bool":
+            # bool("no") is True: this once loaded as a normalized stack
+            for stack in stacks:
+                meta = read_blob(stack).meta
+                meta["normalized"] = "no"
+                _set_stack_meta(stack, meta)
         elif case == "truncated_sidecar":
             for stack in stacks:
                 _truncate(stack)
@@ -1206,6 +1242,10 @@ class TestCorruptRunDirectory:
         assert "Traceback" not in err
         if case in ("model_wrong_fold", "model_wrong_weighting"):
             assert f"natural_fold0.json: {case.removeprefix('model_wrong_')} is " in err
+        if case == "unnormalized_stack":
+            assert re.fullmatch(r"error: stack \S+\.mct is not normalized; rerun preprocess\n", err)
+        if case == "normalized_not_bool":
+            assert err.endswith(".mct: normalized must be true or false, got 'no'\n")
         assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == before
 
 
@@ -1617,6 +1657,70 @@ def _assert_declared_kinds(obj) -> None:
                 number(item, args[1])
         else:
             number(value, kind)
+
+
+# the spec tables each config class was checked against before its ranges moved
+# onto its fields, row for row; AugmentPolicy's listed its probabilities first
+_SPEC_TABLES = {
+    NormConstants: {
+        "means": (float, 4, -math.inf, math.inf),
+        "stds": (float, 4, POSITIVE, math.inf),
+    },
+    BuildConfig: {
+        "spacing": (float, 3, POSITIVE, math.inf),
+        "shape": (int, 3, 1, math.inf),
+        "row_window": (int, 0, 1, math.inf),
+    },
+    AugmentPolicy: {
+        **dict.fromkeys(
+            ("hflip_p", "vflip_p", "rotate_p", "affine_p", "brightness_p", "contrast_p",
+             "noise_p", "blur_p", "dropout_p"),
+            (float, 0, 0.0, 1.0),
+        ),
+        **dict.fromkeys(
+            ("rotate_deg", "shear_deg", "translate_frac", "brightness_delta", "contrast_delta"),
+            (float, 0, -math.inf, math.inf),
+        ),
+        "scale_range": (float, 2, POSITIVE, math.inf),
+        "noise_sigma": (float, 0, 0.0, math.inf),
+        "blur_sigma": (float, 0, 0.0, 32.0),
+        "dropout_max_holes": (int, 0, 0, 1024),
+        "dropout_max_size": (int, 0, 0, math.inf),
+    },
+    TrainConfig: {
+        "epochs": (int, 0, 1, math.inf),
+        "batch": (int, 0, 1, math.inf),
+        "lr_max": (float, 0, 0.0, math.inf),
+        "warmup_epochs": (int, 0, 0, math.inf),
+        "lr_min": (float, 0, 0.0, math.inf),
+        "momentum": (float, 0, 0.0, math.nextafter(1.0, 0.0)),
+    },
+    PipelineConfig: {
+        "k": (int, 0, 2, math.inf),
+        "seed": (int, 0, 0, 2**128 - 1),
+    },
+}
+
+
+class TestFieldSpecs:
+    """Each config field's kind, length and range are declared once, on the field."""
+
+    @pytest.mark.parametrize("cls", list(_SPEC_TABLES), ids=lambda cls: cls.__name__)
+    def test_specs_match_the_tables(self, cls):
+        # by repr, so a bound of 0 is not taken for 0.0: messages print them apart
+        specs = {name: repr(spec) for name, spec in field_specs(cls).items()}
+        assert specs == {name: repr(spec) for name, spec in _SPEC_TABLES[cls].items()}
+        # fields are checked, and the first bad one named, in declaration order
+        assert list(field_specs(cls)) == [f.name for f in dataclasses.fields(cls) if f.name in specs]
+
+    @pytest.mark.parametrize("cls", list(_SPEC_TABLES), ids=lambda cls: cls.__name__)
+    def test_every_number_field_has_a_spec(self, cls):
+        hints = typing.get_type_hints(cls)
+        numbers = [
+            f.name for f in dataclasses.fields(cls)
+            if hints[f.name] in (int, float) or typing.get_origin(hints[f.name]) is tuple
+        ]
+        assert numbers and set(field_specs(cls)) == set(numbers)
 
 
 class TestSchemaProperties:
