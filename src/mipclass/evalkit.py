@@ -1,4 +1,6 @@
-"""Stratified patient-level folds, challenge metrics, and ensembling.
+"""The manifest, stratified patient-level folds, challenge metrics, and ensembling.
+
+`read_manifest` and `write_manifest` are the manifest CSV's one reader and writer.
 
 Metrics: micro-averaged one-vs-rest ROC AUC (Mann–Whitney U, ties
 counting one half), sensitivity at 90% specificity and specificity at 90%
@@ -26,6 +28,7 @@ from .errors import (
     DegenerateLabels,
     EmptyGroup,
     IoFailure,
+    ManifestParse,
     MissingBlob,
     SchemaMismatch,
     TooFewPatients,
@@ -39,6 +42,58 @@ CLASS_NAMES = ("nolesion", "benign", "malignant")
 LABEL_STRINGS = ("no_lesion", "benign", "malignant")
 MANIFEST_HEADER = ("patient_id", "pre_path", "post_paths", "mask_path", "label_left", "label_right")
 N_CLASSES = 3
+
+
+@dataclass(frozen=True)
+class ManifestRow:
+    patient_id: str
+    pre_path: str
+    post_paths: tuple[str, ...]
+    mask_path: str | None
+    label_left: int
+    label_right: int
+
+
+def read_manifest(path) -> list[ManifestRow]:
+    """Parse a manifest CSV; every way it can be unreadable is a ManifestParse."""
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            if tuple(next(reader, ())) != MANIFEST_HEADER:
+                raise ManifestParse(f"manifest header must be {','.join(MANIFEST_HEADER)}")
+            return [_parse_manifest_row(row, n) for n, row in enumerate(reader, start=2)]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ManifestParse(f"cannot read manifest {path}: {exc}") from exc
+
+
+def _parse_manifest_row(row: list[str], line: int) -> ManifestRow:
+    if len(row) != len(MANIFEST_HEADER):
+        raise ManifestParse(f"line {line}: expected 6 fields, got {len(row)}")
+    patient_id, pre_path, posts, mask, left, right = (cell.strip() for cell in row)
+    if not patient_id or not pre_path:
+        raise ManifestParse(f"line {line}: patient_id and pre_path are required")
+    # it names the stack files, so it must be one plain file-name component
+    if patient_id in (".", "..") or any(c in patient_id for c in "/\\\0"):
+        raise ManifestParse(f"line {line}: patient_id {patient_id!r} is not a plain file name")
+    post_paths = tuple(p.strip() for p in posts.split(";") if p.strip())
+    if len(post_paths) < 2:
+        raise ManifestParse(f"line {line}: need >= 2 post paths, got {posts!r}")
+    for key, value in (("label_left", left), ("label_right", right)):
+        if value not in LABEL_STRINGS:
+            raise ManifestParse(f"line {line}: {key} must be one of {LABEL_STRINGS}, got {value!r}")
+    labels = (LABEL_STRINGS.index(left), LABEL_STRINGS.index(right))
+    return ManifestRow(patient_id, pre_path, post_paths, mask or None, *labels)
+
+
+def write_manifest(rows: Iterable[ManifestRow], path) -> None:
+    """Write rows in the format `read_manifest` parses, one atomic write."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(MANIFEST_HEADER)
+    for r in rows:
+        fields = [r.patient_id, r.pre_path, ";".join(r.post_paths), r.mask_path or ""]
+        writer.writerow(fields + [LABEL_STRINGS[r.label_left], LABEL_STRINGS[r.label_right]])
+    _write_file(path, buffer.getvalue().encode("utf-8"))
 
 
 def max_label(left: int, right: int) -> int:

@@ -89,8 +89,8 @@ def check_fields(obj: Any, spec: Mapping[str, tuple[type, int, float, float]]) -
     spec ``(kind, length, lo, hi)`` rejects.
 
     Kind is int or float, and a bool is neither.  Length 0 is a scalar, else
-    the exact length of a list or tuple, which is stored back on the object as
-    a tuple.  Every value lies in the closed range ``[lo, hi]``.
+    the exact length of a list or tuple, which an object (not a mapping) then
+    holds as a tuple.  Every value lies in the closed range ``[lo, hi]``.
     """
     owner = type(obj)
     for name, (kind, length, lo, hi) in spec.items():
@@ -106,8 +106,17 @@ def check_fields(obj: Any, spec: Mapping[str, tuple[type, int, float, float]]) -
                 low = "(0" if lo == POSITIVE else f"[{lo}"
                 high = "2**128)" if hi == PHILOX_MAX else f"{hi}]"
                 raise _FieldError(owner, f"{label} must be in {low}, {high}", item)
-        if length:
+        if length and not isinstance(obj, Mapping):
             object.__setattr__(obj, name, tuple(value))
+
+
+def json_numbers(value: Any, name: str) -> np.ndarray:
+    """Nested lists of finite JSON numbers (never a bool) as float64, else a ValueError."""
+    cells = np.array(value, dtype=object)
+    for v in cells.reshape(-1):
+        if type(v) not in (int, float) or not abs(v) <= sys.float_info.max:
+            raise ValueError(f"{name} must hold finite numbers only, got {reprlib.repr(v)}")
+    return cells.astype(np.float64)
 
 
 def bounded(default: Any, lo: float, hi: float = math.inf) -> Any:
@@ -413,7 +422,9 @@ def denormalize_stack(stack: MipStack, constants: NormConstants = NormConstants(
     out = np.empty_like(data)
     for c in range(4):
         lo, hi = stack.norm_bounds[c]
-        unit = data[c] * constants.stds[c] + constants.means[c]
+        # measured from the stored float32 of unit 0, so a channel's minimum comes back exact
+        zero = np.float32((0.0 - constants.means[c]) / constants.stds[c])
+        unit = np.clip((data[c] - zero) * constants.stds[c], 0.0, 1.0)
         out[c] = unit * (hi - lo) + lo
     meta = {k: v for k, v in stack.meta.items() if k not in ("norm_means", "norm_stds")}
     return replace(
@@ -438,6 +449,10 @@ def stack_to_blob(stack: MipStack) -> TensorBlob:
     return TensorBlob(data=stack.channels, meta=meta)
 
 
+# augment's dropout fills with a stack's stored constants, so they pass NormConstants' checks
+_NORM_META = {f"norm_{name}": spec for name, spec in field_specs(NormConstants).items()}
+
+
 def stack_from_blob(blob: TensorBlob) -> MipStack:
     """Rebuild a MipStack from a blob written by :func:`stack_to_blob`."""
     meta = dict(blob.meta)
@@ -447,12 +462,18 @@ def stack_from_blob(blob: TensorBlob) -> MipStack:
     if not isinstance(normalized, bool):
         raise ValueError(f"normalized must be true or false, got {normalized!r}")
     bounds = meta.pop("norm_bounds", None)
+    if bounds is not None:
+        pairs = json_numbers(bounds, "norm_bounds")
+        if pairs.shape != (4, 2) or (pairs[:, 0] > pairs[:, 1]).any():
+            raise ValueError(f"norm_bounds must be 4 pairs lo <= hi, got {reprlib.repr(bounds)}")
+        bounds = tuple(map(tuple, pairs.tolist()))
+    check_fields(meta, {key: spec for key, spec in _NORM_META.items() if key in meta})
     return MipStack(
         channels=blob.data,
         side=side,
         patient_id=patient_id,
         normalized=normalized,
-        norm_bounds=None if bounds is None else tuple((float(a), float(b)) for a, b in bounds),
+        norm_bounds=bounds,
         meta=meta,
     )
 

@@ -10,17 +10,15 @@ patient id), so regenerating a cohort is byte-identical.
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 from pathlib import Path
 
 import numpy as np
 
 from .augment2d import derive_seed
-from .evalkit import BENIGN, LABEL_STRINGS, MALIGNANT, MANIFEST_HEADER, NO_LESION
+from .evalkit import BENIGN, MALIGNANT, NO_LESION, ManifestRow, write_manifest
 from .mipbuild import Study
-from .tensorio import _make_dir, _write_file, write_nifti
+from .tensorio import _make_dir, write_nifti
 from .volume import Volume
 
 NATIVE_SHAPE = (64, 64, 16)
@@ -150,15 +148,6 @@ def generate_study(patient_id: str, index: int, cohort_seed: int) -> Study:
     )
 
 
-def study_file_names(patient_id: str) -> dict[str, str]:
-    """Relative paths (to the manifest directory) for one study's files."""
-    stem = f"studies/{patient_id}"
-    names = {"pre": f"{stem}_pre.nii.gz", "mask": f"{stem}_mask.nii.gz"}
-    for p in range(N_POSTS):
-        names[f"post{p + 1}"] = f"{stem}_post{p + 1}.nii.gz"
-    return names
-
-
 def write_cohort(n: int, seed: int, out_dir: str | os.PathLike) -> Path:
     """Generate n studies plus a manifest CSV; returns the manifest path."""
     if n < 1:
@@ -166,28 +155,17 @@ def write_cohort(n: int, seed: int, out_dir: str | os.PathLike) -> Path:
     out = Path(out_dir)
     _make_dir(out / "studies")
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(MANIFEST_HEADER)
+    rows = []
     for index in range(n):
         patient_id = f"p{index:03d}"
         study = generate_study(patient_id, index, seed)
-        names = study_file_names(patient_id)
-        write_nifti(study.pre, out / names["pre"])
-        for p, post in enumerate(study.posts):
-            write_nifti(post, out / names[f"post{p + 1}"])
-        write_nifti(study.mask, out / names["mask"])
-        writer.writerow(
-            [
-                patient_id,
-                names["pre"],
-                ";".join(names[f"post{p + 1}"] for p in range(N_POSTS)),
-                names["mask"],
-                LABEL_STRINGS[study.label_left],
-                LABEL_STRINGS[study.label_right],
-            ]
-        )
+        stem = f"studies/{patient_id}"  # relative to the manifest directory
+        pre, mask = f"{stem}_pre.nii.gz", f"{stem}_mask.nii.gz"
+        posts = tuple(f"{stem}_post{p + 1}.nii.gz" for p in range(N_POSTS))
+        for volume, name in zip((study.pre, *study.posts, study.mask), (pre, *posts, mask)):
+            write_nifti(volume, out / name)
+        rows.append(ManifestRow(patient_id, pre, posts, mask, study.label_left, study.label_right))
 
     manifest = out / "manifest.csv"
-    _write_file(manifest, buffer.getvalue().encode("utf-8"))
+    write_manifest(rows, manifest)
     return manifest

@@ -13,7 +13,6 @@ the exit code is 0 only when nothing failed.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -47,14 +46,14 @@ from .errors import (
     SchemaMismatch,
 )
 from .evalkit import (
-    LABEL_STRINGS,
-    MANIFEST_HEADER,
     N_CLASSES,
     FoldPlan,
+    ManifestRow,
     Prediction,
     ensemble_all,
     evaluate,
     max_label,
+    read_manifest,
     read_predictions_csv,
     stratified_kfold,
     write_predictions_csv,
@@ -71,6 +70,7 @@ from .mipbuild import (
     build_stacks,
     check_fields,
     field_specs,
+    json_numbers,
     normalize_stack,
     stack_from_blob,
     stack_to_blob,
@@ -79,21 +79,9 @@ from .tensorio import _make_dir, _write_file, read_blob, read_nifti, write_blob
 
 WEIGHTINGS = ("natural", "inverse")
 
-_LABEL_TO_INT = {name: i for i, name in enumerate(LABEL_STRINGS)}
-
 
 # ---------------------------------------------------------------------------
 # manifest
-
-
-@dataclass(frozen=True)
-class ManifestRow:
-    patient_id: str
-    pre_path: str
-    post_paths: tuple[str, ...]
-    mask_path: str | None
-    label_left: int
-    label_right: int
 
 
 class Manifest:
@@ -110,46 +98,7 @@ class Manifest:
 
     @classmethod
     def read(cls, path: str | Path) -> "Manifest":
-        path = Path(path)
-        try:
-            with open(path, "r", newline="", encoding="utf-8") as fh:
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                if header is None or tuple(header) != MANIFEST_HEADER:
-                    raise ManifestParse(
-                        f"manifest header must be {','.join(MANIFEST_HEADER)}"
-                    )
-                rows = [cls._parse_row(row, n) for n, row in enumerate(reader, start=2)]
-        except (OSError, UnicodeDecodeError, csv.Error) as exc:
-            raise ManifestParse(f"cannot read manifest {path}: {exc}") from exc
-        return cls(rows, path.parent)
-
-    @staticmethod
-    def _parse_row(row: list[str], line: int) -> ManifestRow:
-        if len(row) != len(MANIFEST_HEADER):
-            raise ManifestParse(f"line {line}: expected 6 fields, got {len(row)}")
-        patient_id, pre_path, posts, mask, left, right = (field.strip() for field in row)
-        if not patient_id or not pre_path:
-            raise ManifestParse(f"line {line}: patient_id and pre_path are required")
-        # it names the stack files, so it must be one plain file-name component
-        if patient_id in (".", "..") or any(c in patient_id for c in "/\\\0"):
-            raise ManifestParse(f"line {line}: patient_id {patient_id!r} is not a plain file name")
-        post_paths = tuple(p.strip() for p in posts.split(";") if p.strip())
-        if len(post_paths) < 2:
-            raise ManifestParse(f"line {line}: need >= 2 post paths, got {posts!r}")
-        for name, value in (("label_left", left), ("label_right", right)):
-            if value not in _LABEL_TO_INT:
-                raise ManifestParse(
-                    f"line {line}: {name} must be one of {LABEL_STRINGS}, got {value!r}"
-                )
-        return ManifestRow(
-            patient_id=patient_id,
-            pre_path=pre_path,
-            post_paths=post_paths,
-            mask_path=mask or None,
-            label_left=_LABEL_TO_INT[left],
-            label_right=_LABEL_TO_INT[right],
-        )
+        return cls(read_manifest(path), Path(path).parent)
 
     @property
     def patient_ids(self) -> list[str]:
@@ -520,10 +469,7 @@ def _read_model(out: Path, weighting: str, fold: int) -> HeadParams:
         if type(raw[key]) is not type(want) or raw[key] != want:
             raise SchemaMismatch(f"model file {path}: {key} is {raw[key]!r}, not {want!r}")
     try:
-        params = HeadParams(
-            W=np.asarray(raw["W"], dtype=np.float64),
-            b=np.asarray(raw["b"], dtype=np.float64),
-        )
+        params = HeadParams(W=json_numbers(raw["W"], "W"), b=json_numbers(raw["b"], "b"))
     except (TypeError, ValueError) as exc:
         raise SchemaMismatch(f"malformed model file {path}: {exc}") from exc
     if params.dim != feature_dim():

@@ -1,6 +1,6 @@
 """Smoke test: every quick demo runs to completion as a script, the
-README's library example imports only names the package has, and its
-config example loads."""
+README's library example imports only names the package has, its config
+example loads, and its manifest example parses and is written back as is."""
 
 import ast
 import os
@@ -12,6 +12,7 @@ import pytest
 
 import mipclass
 from mipclass import PipelineConfig, load_config
+from mipclass.evalkit import read_manifest, write_manifest
 
 ROOT = Path(__file__).resolve().parents[1]
 # 07 drives the whole CLI on a phantom cohort; the end-to-end tests cover it
@@ -61,3 +62,16 @@ def test_readme_config_example_loads(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(section.split("```json\n", 1)[1].split("```", 1)[0], encoding="utf-8")
     assert isinstance(load_config(config), PipelineConfig)
+
+
+def test_readme_manifest_example_round_trips(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Manifest format", 1)[1]
+    example = section.split("```csv\n", 1)[1].split("```", 1)[0]
+    given = tmp_path / "given.csv"
+    given.write_text(example, encoding="utf-8")
+    rows = read_manifest(given)
+    assert [row.patient_id for row in rows] == ["p000"]
+    written = tmp_path / "written.csv"
+    write_manifest(rows, written)
+    assert written.read_bytes() == given.read_bytes()

@@ -5,6 +5,9 @@ threshold table for the operating-point metrics, published score rows for
 the mean, and exhaustive properties for the round-robin fold dealer.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from mipclass.evalkit import (
     MALIGNANT,
     NO_LESION,
     FoldPlan,
+    ManifestRow,
     MetricsReport,
     Prediction,
     confusion,
@@ -25,11 +29,13 @@ from mipclass.evalkit import (
     evaluate,
     max_label,
     overall_score,
+    read_manifest,
     read_predictions_csv,
     roc_auc_micro,
     sens_at_spec,
     spec_at_sens,
     stratified_kfold,
+    write_manifest,
     write_predictions_csv,
 )
 
@@ -495,3 +501,49 @@ class TestPredictionsCsv:
         path.write_text(f"{header}\np0,left,0.2,nan?,0.3,m\n")
         with pytest.raises(SchemaMismatch):
             read_predictions_csv(path)
+
+
+# field text the parser gives back as written: read_manifest strips each field,
+# and splits the post paths on ";"
+_FIELD = st.text(
+    st.characters(min_codepoint=32, max_codepoint=0x2FF, blacklist_characters=";"),
+    min_size=1,
+    max_size=12,
+).filter(lambda s: s == s.strip())
+# a patient id is one plain file name
+_PATIENT_ID = _FIELD.filter(lambda s: s not in (".", "..") and not set(s) & set("/\\"))
+_ROWS = st.lists(
+    st.builds(
+        ManifestRow,
+        patient_id=_PATIENT_ID,
+        pre_path=_FIELD,
+        post_paths=st.lists(_FIELD, min_size=2, max_size=4).map(tuple),
+        mask_path=st.none() | _FIELD,
+        label_left=st.sampled_from((NO_LESION, BENIGN, MALIGNANT)),
+        label_right=st.sampled_from((NO_LESION, BENIGN, MALIGNANT)),
+    ),
+    max_size=5,
+)
+
+
+class TestManifestFormat:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_ROWS)
+    def test_write_then_read_gives_back_the_rows(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "manifest.csv"
+            write_manifest(rows, path)
+            assert read_manifest(path) == rows
+
+    def test_every_label_is_spelled_out(self, tmp_path):
+        rows = [
+            ManifestRow("a", "pre.nii", ("b.nii", "c.nii"), None, NO_LESION, BENIGN),
+            ManifestRow("b,\"q\"", "pre.nii", ("b.nii", "c.nii"), "m.nii", MALIGNANT, NO_LESION),
+        ]
+        path = tmp_path / "manifest.csv"
+        write_manifest(rows, path)
+        assert path.read_text() == (
+            "patient_id,pre_path,post_paths,mask_path,label_left,label_right\n"
+            "a,pre.nii,b.nii;c.nii,,no_lesion,benign\n"
+            '"b,""q""",pre.nii,b.nii;c.nii,m.nii,malignant,no_lesion\n'
+        )

@@ -5,6 +5,7 @@ the z-projection, hand arithmetic for the normalization constants, and a
 synthetic two-blob study with known lesion coordinates.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -50,7 +51,7 @@ from mipclass.mipbuild import (
     subtract_clamped,
 )
 from mipclass.phantom import generate_study
-from mipclass.pipeline_cli import PipelineConfig, _preprocess_one
+from mipclass.pipeline_cli import PipelineConfig, _preprocess_one, main
 from mipclass.tensorio import read_blob, write_blob
 from mipclass.volume import Volume
 
@@ -828,6 +829,36 @@ class TestNormalize:
         np.testing.assert_allclose(back.channels, channels, rtol=1e-5, atol=1e-4)
         assert back.normalized is False
 
+    @pytest.mark.parametrize("index", range(6))
+    def test_roundtrip_gives_back_built_channels(self, index):
+        """Zeros come back exact; other values within 1e-5 relative, or within
+        1e-6 of the channel's range, the float32 resolution of a normalized value."""
+        study = generate_study(f"p{index:03d}", index, cohort_seed=0)
+        for built in build_stacks(study, PHANTOM_CFG).values():
+            back = denormalize_stack(normalize_stack(built)).channels
+            for c in range(4):
+                want = built.channels[c]
+                assert (back[c][want == 0] == 0).all()
+                np.testing.assert_allclose(back[c], want, rtol=1e-5, atol=1e-6 * float(want.max()))
+
+    def test_every_preprocessed_stack_denormalizes(self, tmp_path):
+        """Undoing float32 normalization once took a channel minimum of 0 below 0."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"spacing": [2.8, 2.8, 12.0], "shape": [32, 32, 8],
+                                      "row_window": 16}))
+        run = str(tmp_path / "run")
+        assert main(["phantom", "--n", "6", "--out", run]) == 0
+        manifest = str(tmp_path / "run" / "manifest.csv")
+        assert main(["preprocess", "--manifest", manifest, "--config", str(config),
+                     "--out", run]) == 0
+        paths = sorted((tmp_path / "run" / "stacks").glob("*.mct"))
+        assert len(paths) == 12
+        for path in paths:
+            stack = stack_from_blob(read_blob(path))
+            back = denormalize_stack(stack)
+            for c, (lo, hi) in enumerate(stack.norm_bounds):
+                assert lo <= back.channels[c].min() and back.channels[c].max() <= hi
+
     def test_custom_constants_validated(self):
         # library callers see the field name, and "> 0" as a half-open range
         with pytest.raises(ValueError, match=r"^stds\[0\] must be in \(0, inf\], got 0\.0$"):
@@ -894,6 +925,26 @@ class TestStackBlobs:
         blob = stack_to_blob(normalize_stack(build_stack(_phantom_study(), "left", SMALL_CFG)))
         blob.meta["normalized"] = flag
         with pytest.raises(ValueError, match=r"^normalized must be true or false, got "):
+            stack_from_blob(blob)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("norm_bounds", [["0", True]] * 4),
+            ("norm_bounds", [[0.0, 1.0]] * 3),
+            ("norm_bounds", [[0.0, 1.0, 2.0]] * 4),
+            ("norm_bounds", [[2.0, 1.0]] * 4),
+            ("norm_bounds", [[0.0, 10**400]] * 4),
+            ("norm_means", "x"),
+            ("norm_means", [0.1, 0.1, 0.1]),
+            ("norm_stds", [0.0, 1.0, 1.0, 1.0]),
+            ("norm_stds", [True, 1.0, 1.0, 1.0]),
+        ],
+    )
+    def test_normalization_metadata_is_checked(self, key, value):
+        blob = stack_to_blob(normalize_stack(build_stack(_phantom_study(), "left", SMALL_CFG)))
+        blob.meta[key] = value
+        with pytest.raises(ValueError, match=f"^{key}"):
             stack_from_blob(blob)
 
     def test_sidecar_carries_audit_fields(self, tmp_path):

@@ -7,6 +7,7 @@ byte-identical regeneration.
 """
 
 import gzip
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,12 @@ class TestCohortFiles:
         assert files_a == files_b
         for rel in files_a:
             assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+    def test_manifest_bytes_are_pinned(self, tmp_path):
+        """The manifest write_cohort(6, 0) wrote when phantom formatted its own rows."""
+        manifest = phantom.write_cohort(6, seed=0, out_dir=tmp_path)
+        digest = hashlib.sha256(manifest.read_bytes()).hexdigest()
+        assert digest == "efcec23b9b1b060e529d307765dc5f830e0214d05b21ef36c8b0d5021480e288"
 
     def test_different_seed_changes_voxels(self, tmp_path):
         a = tmp_path / "a"

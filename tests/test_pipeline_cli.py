@@ -1120,10 +1120,16 @@ class TestCorruptRunDirectory:
             ("model_id_mismatch", "predict"),
             ("model_wrong_fold", "predict"),
             ("model_wrong_weighting", "predict"),
+            ("model_w_bool", "predict"),
+            ("model_w_string", "predict"),
+            ("model_b_bool", "predict"),
             ("nan_stack", "train"),
             ("unnormalized_stack", "train"),
             ("unnormalized_stack", "predict"),
             ("normalized_not_bool", "train"),
+            ("stack_bounds_not_numbers", "train"),
+            ("stack_bounds_three_pairs", "train"),
+            ("stack_means_string", "train"),
             ("empty_fold", "train"),
             ("empty_fold", "predict"),
             ("fold_is_true", "predict"),
@@ -1181,6 +1187,26 @@ class TestCorruptRunDirectory:
             else:
                 record["weighting"] = "inverse"
             model.write_text(json.dumps(record))
+        elif case in ("model_w_bool", "model_w_string", "model_b_bool"):
+            # np.asarray reads true as 1.0 and "1.5" as 1.5
+            model = run / "models" / "natural_fold0.json"
+            record = json.loads(model.read_text())
+            if case == "model_b_bool":
+                record["b"][0] = True
+            else:
+                record["W"][0][0] = True if case == "model_w_bool" else "1.5"
+            model.write_text(json.dumps(record))
+        elif case in ("stack_bounds_not_numbers", "stack_bounds_three_pairs", "stack_means_string"):
+            for stack in stacks:
+                meta = read_blob(stack).meta
+                if case == "stack_bounds_not_numbers":
+                    meta["norm_bounds"] = [["0", True]] * 4
+                elif case == "stack_bounds_three_pairs":
+                    meta["norm_bounds"] = meta["norm_bounds"][:3]
+                else:
+                    # dropout fills with these, so train once failed only when it fired
+                    meta["norm_means"] = "x"
+                _set_stack_meta(stack, meta)
         elif case == "nan_stack":
             for stack in stacks:
                 blob = read_blob(stack)
@@ -1246,6 +1272,15 @@ class TestCorruptRunDirectory:
             assert re.fullmatch(r"error: stack \S+\.mct is not normalized; rerun preprocess\n", err)
         if case == "normalized_not_bool":
             assert err.endswith(".mct: normalized must be true or false, got 'no'\n")
+        if case == "stack_means_string":
+            assert re.fullmatch(
+                r"error: malformed stack \S+\.mct: norm_means must be 4 numbers, got 'x'\n", err
+            )
+        if case == "model_w_string":
+            assert err == (
+                f"error: malformed model file {run}/models/natural_fold0.json: "
+                "W must hold finite numbers only, got '1.5'\n"
+            )
         assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == before
 
 
