@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
@@ -58,12 +59,16 @@ def read_manifest(path) -> list[ManifestRow]:
     """Parse a manifest CSV; every way it can be unreadable is a ManifestParse."""
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            if tuple(next(reader, ())) != MANIFEST_HEADER:
-                raise ManifestParse(f"manifest header must be {','.join(MANIFEST_HEADER)}")
-            return [_parse_manifest_row(row, n) for n, row in enumerate(reader, start=2)]
+            return _parse_manifest(fh)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ManifestParse(f"cannot read manifest {path}: {exc}") from exc
+
+
+def _parse_manifest(lines: Iterable[str]) -> list[ManifestRow]:
+    reader = csv.reader(lines)
+    if tuple(next(reader, ())) != MANIFEST_HEADER:
+        raise ManifestParse(f"manifest header must be {','.join(MANIFEST_HEADER)}")
+    return [_parse_manifest_row(row, n) for n, row in enumerate(reader, start=2)]
 
 
 def _parse_manifest_row(row: list[str], line: int) -> ManifestRow:
@@ -86,13 +91,26 @@ def _parse_manifest_row(row: list[str], line: int) -> ManifestRow:
 
 
 def write_manifest(rows: Iterable[ManifestRow], path) -> None:
-    """Write rows in the format `read_manifest` parses, one atomic write."""
+    """Write rows in the format `read_manifest` parses, one atomic write.
+
+    The text is parsed back first: rows the reader would refuse, or read
+    back as other rows, are a ValueError and nothing is written.
+    """
+    rows = list(rows)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(MANIFEST_HEADER)
+    words = dict(enumerate(LABEL_STRINGS))  # any other label is written as its repr, refused
     for r in rows:
-        fields = [r.patient_id, r.pre_path, ";".join(r.post_paths), r.mask_path or ""]
-        writer.writerow(fields + [LABEL_STRINGS[r.label_left], LABEL_STRINGS[r.label_right]])
+        labels = [words.get(v, repr(v)) for v in (r.label_left, r.label_right)]
+        writer.writerow([r.patient_id, r.pre_path, ";".join(r.post_paths), r.mask_path or "", *labels])
+    try:
+        back = _parse_manifest(io.StringIO(buffer.getvalue(), newline=""))
+    except (ManifestParse, csv.Error) as exc:
+        raise ValueError(f"the manifest reader would refuse these rows: {exc}") from None
+    for line, (row, read) in enumerate(itertools.zip_longest(rows, back), start=2):
+        if row != read:
+            raise ValueError(f"line {line}: {row} would read back as {read}")
     _write_file(path, buffer.getvalue().encode("utf-8"))
 
 

@@ -32,6 +32,7 @@ from .errors import (
     TooFewPhases,
 )
 from .geometry import (
+    HEIGHT_AXIS,
     MAX_RESAMPLE_VOXELS,
     Interp,
     crop_or_pad,
@@ -313,12 +314,12 @@ def build_stacks(study: Study, cfg: BuildConfig = BuildConfig()) -> dict[str, Mi
     """Run the §-ordered pipeline once per study and stack the 4 MIPs per side.
 
     Reorient -> resample each distinct phase once; localize rows on post1
-    crop/padded to ``cfg.shape``; cut each phase onto each side's data box in
-    that grid and window (:func:`data_boxes`), outside which every channel is
-    +0.0.  Every phase but post1 is resampled on just the box holding both
-    data boxes (:func:`cut_plan`).  Each voxel of a side's data box keeps the
-    mask voxel nearest in world space (:func:`_nearest_voxels`), and the mask
-    is resampled, with ``NEAREST``, on just the box those voxels reach.
+    cut to ``cfg.shape``, padded in height only; cut each phase onto each
+    side's data box in that grid and window (:func:`data_boxes`), outside
+    which every channel is +0.0.  Every phase but post1 is resampled on just
+    the box holding both data boxes (:func:`cut_plan`).  Each voxel of a side's
+    data box keeps the mask voxel nearest in world space (:func:`_nearest_voxels`),
+    and the mask is resampled, with ``NEAREST``, on just the box those voxels reach.
     One pass over each side's z-slowest cuts masks, subtracts, clamps and
     projects plane by plane, with the bytes of stacking :func:`mip_z` of the
     masked post1 and of :func:`subtract_clamped` per post.  Keys follow ``SIDES``.
@@ -326,7 +327,9 @@ def build_stacks(study: Study, cfg: BuildConfig = BuildConfig()) -> dict[str, Mi
     order = select_phases(study)
     first = order[1]
     post1 = resample(reorient_canonical(first), cfg.spacing, Interp.TRILINEAR)
-    rows = localize_rows(crop_or_pad(post1, cfg.shape), cfg.row_window)
+    reach = [min(n, t) for n, t in zip(post1.shape, cfg.shape)]
+    reach[HEIGHT_AXIS] = cfg.shape[HEIGHT_AXIS]  # zeros padded in x or z add to no row sum
+    rows = localize_rows(crop_or_pad(post1, tuple(reach)), cfg.row_window)
     shapes = [post1.shape if v is first else resampled_shape(v, cfg.spacing) for v in order]
     boxes = data_boxes(shapes, cfg.shape, rows)
     cuts = {id(first): cut_halves(post1, cfg.shape, rows, boxes)}

@@ -251,7 +251,7 @@ def _read_json(path: Path, what: str, hint: str = "") -> dict:
         raise MissingBlob(f"no {what} at {path}{hint}") from exc
     except OSError as exc:
         raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaMismatch(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaMismatch(f"{what} {path} must hold a JSON object")
@@ -370,12 +370,13 @@ def cmd_train(
     weighting: str = "both",
     fold: int | None = None,
 ) -> int:
-    """Train every selected (weighting, fold) head in one epoch-major pass.
+    """Train every selected (weighting, fold) head on one breast-major feature array.
 
-    Each training breast is loaded once and, per epoch, augmented and
-    featurized once; every head then steps on its own rows.  Labels are
-    looked up per training patient through Manifest.labels_for, so
-    validation-fold labels are never touched.
+    Each training breast is loaded once, augmented and featurized for every
+    epoch (once when augmentation is off) into an ``(epochs, breasts, D)``
+    float32 array, and dropped before the next is loaded; every head then
+    steps on its own rows.  Labels are looked up per training patient
+    through Manifest.labels_for, so validation-fold labels are never touched.
     """
     manifest = Manifest.read(manifest_path)
     out = Path(out_dir)
@@ -383,15 +384,33 @@ def cmd_train(
     weightings, folds = _selected_heads(plan, weighting, fold)
     _make_dir(out / "models")
 
+    def breast_features(stack: MipStack, epoch: int) -> np.ndarray:
+        if config.policy.active:
+            # augmentations are redrawn every epoch, seeded per breast
+            seed = derive_seed(config.seed, stack.patient_id, stack.side, epoch)
+            try:
+                stack = augment(stack, seed, config.policy)
+            except (ValueError, OverflowError) as exc:
+                raise SchemaMismatch(
+                    f"augmenting patient {stack.patient_id} side {stack.side} at epoch {epoch}"
+                    f" failed ({exc}); the config's augment magnitudes are out of range"
+                ) from exc
+        return extract_features(stack)
+
     # every breast a selected head trains on, once; row of (patient, side)
+    patients = sorted({p for f in folds for p in plan.training_patients(f)})
+    epochs = config.train.epochs if config.policy.active else 1
+    feats = np.empty((epochs, len(patients) * len(SIDES), feature_dim()), dtype=np.float32)
     row_of: dict[tuple[str, str], int] = {}
-    stacks: list[MipStack] = []
     breast_labels: list[int] = []
-    for patient_id in sorted({p for f in folds for p in plan.training_patients(f)}):
+    for patient_id in patients:
         sides = manifest.labels_for(patient_id)
         for side in SIDES:
-            row_of[patient_id, side] = len(stacks)
-            stacks.append(_load_stack(out, patient_id, side))
+            row_of[patient_id, side] = row = len(breast_labels)
+            stack = _load_stack(out, patient_id, side)
+            for epoch in range(epochs):
+                feats[epoch, row] = breast_features(stack, epoch)
+            del stack  # freed before the next breast is loaded
             breast_labels.append(sides[side])
     labels = np.asarray(breast_labels, dtype=np.int64)
 
@@ -410,26 +429,9 @@ def cmd_train(
             )
             heads.append((w, f, spec, counts))
 
-    def breast_features(stack: MipStack, epoch: int) -> np.ndarray:
-        if config.policy.active:
-            # augmentations are redrawn every epoch, seeded per breast
-            seed = derive_seed(config.seed, stack.patient_id, stack.side, epoch)
-            try:
-                stack = augment(stack, seed, config.policy)
-            except (ValueError, OverflowError) as exc:
-                raise SchemaMismatch(
-                    f"augmenting patient {stack.patient_id} side {stack.side} at epoch {epoch}"
-                    f" failed ({exc}); the config's augment magnitudes are out of range"
-                ) from exc
-        return extract_features(stack)
-
-    def epoch_features(epoch: int) -> np.ndarray:
-        return np.stack([breast_features(s, epoch) for s in stacks])
-
-    # without augmentation every epoch trains on the same matrix, built once
-    matrix = None if config.policy.active else epoch_features(0)
-    features = epoch_features if matrix is None else (lambda epoch: matrix)
-    results = train_heads(features, [spec for _, _, spec, _ in heads], config.train)
+    specs = [spec for _, _, spec, _ in heads]
+    # without augmentation every epoch trains on epoch 0's features
+    results = train_heads(lambda epoch: feats[epoch % epochs], specs, config.train)
 
     for (w, f, spec, counts), result in zip(heads, results):
         params, trace = result.params, result.loss_trace

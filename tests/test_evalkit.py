@@ -5,6 +5,9 @@ threshold table for the operating-point metrics, published score rows for
 the mean, and exhaustive properties for the round-robin fold dealer.
 """
 
+import csv
+import dataclasses
+import io
 import tempfile
 from pathlib import Path
 
@@ -14,10 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mipclass import phantom
-from mipclass.errors import DegenerateLabels, EmptyGroup, SchemaMismatch, TooFewPatients
+from mipclass.errors import (
+    DegenerateLabels,
+    EmptyGroup,
+    ManifestParse,
+    SchemaMismatch,
+    TooFewPatients,
+)
 from mipclass.evalkit import (
     BENIGN,
+    LABEL_STRINGS,
     MALIGNANT,
+    MANIFEST_HEADER,
     NO_LESION,
     FoldPlan,
     ManifestRow,
@@ -512,21 +523,94 @@ _FIELD = st.text(
 ).filter(lambda s: s == s.strip())
 # a patient id is one plain file name
 _PATIENT_ID = _FIELD.filter(lambda s: s not in (".", "..") and not set(s) & set("/\\"))
-_ROWS = st.lists(
-    st.builds(
-        ManifestRow,
-        patient_id=_PATIENT_ID,
-        pre_path=_FIELD,
-        post_paths=st.lists(_FIELD, min_size=2, max_size=4).map(tuple),
-        mask_path=st.none() | _FIELD,
-        label_left=st.sampled_from((NO_LESION, BENIGN, MALIGNANT)),
-        label_right=st.sampled_from((NO_LESION, BENIGN, MALIGNANT)),
-    ),
-    max_size=5,
+_ROW = st.builds(
+    ManifestRow,
+    patient_id=_PATIENT_ID,
+    pre_path=_FIELD,
+    post_paths=st.lists(_FIELD, min_size=2, max_size=4).map(tuple),
+    mask_path=st.none() | _FIELD,
+    label_left=st.sampled_from((NO_LESION, BENIGN, MALIGNANT)),
+    label_right=st.sampled_from((NO_LESION, BENIGN, MALIGNANT)),
 )
+_ROWS = st.lists(_ROW, max_size=5)
+
+# any field text, weighted toward what the parser strips, splits or refuses
+_ANY_FIELD = st.text(
+    st.sampled_from("a.;/\\\0 \t\r\n,\"\x85\xa0") | st.characters(blacklist_categories=("Cs",)),
+    max_size=6,
+)
+# per field, any value of its type
+_ANY_VALUE = {
+    "patient_id": _ANY_FIELD,
+    "pre_path": _ANY_FIELD,
+    "post_paths": st.lists(_ANY_FIELD, max_size=3).map(tuple),
+    "mask_path": st.none() | _ANY_FIELD,
+    "label_left": st.integers(-1, 3),
+    "label_right": st.integers(-1, 3),
+}
+
+
+@st.composite
+def _near_row(draw) -> ManifestRow:
+    """A valid row, or one with one field drawn from any value of its type."""
+    row = draw(_ROW)
+    name = draw(st.sampled_from([None, *_ANY_VALUE]))
+    return row if name is None else dataclasses.replace(row, **{name: draw(_ANY_VALUE[name])})
+
+
+def _unchecked_manifest(rows) -> str:
+    """The manifest text of a writer that checks nothing."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(MANIFEST_HEADER)
+    for r in rows:
+        labels = [LABEL_STRINGS[v] if 0 <= v < 3 else str(v) for v in (r.label_left, r.label_right)]
+        writer.writerow([r.patient_id, r.pre_path, ";".join(r.post_paths), r.mask_path or "", *labels])
+    return buffer.getvalue()
 
 
 class TestManifestFormat:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(_near_row(), max_size=3))
+    def test_write_refuses_exactly_what_read_would(self, rows):
+        """`write_manifest` writes the rows when the reader gives back exactly
+        these rows from their text, and refuses them, writing nothing, when it
+        would refuse that text or read other rows from it."""
+        with tempfile.TemporaryDirectory() as tmp:
+            unchecked = Path(tmp) / "unchecked.csv"
+            unchecked.write_bytes(_unchecked_manifest(rows).encode("utf-8"))
+            try:
+                faithful = read_manifest(unchecked) == rows
+            except ManifestParse:
+                faithful = False
+            path = Path(tmp) / "manifest.csv"
+            if faithful:
+                write_manifest(rows, path)
+                assert path.read_bytes() == unchecked.read_bytes()
+                assert read_manifest(path) == rows
+            else:
+                with pytest.raises(ValueError, match=r"would (refuse|read back)"):
+                    write_manifest(rows, path)
+                assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (ManifestRow("a/b", "p", ("x", "y"), None, 0, 0), "is not a plain file name"),
+            (ManifestRow("a ", "p", ("x", "y"), None, 0, 0), "would read back as"),
+            (ManifestRow("a", "p", ("x;z", "y"), None, 0, 0), "would read back as"),
+            (ManifestRow("a", "p", ("x",), None, 0, 0), "need >= 2 post paths"),
+            (ManifestRow("a", "p", ("x", "y"), None, 3, 0), "label_left must be one of"),
+            (ManifestRow("a", "p", ("x", "y"), None, 0, -1), "label_right must be one of"),
+        ],
+        ids=["id_path", "edge_whitespace", "semicolon_in_path", "one_post", "label_3", "label_-1"],
+    )
+    def test_writer_refusals(self, tmp_path, row, message):
+        ok = ManifestRow("p0", "p", ("x", "y"), None, 0, 0)
+        with pytest.raises(ValueError, match=f"line 3: .*{message}"):
+            write_manifest([ok, row], tmp_path / "manifest.csv")
+        assert not (tmp_path / "manifest.csv").exists()
+
     @settings(max_examples=200, deadline=None)
     @given(rows=_ROWS)
     def test_write_then_read_gives_back_the_rows(self, rows):

@@ -571,6 +571,28 @@ class TestLocalizeRows:
         vol = Volume.from_array(band.astype(np.float32))
         assert localize_rows(vol, window).start == max(0, start + length - window)
 
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_padding_only_the_height_keeps_the_window(self, data):
+        """A copy padded to the grid in height but only cropped in x and z picks
+        the window of the full-grid copy: padded zeros add nothing to a row sum,
+        and windows planted with equal sums tie the same way in both."""
+        shape = [data.draw(st.integers(1, 12), label=f"axis {i}") for i in range(3)]
+        grid = [max(1, n + data.draw(st.integers(-5, 5), label="grid - shape")) for n in shape]
+        window = data.draw(st.integers(1, grid[1] + 1), label="window")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        values = rng.uniform(0.0, 1.0, shape) * 10.0 ** rng.uniform(-3, 3, shape)
+        if data.draw(st.booleans(), label="flat"):
+            values[:] = 1.0
+        # a window's worth of rows copied elsewhere: two windows of equal sums
+        length = min(window, shape[1])
+        src, dst = (data.draw(st.integers(0, shape[1] - length)) for _ in range(2))
+        values[:, dst : dst + length] = values[:, src : src + length].copy()
+        vol = Volume.from_array(values.astype(np.float32))
+        reach = tuple(t if i == 1 else min(n, t) for i, (n, t) in enumerate(zip(shape, grid)))
+        expected = localize_rows(crop_or_pad(vol, tuple(grid)), window)
+        assert localize_rows(crop_or_pad(vol, reach), window) == expected
+
     def test_non_finite_voxels_count_as_dark(self):
         data = self._band(512, slice(192, 320), 0)
         data[0, 10, 0] = np.nan

@@ -527,7 +527,9 @@ class TestBuildStacks:
         "drop", [{}, {"mask": False}, {"n_posts": 2}], ids=["masked", "unmasked", "two_posts"]
     )
     def test_only_post1_is_cropped_or_padded(self, monkeypatch, drop):
-        """Every other phase and the mask are cut straight from their resampled grids."""
+        """Every other phase and the mask are cut straight from their resampled grids,
+        and post1 is never padded in x or z: on a grid larger than its 128x128x32
+        on every axis, only its height is padded to the grid's."""
         calls = []
 
         def counting(volume, target_shape):
@@ -535,8 +537,9 @@ class TestBuildStacks:
             return crop_or_pad(volume, target_shape)
 
         monkeypatch.setattr(mipbuild, "crop_or_pad", counting)
-        build_stacks(_without(_generated(), **drop), PHANTOM_CFG)
-        assert calls == [PHANTOM_CFG.shape]
+        cfg = BuildConfig(spacing=(0.7, 0.7, 3.0), shape=(141, 140, 35), row_window=48)
+        build_stacks(_without(_generated(), **drop), cfg)
+        assert calls == [(128, 140, 32)]
 
     def test_sides_do_not_share_metadata(self):
         stacks = build_stacks(_phantom_study(), SMALL_CFG)

@@ -13,6 +13,7 @@ import shutil
 import struct
 import tempfile
 import typing
+import weakref
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -24,8 +25,16 @@ from hypothesis import strategies as st
 from scipy_reference import scipy_blur, scipy_warp
 
 from mipclass import phantom
-from mipclass.augment2d import AugmentPolicy, default_policy
-from mipclass.classhead import HeadParams, TrainConfig, class_weights
+from mipclass.augment2d import AugmentPolicy, augment, default_policy, derive_seed
+from mipclass.classhead import (
+    HeadParams,
+    HeadSpec,
+    TrainConfig,
+    class_weights,
+    extract_features,
+    train_heads,
+    uniform_weights,
+)
 from mipclass.errors import ManifestParse, MipclassError, MissingBlob, SchemaMismatch
 from mipclass.evalkit import (
     FoldPlan,
@@ -35,7 +44,14 @@ from mipclass.evalkit import (
     stratified_kfold,
     write_predictions_csv,
 )
-from mipclass.mipbuild import POSITIVE, BuildConfig, MipStack, NormConstants, field_specs
+from mipclass.mipbuild import (
+    POSITIVE,
+    SIDES,
+    BuildConfig,
+    MipStack,
+    NormConstants,
+    field_specs,
+)
 from mipclass.pipeline_cli import (
     Manifest,
     PipelineConfig,
@@ -883,8 +899,8 @@ class TestTrain:
         assert (run / "models" / "natural_fold1.json").read_bytes() == together["natural_fold1.json"]
 
     def test_all_heads_in_one_pass_match_single_head_runs(self, tmp_path, monkeypatch):
-        """Epoch-major training: every breast is read once and augmented once
-        per epoch for all 2·k heads, and each model's bytes equal those of
+        """All heads train in one pass: every breast is read once and augmented
+        once per epoch for all 2·k heads, and each model's bytes equal those of
         training that head alone."""
         import mipclass.pipeline_cli as cli
 
@@ -923,6 +939,66 @@ class TestTrain:
                 cmd_train(run / "manifest.csv", config, run, weighting=weighting, fold=fold)
                 name = f"{weighting}_fold{fold}.json"
                 assert (run / "models" / name).read_bytes() == together[name]
+
+    def test_breast_major_features_match_epoch_major(self, tmp_path, monkeypatch):
+        """Each training breast is loaded once, in row order, and freed before
+        the next is loaded; the models' bytes equal those of an epoch-major
+        loop that holds every stack and augments all breasts epoch by epoch."""
+        import mipclass.pipeline_cli as cli
+
+        run = tmp_path / "run"
+        cfg_raw = dict(FAST_CONFIG)
+        cfg_raw["augment"] = {"hflip_p": 0.5, "noise_p": 0.5, "noise_sigma": 0.02, "rotate_p": 0.5}
+        cfg_raw["train"] = {"epochs": 4, "batch": 8, "lr_max": 0.05, "warmup_epochs": 1}
+        config = load_config_from(cfg_raw)
+        phantom.write_cohort(7, seed=0, out_dir=run)
+        cmd_preprocess(run / "manifest.csv", config, run)
+        cmd_split(run / "manifest.csv", config, run)
+
+        loaded: list[tuple[str, str]] = []
+        freed: list[bool] = []
+        previous = None
+
+        def tracking_load(out, patient_id, side):
+            nonlocal previous
+            freed.append(previous is None or previous() is None)
+            stack = _load_stack(out, patient_id, side)
+            loaded.append((patient_id, side))
+            previous = weakref.ref(stack)
+            return stack
+
+        monkeypatch.setattr(cli, "_load_stack", tracking_load)
+        cmd_train(run / "manifest.csv", config, run, weighting="both")
+        plan = _read_folds(run)
+        breasts = [(p, side) for p in sorted(plan.assignment) for side in SIDES]
+        assert loaded == breasts
+        assert all(freed)
+
+        # the reference: every stack held, features built one epoch at a time
+        manifest = Manifest.read(run / "manifest.csv")
+        stacks = [_load_stack(run, p, side) for p, side in breasts]
+
+        def epoch_features(epoch):
+            seeds = [derive_seed(config.seed, p, side, epoch) for p, side in breasts]
+            return np.stack(
+                [extract_features(augment(s, seed, config.policy)) for s, seed in zip(stacks, seeds)]
+            )
+
+        names, specs = [], []
+        for weighting in ("natural", "inverse"):
+            for fold in range(config.k):
+                head = [(p, side) for p in plan.training_patients(fold) for side in SIDES]
+                labels = np.array([manifest.labels_for(p)[side] for p, side in head])
+                counts = np.bincount(labels, minlength=3).tolist()
+                weights = uniform_weights() if weighting == "natural" else class_weights(counts)
+                seed = derive_seed(config.seed, f"fold{fold}", weighting, 0)
+                specs.append(HeadSpec([breasts.index(b) for b in head], labels, weights, seed))
+                names.append(f"{weighting}_fold{fold}.json")
+        for name, result in zip(names, train_heads(epoch_features, specs, config.train)):
+            record = json.loads((run / "models" / name).read_text())
+            assert record["W"] == result.params.W.tolist()
+            assert record["b"] == result.params.b.tolist()
+            assert record["loss_trace"] == result.loss_trace.tolist()
 
 
 class TestLeakageAudit:
@@ -1282,6 +1358,36 @@ class TestCorruptRunDirectory:
                 "W must hold finite numbers only, got '1.5'\n"
             )
         assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == before
+
+    @pytest.mark.parametrize(
+        "what, command",
+        [("config", "split"), ("fold plan", "train"), ("model", "predict")],
+    )
+    def test_deep_json_exits_two(self, trained, tmp_path, what, command, capsys):
+        """JSON nested past the decoder's recursion limit is invalid JSON: one
+        error line naming the file, exit 2, nothing written."""
+        run = tmp_path / "run"
+        shutil.copytree(trained, run)
+        deep = '{"k": ' + "[" * 100_000 + "]" * 100_000 + "}"
+        config = _write_config(tmp_path)
+        path = {
+            "config": config,
+            "fold plan": run / "folds.json",
+            "model": run / "models" / "natural_fold0.json",
+        }[what]
+        path.write_text(deep)
+        argv = [command, "--out", str(run)]
+        if command != "predict":
+            argv += ["--manifest", str(run / "manifest.csv"), "--config", str(config)]
+        if command != "split":
+            argv += ["--weighting", "natural", "--fold", "0"]
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {what} {path} is not valid JSON: maximum recursion depth")
+        assert err.count("\n") == 1
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 _PREDICTION_HEADER = "patient_id,side,p_nolesion,p_benign,p_malignant,model_id\n"
