@@ -1,6 +1,7 @@
 """The manifest, stratified patient-level folds, challenge metrics, and ensembling.
 
-`read_manifest` and `write_manifest` are the manifest CSV's one reader and writer.
+`read_manifest` and `write_manifest` are the manifest CSV's one reader and writer,
+and `read_predictions_csv` and `write_predictions_csv` the prediction CSV's.
 
 Metrics: micro-averaged one-vs-rest ROC AUC (Mann–Whitney U, ties
 counting one half), sensitivity at 90% specificity and specificity at 90%
@@ -64,11 +65,25 @@ def read_manifest(path) -> list[ManifestRow]:
         raise ManifestParse(f"cannot read manifest {path}: {exc}") from exc
 
 
+def plain_file_name(name: str) -> bool:
+    """Whether `name` is one plain file-name component: not empty, not ``.`` or
+    ``..``, and holding no path separator and no ASCII control character.
+
+    A patient id names its stack files, so it must be one.
+    """
+    return name not in ("", ".", "..") and not any(c in "/\\\x7f" or c < " " for c in name)
+
+
 def _parse_manifest(lines: Iterable[str]) -> list[ManifestRow]:
     reader = csv.reader(lines)
     if tuple(next(reader, ())) != MANIFEST_HEADER:
         raise ManifestParse(f"manifest header must be {','.join(MANIFEST_HEADER)}")
-    return [_parse_manifest_row(row, n) for n, row in enumerate(reader, start=2)]
+    rows = [_parse_manifest_row(row, n) for n, row in enumerate(reader, start=2)]
+    ids = [r.patient_id for r in rows]
+    if len(set(ids)) != len(ids):
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        raise ManifestParse(f"duplicate patient ids: {dupes}")
+    return rows
 
 
 def _parse_manifest_row(row: list[str], line: int) -> ManifestRow:
@@ -77,8 +92,7 @@ def _parse_manifest_row(row: list[str], line: int) -> ManifestRow:
     patient_id, pre_path, posts, mask, left, right = (cell.strip() for cell in row)
     if not patient_id or not pre_path:
         raise ManifestParse(f"line {line}: patient_id and pre_path are required")
-    # it names the stack files, so it must be one plain file-name component
-    if patient_id in (".", "..") or any(c in patient_id for c in "/\\\0"):
+    if not plain_file_name(patient_id):
         raise ManifestParse(f"line {line}: patient_id {patient_id!r} is not a plain file name")
     post_paths = tuple(p.strip() for p in posts.split(";") if p.strip())
     if len(post_paths) < 2:
@@ -386,7 +400,11 @@ CSV_HEADER = ("patient_id", "side", "p_nolesion", "p_benign", "p_malignant", "mo
 
 
 def write_predictions_csv(predictions: Sequence[Prediction], path) -> None:
-    """Deterministic CSV: sorted by (patient, side, model), 17-digit floats."""
+    """Deterministic CSV: sorted by (patient, side, model), 17-digit floats.
+
+    The text is parsed back first: predictions the reader would refuse, or
+    read back as others, are a ValueError and nothing is written.
+    """
     rows = sorted(predictions, key=lambda p: (p.patient_id, p.side, p.model_id))
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -395,30 +413,46 @@ def write_predictions_csv(predictions: Sequence[Prediction], path) -> None:
         writer.writerow(
             [p.patient_id, p.side] + [f"{v:.17g}" for v in p.probs] + [p.model_id]
         )
+    try:
+        back = _parse_predictions(io.StringIO(buffer.getvalue(), newline=""))
+    except (SchemaMismatch, csv.Error) as exc:
+        raise ValueError(f"the prediction CSV reader would refuse these rows: {exc}") from None
+
+    def fields(p: Prediction) -> tuple:
+        return p.patient_id, p.side, p.probs.tolist(), p.model_id
+
+    pairs = itertools.zip_longest(map(fields, rows), map(fields, back))
+    for line, (row, read) in enumerate(pairs, start=2):
+        if row != read:
+            raise ValueError(f"line {line}: {row} would read back as {read}")
     _write_file(path, buffer.getvalue().encode("utf-8"))
+
+
+def _parse_predictions(lines: Iterable[str]) -> list[Prediction]:
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None or tuple(header) != CSV_HEADER:
+        raise SchemaMismatch(f"unexpected prediction CSV header: {header}")
+    out = []
+    for row in reader:
+        if len(row) != len(CSV_HEADER):
+            raise SchemaMismatch(f"malformed prediction row: {row}")
+        try:
+            probs = np.array([float(row[2]), float(row[3]), float(row[4])])
+            out.append(Prediction(row[0], row[1], probs, row[5]))
+        except ValueError as exc:
+            raise SchemaMismatch(f"invalid prediction row {row}: {exc}") from exc
+    return out
 
 
 def read_predictions_csv(path) -> list[Prediction]:
     """Parse a prediction CSV; every way it can be unreadable is a typed error."""
-    out = []
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header) != CSV_HEADER:
-                raise SchemaMismatch(f"unexpected prediction CSV header: {header}")
-            for row in reader:
-                if len(row) != len(CSV_HEADER):
-                    raise SchemaMismatch(f"malformed prediction row: {row}")
-                try:
-                    probs = np.array([float(row[2]), float(row[3]), float(row[4])])
-                    out.append(Prediction(row[0], row[1], probs, row[5]))
-                except ValueError as exc:
-                    raise SchemaMismatch(f"invalid prediction row {row}: {exc}") from exc
+            return _parse_predictions(fh)
     except FileNotFoundError as exc:
         raise MissingBlob(f"no prediction CSV at {path}") from exc
     except OSError as exc:
         raise IoFailure(f"cannot read prediction CSV {path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise SchemaMismatch(f"unreadable prediction CSV {path}: {exc}") from exc
-    return out

@@ -19,7 +19,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .classhead import (
     HeadParams,
     HeadSpec,
     TrainConfig,
+    TrainResult,
     class_weights,
     extract_features,
     feature_dim,
@@ -40,7 +41,6 @@ from .classhead import (
 from .errors import (
     BadArgument,
     IoFailure,
-    ManifestParse,
     MipclassError,
     MissingBlob,
     SchemaMismatch,
@@ -49,10 +49,12 @@ from .evalkit import (
     N_CLASSES,
     FoldPlan,
     ManifestRow,
+    MetricsReport,
     Prediction,
     ensemble_all,
     evaluate,
     max_label,
+    plain_file_name,
     read_manifest,
     read_predictions_csv,
     stratified_kfold,
@@ -75,7 +77,7 @@ from .mipbuild import (
     stack_from_blob,
     stack_to_blob,
 )
-from .tensorio import _make_dir, _write_file, read_blob, read_nifti, write_blob
+from .tensorio import TensorBlob, _make_dir, _write_file, read_blob, read_nifti, write_blob
 
 WEIGHTINGS = ("natural", "inverse")
 
@@ -88,10 +90,6 @@ class Manifest:
     """Study table plus the directory its relative paths resolve against."""
 
     def __init__(self, rows: Sequence[ManifestRow], base_dir: Path):
-        ids = [r.patient_id for r in rows]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise ManifestParse(f"duplicate patient ids: {dupes}")
         self.rows = tuple(rows)
         self.base_dir = Path(base_dir)
         self._by_id = {r.patient_id: r for r in rows}
@@ -212,31 +210,22 @@ def load_config(path: str | Path | None) -> PipelineConfig:
 
 
 # ---------------------------------------------------------------------------
-# shared run-directory layout
+# the run directory
 
 
-def _stack_path(out: Path, patient_id: str, side: str) -> Path:
-    return out / "stacks" / f"{patient_id}_{side}.mct"
-
-
-def _read_stack(path: Path) -> MipStack:
-    """Read one stack file; metadata that does not describe a stack is a typed error."""
-    blob = read_blob(path)
+def _stack_of(blob: TensorBlob, path: Path, breast: tuple[str, str] | None = None) -> MipStack:
+    """The stack a blob holds; metadata that does not describe a stack is a typed
+    error.  A run directory's stack must also be normalized and be `breast`'s."""
     try:
-        return stack_from_blob(blob)
+        stack = stack_from_blob(blob)
     except (TypeError, ValueError) as exc:
         raise SchemaMismatch(f"malformed stack {path}: {exc}") from exc
-
-
-def _load_stack(out: Path, patient_id: str, side: str) -> MipStack:
-    path = _stack_path(out, patient_id, side)
-    if not path.exists():
-        raise MissingBlob(f"no preprocessed stack at {path}; run preprocess first")
-    stack = _read_stack(path)
+    if breast is None:
+        return stack
     # augmentation is seeded from these fields, so they must name this file's breast
     found = (stack.patient_id, stack.side)
-    if found != (patient_id, side):
-        raise SchemaMismatch(f"stack {path} holds patient/side {found}, not {(patient_id, side)}")
+    if found != breast:
+        raise SchemaMismatch(f"stack {path} holds patient/side {found}, not {breast}")
     if not stack.normalized:
         raise SchemaMismatch(f"stack {path} is not normalized; rerun preprocess")
     return stack
@@ -258,25 +247,169 @@ def _read_json(path: Path, what: str, hint: str = "") -> dict:
     return raw
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _write_file(path, text.encode("utf-8"))
-
-
-def _read_folds(out: Path) -> FoldPlan:
-    raw = _read_json(out / "folds.json", "fold plan", "; run split first")
+def _folds_of(raw: dict) -> FoldPlan:
+    """The fold plan in a parsed folds.json, which holds what split writes or is refused."""
     try:
-        return FoldPlan(
-            k=raw["k"],
-            assignment=dict(raw["assignment"]),
-            strat_labels=dict(raw["strat_labels"]),
-        )
+        maps = raw["assignment"], raw["strat_labels"]
+        if not all(isinstance(m, dict) for m in maps):
+            raise TypeError("assignment and strat_labels must be JSON objects")
+        # each id names stack files
+        odd = sorted(p for p in maps[0] if not plain_file_name(p))
+        if odd:
+            raise ValueError(f"patient ids {odd} are not plain file names")
+        return FoldPlan(raw["k"], *maps)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaMismatch(f"malformed folds.json: {exc}") from exc
 
 
+def _params_of(raw: dict, path: Path, weighting: str, fold: int) -> HeadParams:
+    """The head in a parsed model file, which must be `weighting`'s for `fold`."""
+    model_id = _model_id(weighting, fold)
+    missing = {"W", "b", "fold", "model_id", "weighting"} - raw.keys()
+    if missing:
+        raise SchemaMismatch(f"model file {path} lacks keys {sorted(missing)}")
+    if raw["model_id"] != model_id:
+        raise SchemaMismatch(f"model file {path} names model {raw['model_id']!r}, not {model_id!r}")
+    for key, want in (("weighting", weighting), ("fold", fold)):
+        # by type too: JSON true == 1 and 1.0 == 1 in Python
+        if type(raw[key]) is not type(want) or raw[key] != want:
+            raise SchemaMismatch(f"model file {path}: {key} is {raw[key]!r}, not {want!r}")
+    try:
+        params = HeadParams(W=json_numbers(raw["W"], "W"), b=json_numbers(raw["b"], "b"))
+    except (TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"malformed model file {path}: {exc}") from exc
+    if params.dim != feature_dim():
+        raise SchemaMismatch(f"model file {path}: W has {params.dim} rows, not {feature_dim()}")
+    return params
+
+
+def _json_and_back(payload: dict, path: Path, indent: int | None = None) -> tuple[str, Any]:
+    """`payload` as sorted-key JSON text, and what a reader parses from that text."""
+    try:
+        text = json.dumps(payload, indent=indent, sort_keys=True)
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise SchemaMismatch(f"cannot write {path}: {exc}") from None
+    return text, json.loads(text)
+
+
+def _refuse_unless_read_back(path: Path, value, read: Callable[[], Any], key: Callable) -> None:
+    """Nothing may be written at `path` unless `read`, the reader's parse of the
+    bytes about to be written, gives back `value` (compared by `key`)."""
+    try:
+        back = read()
+    except SchemaMismatch as exc:
+        raise SchemaMismatch(f"cannot write {path}: its reader would refuse it: {exc}") from None
+    if key(back) != key(value):
+        raise SchemaMismatch(f"cannot write {path}: it would read back as {back}")
+
+
 def _model_id(weighting: str, fold: int) -> str:
     return f"{weighting}_fold{fold}"
+
+
+@dataclass(frozen=True)
+class RunDir:
+    """The run directory under ``--out``: its methods are the one path, writer and
+    reader of each artifact there.  Each writer makes the directory it writes
+    into, and refuses, writing nothing, what its reader would refuse or read back
+    as something else."""
+
+    root: Path
+
+    def _write_json(self, path: Path, payload: dict, value=None, decode=None, key=lambda v: v):
+        text, raw = _json_and_back(payload, path, indent=2)
+        if decode is not None:
+            _refuse_unless_read_back(path, value, lambda: decode(raw), key)
+        _make_dir(path.parent)
+        _write_file(path, (text + "\n").encode("utf-8"))
+        return path
+
+    def _stack_path(self, patient_id: str, side: str) -> Path:
+        if not plain_file_name(patient_id):
+            raise SchemaMismatch(f"patient id {patient_id!r} is not a plain file name")
+        return self.root / "stacks" / f"{patient_id}_{side}.mct"
+
+    def _model_path(self, weighting: str, fold: int) -> Path:
+        return self.root / "models" / f"{_model_id(weighting, fold)}.json"
+
+    def make_stacks_dir(self) -> Path:
+        """Make stacks/ before any study is built, so a bad --out is refused first."""
+        _make_dir(self.root / "stacks")
+        return self.root / "stacks"
+
+    def write_stack(self, stack: MipStack) -> None:
+        breast = (stack.patient_id, stack.side)
+        path = self._stack_path(*breast)
+        blob = stack_to_blob(stack)
+        # the channels are written as they are; the metadata must read back
+        meta = _json_and_back(blob.meta, path)[1]
+        _refuse_unless_read_back(
+            path, stack, lambda: _stack_of(TensorBlob(blob.data, meta), path, breast),
+            key=lambda s: (s.patient_id, s.side, s.normalized, s.norm_bounds, s.meta),
+        )
+        _make_dir(path.parent)
+        write_blob(blob, path)
+
+    def read_stack(self, patient_id: str, side: str) -> MipStack:
+        path = self._stack_path(patient_id, side)
+        if not path.exists():
+            raise MissingBlob(f"no preprocessed stack at {path}; run preprocess first")
+        return _stack_of(read_blob(path), path, (patient_id, side))
+
+    def write_report(self, ids: Sequence[str], failures: dict[str, str]) -> None:
+        succeeded = sorted(set(ids) - set(failures))
+        report = {"n_studies": len(ids), "succeeded": succeeded, "failed": failures}
+        self._write_json(self.root / "preprocess_report.json", report)
+
+    def write_folds(self, plan: FoldPlan, seed: int) -> Path:
+        payload = {**dataclasses.asdict(plan), "seed": seed}
+        return self._write_json(self.root / "folds.json", payload, plan, _folds_of)
+
+    def read_folds(self) -> FoldPlan:
+        return _folds_of(_read_json(self.root / "folds.json", "fold plan", "; run split first"))
+
+    def write_model(
+        self, weighting: str, fold: int, spec: HeadSpec, result: TrainResult, config: PipelineConfig
+    ) -> Path:
+        params, trace = result.params, result.loss_trace
+        record = {
+            "model_id": _model_id(weighting, fold),
+            "weighting": weighting,
+            "fold": fold,
+            "pool_grid": DEFAULT_POOL_GRID,
+            "feature_dim": params.dim,
+            "n_train_samples": int(spec.labels.shape[0]),
+            "train_class_counts": np.bincount(spec.labels, minlength=N_CLASSES).tolist(),
+            "class_weights": list(spec.weights.w),
+            "train_config": {**dataclasses.asdict(config.train), "seed": spec.seed},
+            "augmented": config.policy.active,
+            "final_loss": float(trace[-1]),
+            "loss_trace": [float(v) for v in trace],
+            "W": [[float(v) for v in row] for row in params.W],
+            "b": [float(v) for v in params.b],
+        }
+        path = self._model_path(weighting, fold)
+        return self._write_json(
+            path, record, params, lambda raw: _params_of(raw, path, weighting, fold),
+            key=lambda p: (p.W.tolist(), p.b.tolist()),
+        )
+
+    def read_model(self, weighting: str, fold: int) -> HeadParams:
+        path = self._model_path(weighting, fold)
+        return _params_of(_read_json(path, "model", "; run train first"), path, weighting, fold)
+
+    def write_predictions(self, model_id: str, predictions: Sequence[Prediction]) -> Path:
+        path = self.root / "predictions" / f"{model_id}.csv"
+        _make_dir(path.parent)
+        try:
+            write_predictions_csv(predictions, path)
+        except ValueError as exc:
+            raise SchemaMismatch(f"cannot write {path}: {exc}") from None
+        return path
+
+    def write_metrics(self, report: MetricsReport, source: Path) -> None:
+        payload = {**report.to_dict(), "source": source.name}
+        self._write_json(self.root / "metrics" / f"{source.stem}.json", payload)
 
 
 def _selected_heads(
@@ -302,11 +435,10 @@ def cmd_phantom(n: int, seed: int, out_dir: str | Path) -> int:
     return 0
 
 
-def _preprocess_one(manifest: Manifest, patient_id: str, config: PipelineConfig, out: Path):
+def _preprocess_one(manifest: Manifest, patient_id: str, config: PipelineConfig, run: RunDir):
     study = manifest.load_study(patient_id)
-    for side, stack in build_stacks(study, config.build).items():
-        stack = normalize_stack(stack, config.norm)
-        write_blob(stack_to_blob(stack), _stack_path(out, patient_id, side))
+    for stack in build_stacks(study, config.build).values():
+        run.write_stack(normalize_stack(stack, config.norm))
 
 
 def cmd_preprocess(
@@ -315,51 +447,36 @@ def cmd_preprocess(
     if jobs < 1:
         raise BadArgument(f"--jobs must be >= 1, got {jobs}")
     manifest = Manifest.read(manifest_path)
-    out = Path(out_dir)
-    _make_dir(out / "stacks")
+    run = RunDir(Path(out_dir))
+    stacks = run.make_stacks_dir()
 
     failures: dict[str, str] = {}
 
-    def run(patient_id: str) -> None:
+    def one(patient_id: str) -> None:
         try:
-            _preprocess_one(manifest, patient_id, config, out)
+            _preprocess_one(manifest, patient_id, config, run)
         except (MipclassError, OSError, ValueError) as exc:
             failures[patient_id] = f"{type(exc).__name__}: {exc}"
 
     ids = manifest.patient_ids
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        list(pool.map(run, ids))
+        list(pool.map(one, ids))
 
-    report = {
-        "n_studies": len(ids),
-        "succeeded": sorted(set(ids) - set(failures)),
-        "failed": {k: failures[k] for k in sorted(failures)},
-    }
-    _write_json(out / "preprocess_report.json", report)
+    run.write_report(ids, failures)
     for patient_id in sorted(failures):
         print(f"FAILED {patient_id}: {failures[patient_id]}", file=sys.stderr)
-    print(f"preprocessed {len(report['succeeded'])}/{len(ids)} studies -> {out / 'stacks'}")
+    print(f"preprocessed {len(ids) - len(failures)}/{len(ids)} studies -> {stacks}")
     return 0 if not failures else 1
 
 
 def cmd_split(manifest_path: str | Path, config: PipelineConfig, out_dir: str | Path) -> int:
     manifest = Manifest.read(manifest_path)
-    out = Path(out_dir)
-    _make_dir(out)
     patients = manifest.patient_ids
     strat = [max_label(**manifest.labels_for(p)) for p in patients]
     plan = stratified_kfold(patients, strat, k=config.k, seed=config.seed)
-    _write_json(
-        out / "folds.json",
-        {
-            "k": plan.k,
-            "seed": config.seed,
-            "assignment": plan.assignment,
-            "strat_labels": plan.strat_labels,
-        },
-    )
+    path = RunDir(Path(out_dir)).write_folds(plan, config.seed)
     sizes = [len(plan.patients_in_fold(f)) for f in range(plan.k)]
-    print(f"split {len(patients)} patients into folds of sizes {sizes} -> {out / 'folds.json'}")
+    print(f"split {len(patients)} patients into folds of sizes {sizes} -> {path}")
     return 0
 
 
@@ -379,10 +496,9 @@ def cmd_train(
     through Manifest.labels_for, so validation-fold labels are never touched.
     """
     manifest = Manifest.read(manifest_path)
-    out = Path(out_dir)
-    plan = _read_folds(out)
+    run = RunDir(Path(out_dir))
+    plan = run.read_folds()
     weightings, folds = _selected_heads(plan, weighting, fold)
-    _make_dir(out / "models")
 
     def breast_features(stack: MipStack, epoch: int) -> np.ndarray:
         if config.policy.active:
@@ -407,14 +523,14 @@ def cmd_train(
         sides = manifest.labels_for(patient_id)
         for side in SIDES:
             row_of[patient_id, side] = row = len(breast_labels)
-            stack = _load_stack(out, patient_id, side)
+            stack = run.read_stack(patient_id, side)
             for epoch in range(epochs):
                 feats[epoch, row] = breast_features(stack, epoch)
             del stack  # freed before the next breast is loaded
             breast_labels.append(sides[side])
     labels = np.asarray(breast_labels, dtype=np.int64)
 
-    heads: list[tuple[str, int, HeadSpec, list[int]]] = []
+    heads: list[tuple[str, int, HeadSpec]] = []
     for w in weightings:
         for f in folds:
             rows = [row_of[p, side] for p in plan.training_patients(f) for side in SIDES]
@@ -427,82 +543,40 @@ def cmd_train(
                 weights=uniform_weights() if w == "natural" else class_weights(counts),
                 seed=derive_seed(config.seed, f"fold{f}", w, 0),
             )
-            heads.append((w, f, spec, counts))
+            heads.append((w, f, spec))
 
-    specs = [spec for _, _, spec, _ in heads]
+    specs = [spec for _, _, spec in heads]
     # without augmentation every epoch trains on epoch 0's features
     results = train_heads(lambda epoch: feats[epoch % epochs], specs, config.train)
 
-    for (w, f, spec, counts), result in zip(heads, results):
-        params, trace = result.params, result.loss_trace
-        record = {
-            "model_id": _model_id(w, f),
-            "weighting": w,
-            "fold": f,
-            "pool_grid": DEFAULT_POOL_GRID,
-            "feature_dim": params.dim,
-            "n_train_samples": int(spec.labels.shape[0]),
-            "train_class_counts": counts,
-            "class_weights": list(spec.weights.w),
-            "train_config": {**dataclasses.asdict(config.train), "seed": spec.seed},
-            "augmented": config.policy.active,
-            "final_loss": float(trace[-1]),
-            "loss_trace": [float(v) for v in trace],
-            "W": [[float(v) for v in row] for row in params.W],
-            "b": [float(v) for v in params.b],
-        }
-        path = out / "models" / f"{_model_id(w, f)}.json"
-        _write_json(path, record)
+    for (w, f, spec), result in zip(heads, results):
+        path = run.write_model(w, f, spec, result, config)
         print(f"trained {path.stem} -> {path}")
     return 0
-
-
-def _read_model(out: Path, weighting: str, fold: int) -> HeadParams:
-    model_id = _model_id(weighting, fold)
-    path = out / "models" / f"{model_id}.json"
-    raw = _read_json(path, "model", "; run train first")
-    missing = {"W", "b", "fold", "model_id", "weighting"} - raw.keys()
-    if missing:
-        raise SchemaMismatch(f"model file {path} lacks keys {sorted(missing)}")
-    if raw["model_id"] != model_id:
-        raise SchemaMismatch(f"model file {path} names model {raw['model_id']!r}, not {model_id!r}")
-    for key, want in (("weighting", weighting), ("fold", fold)):
-        # by type too: JSON true == 1 and 1.0 == 1 in Python
-        if type(raw[key]) is not type(want) or raw[key] != want:
-            raise SchemaMismatch(f"model file {path}: {key} is {raw[key]!r}, not {want!r}")
-    try:
-        params = HeadParams(W=json_numbers(raw["W"], "W"), b=json_numbers(raw["b"], "b"))
-    except (TypeError, ValueError) as exc:
-        raise SchemaMismatch(f"malformed model file {path}: {exc}") from exc
-    if params.dim != feature_dim():
-        raise SchemaMismatch(f"model file {path}: W has {params.dim} rows, not {feature_dim()}")
-    return params
 
 
 def cmd_predict(
     out_dir: str | Path, weighting: str = "both", fold: int | None = None
 ) -> int:
-    out = Path(out_dir)
-    plan = _read_folds(out)
+    run = RunDir(Path(out_dir))
+    plan = run.read_folds()
     weightings, folds = _selected_heads(plan, weighting, fold)
-    _make_dir(out / "predictions")
     for f in folds:
-        models = {_model_id(w, f): _read_model(out, w, f) for w in weightings}
+        models = {_model_id(w, f): run.read_model(w, f) for w in weightings}
         # each validation stack is read and featurized once for every model of the fold
         breasts = [(p, side) for p in plan.patients_in_fold(f) for side in SIDES]
-        features = [extract_features(_load_stack(out, p, side)) for p, side in breasts]
+        features = [extract_features(run.read_stack(p, side)) for p, side in breasts]
         for model_id, params in models.items():
             predictions = [
                 Prediction(patient_id, side, forward(x, params), model_id)
                 for (patient_id, side), x in zip(breasts, features)
             ]
-            csv_path = out / "predictions" / f"{model_id}.csv"
-            write_predictions_csv(predictions, csv_path)
+            csv_path = run.write_predictions(model_id, predictions)
             print(f"predicted {len(predictions)} breasts -> {csv_path}")
     return 0
 
 
-def _evaluate_csv(manifest: Manifest, csv_path: Path, out: Path) -> Path:
+def _evaluate_csv(manifest: Manifest, csv_path: Path, run: RunDir) -> None:
     predictions = read_predictions_csv(csv_path)
     if not predictions:
         raise SchemaMismatch(f"no prediction rows in {csv_path}")
@@ -516,15 +590,11 @@ def _evaluate_csv(manifest: Manifest, csv_path: Path, out: Path) -> Path:
     probs = np.stack([p.probs for p in predictions])
     truths = np.asarray([manifest.labels_for(p.patient_id)[p.side] for p in predictions], np.int64)
     report = evaluate(probs, truths)
-    payload = report.to_dict()
-    payload["source"] = csv_path.name
-    metrics_path = out / "metrics" / f"{csv_path.stem}.json"
-    _write_json(metrics_path, payload)
+    run.write_metrics(report, csv_path)
     print(
         f"{csv_path.stem}: auc={report.auc:.4f} sens@90spec={report.sens_at_90spec:.4f} "
         f"spec@90sens={report.spec_at_90sens:.4f} score={report.score:.4f}"
     )
-    return metrics_path
 
 
 def cmd_evaluate(
@@ -532,14 +602,20 @@ def cmd_evaluate(
 ) -> int:
     """Score each listed CSV on its own: one that cannot be scored prints an
     ``error: <csv>: <reason>`` line and the rest still write their metrics;
-    the exit code is 2 if any failed."""
+    the exit code is 2 if any failed.  Two CSVs of one name, whose metrics
+    would overwrite each other's, are refused before any is scored."""
+    first: dict[str, str | Path] = {}
+    for csv_path in csv_paths:
+        stem = Path(csv_path).stem
+        if stem in first:
+            raise BadArgument(f"{first[stem]} and {csv_path} would write the same metrics file")
+        first[stem] = csv_path
     manifest = Manifest.read(manifest_path)
-    out = Path(out_dir)
-    _make_dir(out / "metrics")
+    run = RunDir(Path(out_dir))
     failed = 0
     for csv_path in csv_paths:
         try:
-            _evaluate_csv(manifest, Path(csv_path), out)
+            _evaluate_csv(manifest, Path(csv_path), run)
         except MipclassError as exc:
             print(f"error: {csv_path}: {exc}", file=sys.stderr)
             failed += 1
@@ -551,26 +627,23 @@ def cmd_ensemble(
 ) -> int:
     """Average the listed prediction files per breast, then re-evaluate."""
     manifest = Manifest.read(manifest_path)
-    out = Path(out_dir)
-    _make_dir(out / "predictions")
-    _make_dir(out / "metrics")
+    run = RunDir(Path(out_dir))
     members: list[Prediction] = []
     for csv_path in csv_paths:
         members.extend(read_predictions_csv(csv_path))
     if not members:
         raise SchemaMismatch("no predictions to ensemble")
     merged = ensemble_all(members)
-    csv_path = out / "predictions" / "ensemble.csv"
-    write_predictions_csv(merged, csv_path)
+    csv_path = run.write_predictions("ensemble", merged)
     print(f"ensembled {len(csv_paths)} files over {len(merged)} breasts -> {csv_path}")
-    _evaluate_csv(manifest, csv_path, out)
+    _evaluate_csv(manifest, csv_path, run)
     return 0
 
 
 def cmd_augment_preview(stack_path: str | Path, seed: int, out_dir: str | Path) -> int:
     stack_path = Path(stack_path)
     out = Path(out_dir)
-    stack = _read_stack(stack_path)
+    stack = _stack_of(read_blob(stack_path), stack_path)
     try:
         augmented = augment(stack, seed, default_policy())
     except ValueError as exc:  # only the seed is left unchecked: stack and policy are

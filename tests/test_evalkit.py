@@ -521,8 +521,8 @@ _FIELD = st.text(
     min_size=1,
     max_size=12,
 ).filter(lambda s: s == s.strip())
-# a patient id is one plain file name
-_PATIENT_ID = _FIELD.filter(lambda s: s not in (".", "..") and not set(s) & set("/\\"))
+# a patient id is one plain file name, without DEL (ASCII's one control character here)
+_PATIENT_ID = _FIELD.filter(lambda s: s not in (".", "..") and not set(s) & set("/\\\x7f"))
 _ROW = st.builds(
     ManifestRow,
     patient_id=_PATIENT_ID,
@@ -532,7 +532,7 @@ _ROW = st.builds(
     label_left=st.sampled_from((NO_LESION, BENIGN, MALIGNANT)),
     label_right=st.sampled_from((NO_LESION, BENIGN, MALIGNANT)),
 )
-_ROWS = st.lists(_ROW, max_size=5)
+_ROWS = st.lists(_ROW, max_size=5, unique_by=lambda r: r.patient_id)
 
 # any field text, weighted toward what the parser strips, splits or refuses
 _ANY_FIELD = st.text(
@@ -569,6 +569,63 @@ def _unchecked_manifest(rows) -> str:
     return buffer.getvalue()
 
 
+# prediction text fields, weighted toward what the CSV writer quotes or leaves bare
+_PREDICTION_TEXT = st.text(st.sampled_from("p0 ,\"\r\n\0\x85") | st.characters(), max_size=4)
+_PREDICTION = st.builds(
+    Prediction,
+    patient_id=_PREDICTION_TEXT,
+    side=st.sampled_from(("right", "left")),
+    probs=st.sampled_from([(1.0, 0.0, 0.0), (0.2, 0.3, 0.5), (1 / 3, 1 / 3, 1 / 3)]).map(np.array),
+    model_id=_PREDICTION_TEXT,
+)
+
+
+def _prediction_fields(predictions) -> list:
+    return [(p.patient_id, p.side, p.probs.tolist(), p.model_id) for p in predictions]
+
+
+class TestPredictionFormat:
+    @settings(max_examples=300, deadline=None)
+    @given(predictions=st.lists(_PREDICTION, max_size=3))
+    def test_write_refuses_exactly_what_read_would(self, predictions):
+        """`write_predictions_csv` writes the rows, sorted, when the reader gives
+        them back from their text, and refuses them, writing nothing, when it
+        would refuse that text or read other rows from it."""
+        rows = sorted(predictions, key=lambda p: (p.patient_id, p.side, p.model_id))
+        buffer = io.StringIO()  # the text of a writer that checks nothing
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(("patient_id", "side", "p_nolesion", "p_benign", "p_malignant", "model_id"))
+        for p in rows:
+            writer.writerow([p.patient_id, p.side, *(f"{v:.17g}" for v in p.probs), p.model_id])
+        with tempfile.TemporaryDirectory() as tmp:
+            unchecked = Path(tmp) / "unchecked.csv"
+            unchecked.write_text(buffer.getvalue(), encoding="utf-8", newline="")
+            try:
+                back = read_predictions_csv(unchecked)
+                faithful = _prediction_fields(back) == _prediction_fields(rows)
+            except SchemaMismatch:
+                faithful = False
+            path = Path(tmp) / "predictions.csv"
+            if faithful:
+                write_predictions_csv(predictions, path)
+                assert path.read_bytes() == unchecked.read_bytes()
+                assert _prediction_fields(read_predictions_csv(path)) == _prediction_fields(rows)
+            else:
+                with pytest.raises(ValueError, match=r"would (refuse|read back)"):
+                    write_predictions_csv(predictions, path)
+                assert not path.exists()
+
+    def test_carriage_return_in_an_id_is_refused(self, tmp_path):
+        """csv.writer leaves a lone \\r unquoted under a \\n line end, so the row
+        would be read as two malformed rows."""
+        path = tmp_path / "predictions.csv"
+        bad = Prediction("p\r000", "left", np.array([1.0, 0.0, 0.0]), "m")
+        refusal = r"would refuse these rows: malformed prediction row: \['p'\]$"
+        with pytest.raises(ValueError, match=refusal):
+            write_predictions_csv([bad], path)
+        assert not path.exists()
+
+
 class TestManifestFormat:
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(_near_row(), max_size=3))
@@ -602,12 +659,18 @@ class TestManifestFormat:
             (ManifestRow("a", "p", ("x",), None, 0, 0), "need >= 2 post paths"),
             (ManifestRow("a", "p", ("x", "y"), None, 3, 0), "label_left must be one of"),
             (ManifestRow("a", "p", ("x", "y"), None, 0, -1), "label_right must be one of"),
+            (ManifestRow("p0", "q", ("x", "y"), None, 0, 0), "duplicate patient ids: \\['p0'\\]"),
         ],
-        ids=["id_path", "edge_whitespace", "semicolon_in_path", "one_post", "label_3", "label_-1"],
+        ids=[
+            "id_path", "edge_whitespace", "semicolon_in_path", "one_post", "label_3", "label_-1",
+            "duplicate_id",
+        ],
     )
     def test_writer_refusals(self, tmp_path, row, message):
         ok = ManifestRow("p0", "p", ("x", "y"), None, 0, 0)
-        with pytest.raises(ValueError, match=f"line 3: .*{message}"):
+        # a duplicate is refused once every row is read, so it names no line
+        where = "" if "duplicate" in message else "line 3: .*"
+        with pytest.raises(ValueError, match=f"{where}{message}"):
             write_manifest([ok, row], tmp_path / "manifest.csv")
         assert not (tmp_path / "manifest.csv").exists()
 

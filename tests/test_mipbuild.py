@@ -51,7 +51,7 @@ from mipclass.mipbuild import (
     subtract_clamped,
 )
 from mipclass.phantom import generate_study
-from mipclass.pipeline_cli import PipelineConfig, _preprocess_one, main
+from mipclass.pipeline_cli import PipelineConfig, RunDir, _preprocess_one, main
 from mipclass.tensorio import read_blob, write_blob
 from mipclass.volume import Volume
 
@@ -562,7 +562,7 @@ class TestBuildStacks:
 
         (tmp_path / "stacks").mkdir()
         calls = _count_resample(monkeypatch)
-        _preprocess_one(OneStudy(), "p0", PipelineConfig(build=SMALL_CFG), tmp_path)
+        _preprocess_one(OneStudy(), "p0", PipelineConfig(build=SMALL_CFG), RunDir(tmp_path))
         assert len(calls) == expected
         assert calls.count(Interp.NEAREST) == int(mask)
         assert sorted(p.name for p in (tmp_path / "stacks").iterdir()) == [

@@ -3,9 +3,11 @@ subcommand end to end on small synthetic cohorts, rerun determinism, and
 the training-time label-access audit.
 """
 
+import ast
 import copy
 import dataclasses
 import gzip
+import inspect
 import json
 import math
 import re
@@ -30,8 +32,10 @@ from mipclass.classhead import (
     HeadParams,
     HeadSpec,
     TrainConfig,
+    TrainResult,
     class_weights,
     extract_features,
+    feature_dim,
     train_heads,
     uniform_weights,
 )
@@ -40,6 +44,7 @@ from mipclass.evalkit import (
     FoldPlan,
     Prediction,
     max_label,
+    plain_file_name,
     read_predictions_csv,
     stratified_kfold,
     write_predictions_csv,
@@ -51,14 +56,13 @@ from mipclass.mipbuild import (
     MipStack,
     NormConstants,
     field_specs,
+    stack_to_blob,
 )
 from mipclass.pipeline_cli import (
     Manifest,
     PipelineConfig,
+    RunDir,
     _evaluate_csv,
-    _load_stack,
-    _read_folds,
-    _read_model,
     cmd_ensemble,
     cmd_evaluate,
     cmd_predict,
@@ -191,8 +195,11 @@ class TestManifest:
 
     @pytest.mark.parametrize(
         "patient_id",
-        ["../../escaped", "a/b", "/abs", "a\\b", "..\\x", ".", "..", "p\0"],
-        ids=["parent", "slash", "absolute", "backslash", "parent_bs", "dot", "dotdot", "nul"],
+        ["../../escaped", "a/b", "/abs", "a\\b", "..\\x", ".", "..", "p\0", "p\t0", "p\x7f"],
+        ids=[
+            "parent", "slash", "absolute", "backslash", "parent_bs", "dot", "dotdot", "nul",
+            "tab", "del",
+        ],
     )
     def test_patient_id_must_be_a_plain_file_name(self, tmp_path, patient_id):
         """The id names the stack files, so a path in it would write outside stacks/."""
@@ -223,6 +230,21 @@ class TestManifest:
         assert main(["preprocess", "--manifest", str(manifest), "--out", str(run)]) == 2
         err = capsys.readouterr().err
         assert "patient_id '../../escaped' is not a plain file name" in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["preprocess", "split"])
+    def test_carriage_return_in_patient_id_exits_two_at_entry(self, tmp_path, command, capsys):
+        """A quoted \\r in an id once passed every stage up to predict, whose CSV
+        evaluate and ensemble then refused: csv.writer leaves a lone \\r bare."""
+        run = tmp_path / "run"
+        phantom.write_cohort(6, seed=1, out_dir=run)
+        manifest = run / "manifest.csv"
+        manifest.write_text(manifest.read_text().replace("\np000,", '\n"p\r000",'), newline="")
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main([command, "--manifest", str(manifest), "--out", str(run)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 2: patient_id 'p\\r000' is not a plain file name\n"
         assert sorted(tmp_path.rglob("*")) == before
 
 
@@ -944,8 +966,6 @@ class TestTrain:
         """Each training breast is loaded once, in row order, and freed before
         the next is loaded; the models' bytes equal those of an epoch-major
         loop that holds every stack and augments all breasts epoch by epoch."""
-        import mipclass.pipeline_cli as cli
-
         run = tmp_path / "run"
         cfg_raw = dict(FAST_CONFIG)
         cfg_raw["augment"] = {"hflip_p": 0.5, "noise_p": 0.5, "noise_sigma": 0.02, "rotate_p": 0.5}
@@ -959,24 +979,26 @@ class TestTrain:
         freed: list[bool] = []
         previous = None
 
-        def tracking_load(out, patient_id, side):
+        read_stack = RunDir.read_stack
+
+        def tracking_load(self, patient_id, side):
             nonlocal previous
             freed.append(previous is None or previous() is None)
-            stack = _load_stack(out, patient_id, side)
+            stack = read_stack(self, patient_id, side)
             loaded.append((patient_id, side))
             previous = weakref.ref(stack)
             return stack
 
-        monkeypatch.setattr(cli, "_load_stack", tracking_load)
+        monkeypatch.setattr(RunDir, "read_stack", tracking_load)
         cmd_train(run / "manifest.csv", config, run, weighting="both")
-        plan = _read_folds(run)
+        plan = RunDir(run).read_folds()
         breasts = [(p, side) for p in sorted(plan.assignment) for side in SIDES]
         assert loaded == breasts
         assert all(freed)
 
         # the reference: every stack held, features built one epoch at a time
         manifest = Manifest.read(run / "manifest.csv")
-        stacks = [_load_stack(run, p, side) for p, side in breasts]
+        stacks = [read_stack(RunDir(run), p, side) for p, side in breasts]
 
         def epoch_features(epoch):
             seeds = [derive_seed(config.seed, p, side, epoch) for p, side in breasts]
@@ -1097,7 +1119,7 @@ class TestPredictEvaluateEnsemble:
         csv_path = tmp_path / "rogue.csv"
         write_predictions_csv(rogue, csv_path)
         with pytest.raises(SchemaMismatch):
-            _evaluate_csv(Manifest.read(predicted / "manifest.csv"), csv_path, tmp_path)
+            _evaluate_csv(Manifest.read(predicted / "manifest.csv"), csv_path, RunDir(tmp_path))
         capsys.readouterr()
         assert cmd_evaluate(predicted / "manifest.csv", predicted, [csv_path]) == 2
         assert capsys.readouterr().err == (
@@ -1210,6 +1232,9 @@ class TestCorruptRunDirectory:
             ("empty_fold", "predict"),
             ("fold_is_true", "predict"),
             ("k_is_true", "predict"),
+            ("folds_as_pairs", "predict"),
+            ("fold_id_escapes", "predict"),
+            ("fold_id_escapes", "train"),
         ],
     )
     def test_exits_two_without_traceback(self, trained, tmp_path, case, command, capsys):
@@ -1235,6 +1260,18 @@ class TestCorruptRunDirectory:
                 folds["k"] = True
             else:
                 folds["assignment"]["p000"] = True
+            (run / "folds.json").write_text(json.dumps(folds))
+        elif case == "folds_as_pairs":
+            # dict() reads a list of [id, value] pairs as the object split writes
+            folds = json.loads((run / "folds.json").read_text())
+            for key in ("assignment", "strat_labels"):
+                folds[key] = sorted(folds[key].items())
+            (run / "folds.json").write_text(json.dumps(folds))
+        elif case == "fold_id_escapes":
+            # its stacks would be opened outside stacks/, at run/escape_<side>.mct
+            folds = json.loads((run / "folds.json").read_text())
+            for key in ("assignment", "strat_labels"):
+                folds[key]["../escape"] = folds[key].pop("p000")
             (run / "folds.json").write_text(json.dumps(folds))
         elif case == "empty_fold":
             # a plan written before fold dealing carried its offset across classes
@@ -1352,6 +1389,14 @@ class TestCorruptRunDirectory:
             assert re.fullmatch(
                 r"error: malformed stack \S+\.mct: norm_means must be 4 numbers, got 'x'\n", err
             )
+        if case == "folds_as_pairs":
+            assert err == (
+                "error: malformed folds.json: assignment and strat_labels must be JSON objects\n"
+            )
+        if case == "fold_id_escapes":
+            assert err == (
+                "error: malformed folds.json: patient ids ['../escape'] are not plain file names\n"
+            )
         if case == "model_w_string":
             assert err == (
                 f"error: malformed model file {run}/models/natural_fold0.json: "
@@ -1398,6 +1443,14 @@ _BAD_INPUT_ERRORS = {
     "ensemble_header_only": "no predictions to ensemble",
     "manifest_five_fields": "line 2: expected 6 fields, got 5",
     "config_is_a_list": "config {tmp}/list.json must hold a JSON object",
+    "evaluate_same_stem": (
+        "{tmp}/run/predictions/natural_fold0.csv and {tmp}/other/natural_fold0.csv"
+        " would write the same metrics file"
+    ),
+    "ensemble_carriage_return_id": (
+        "cannot write {tmp}/run/predictions/ensemble.csv: the prediction CSV reader would refuse"
+        " these rows: malformed prediction row: ['p']"
+    ),
 }
 
 
@@ -1426,6 +1479,8 @@ class TestBadInput:
             "ensemble_header_only",
             "manifest_five_fields",
             "config_is_a_list",
+            "evaluate_same_stem",
+            "ensemble_carriage_return_id",
         ],
     )
     def test_exits_two_without_traceback(self, predicted, tmp_path, case, capsys):
@@ -1485,6 +1540,17 @@ class TestBadInput:
             config = tmp_path / "list.json"
             config.write_text("[1, 2]")
             argv = ["train", *base, "--config", str(config)]
+        elif case == "evaluate_same_stem":
+            # both would score into metrics/natural_fold0.json, the second over the first
+            first = run / "predictions" / "natural_fold0.csv"
+            (tmp_path / "other").mkdir()
+            second = tmp_path / "other" / first.name
+            shutil.copy(run / "predictions" / "inverse_fold0.csv", second)
+            argv = ["evaluate", *base, str(first), str(second)]
+        elif case == "ensemble_carriage_return_id":
+            # the reader gives back a quoted \r; the writer would leave it bare
+            bad_csv.write_text(_PREDICTION_HEADER + '"p\r000",left,1,0,0,m\n', newline="")
+            argv = ["ensemble", *base, str(bad_csv)]
         before = sorted(p for p in run.rglob("*") if p.is_file())
         capsys.readouterr()
         assert main(argv) == 2
@@ -1550,7 +1616,7 @@ class TestStackFuzz:
         for _ in range(1500):
             path.write_bytes(_mutated(base, rng, meta_end))
             try:
-                assert isinstance(_load_stack(tmp_path, "p000", "left"), MipStack)
+                assert isinstance(RunDir(tmp_path).read_stack("p000", "left"), MipStack)
                 outcomes["ok"] += 1
             except MipclassError:
                 outcomes["err"] += 1
@@ -1628,13 +1694,13 @@ class TestRunFileFuzz:
 
     def test_fuzzed_folds_never_crash(self, trained, tmp_path, capsys):
         def load(run):
-            assert isinstance(_read_folds(run), FoldPlan)
+            assert isinstance(RunDir(run).read_folds(), FoldPlan)
 
         self._fuzz(trained, tmp_path, capsys, "folds.json", load, seed=8765)
 
     def test_fuzzed_models_never_crash(self, trained, tmp_path, capsys):
         def load(run):
-            assert isinstance(_read_model(run, "natural", 0), HeadParams)
+            assert isinstance(RunDir(run).read_model("natural", 0), HeadParams)
 
         self._fuzz(trained, tmp_path, capsys, "models/natural_fold0.json", load, seed=5678)
 
@@ -1887,18 +1953,211 @@ class TestSchemaProperties:
         _assert_declared_kinds(loaded)
 
     @settings(max_examples=150)
-    @given(path=st.sampled_from(_FOLD_PATHS), value=_JSON_VALUES)
-    @example(path=("assignment", "a"), value=2)  # fold k
-    @example(path=("assignment", "a"), value=True)
-    @example(path=("k",), value=True)
-    @example(path=("strat_labels", "b"), value=1.5)
-    @example(path=("strat_labels", "b"), value=3)
-    def test_read_folds(self, tmp_path_factory, path, value):
+    @given(path=st.sampled_from(_FOLD_PATHS), value=_JSON_VALUES, patient=st.just("a"))
+    @example(path=("assignment", "a"), value=2, patient="a")  # fold k
+    @example(path=("assignment", "a"), value=True, patient="a")
+    @example(path=("k",), value=True, patient="a")
+    @example(path=("strat_labels", "b"), value=1.5, patient="a")
+    @example(path=("strat_labels", "b"), value=3, patient="a")
+    # the maps as lists of [id, value] pairs, which dict() once read as objects
+    @example(path=("assignment",), value=[["a", 0], ["b", 1]], patient="a")
+    @example(path=("strat_labels",), value=[["a", 0], ["b", 2]], patient="a")
+    # patient "a" renamed, in both maps, to an id that is no plain file name
+    @example(path=("k",), value=2, patient="../escape")
+    @example(path=("k",), value=2, patient="p\r0")
+    def test_read_folds(self, tmp_path_factory, path, value, patient):
         out = tmp_path_factory.getbasetemp()
-        (out / "folds.json").write_text(json.dumps(_with_value(_FOLDS, path, value)))
+        folds = copy.deepcopy(_FOLDS)
+        for key in ("assignment", "strat_labels"):
+            folds[key][patient] = folds[key].pop("a")
+        doc = _with_value(folds, path, value)
+        (out / "folds.json").write_text(json.dumps(doc))
         try:
-            plan = _read_folds(out)
+            plan = RunDir(out).read_folds()
         except SchemaMismatch:
             return
         _assert_declared_kinds(plan)
         assert all(0 <= fold < plan.k for fold in plan.assignment.values())
+        # a plan loads only from the objects split writes, keyed by plain file names
+        assert (plan.assignment, plan.strat_labels) == (doc["assignment"], doc["strat_labels"])
+        assert all(plain_file_name(p) for p in plan.assignment)
+
+
+# names of run-directory artifacts, and the calls that read or write a file,
+# which only RunDir may use in pipeline_cli's stages
+_RUN_DIR_NAMES = {"stacks", "models", "predictions", "metrics", "folds.json", "preprocess_report.json"}
+_FILE_CALLS = {
+    "_make_dir", "_write_file", "_read_json", "read_blob", "write_blob", "write_predictions_csv",
+}
+
+
+def test_stages_leave_the_run_directory_to_run_dir():
+    """No stage function builds a run-directory path or opens a file there itself:
+    every cmd_* but augment-preview (whose --out is no run directory),
+    _preprocess_one and _evaluate_csv name artifacts to RunDir."""
+    stages = [
+        node for node in ast.parse(Path(inspect.getfile(RunDir)).read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name != "cmd_augment_preview"
+        and (node.name.startswith("cmd_") or node.name in ("_preprocess_one", "_evaluate_csv"))
+    ]
+    assert len(stages) == 9  # seven stages' cmd_* and two helpers
+    leaks = []
+    for node in stages:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                if sub.value in _RUN_DIR_NAMES or sub.value.endswith((".json", ".mct")):
+                    leaks.append(f"{node.name}: {sub.value!r}")
+            elif isinstance(sub, ast.Call):
+                func = sub.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in _FILE_CALLS:
+                    leaks.append(f"{node.name}: {name}()")
+    assert leaks == []
+
+
+# text for a patient id, weighted toward what no plain file name holds
+_ID_TEXT = st.sampled_from(["p0", "p.1"]) | st.text(
+    st.sampled_from("p0./\\\r\n\0\x7f") | st.characters(blacklist_categories=("Cs",)), max_size=4
+)
+_META_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.tuples(inner)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+# metadata keys, those stack_to_blob writes beside the metadata included
+_META_KEYS = st.sampled_from(
+    ["channel_order", "norm_means", "norm_stds", "patient_id", "side", "normalized", "norm_bounds"]
+) | st.text(max_size=3)
+_FLOAT_PAIRS = st.tuples(st.floats(), st.floats())
+
+
+@st.composite
+def _stacks(draw) -> MipStack:
+    """A MipStack whose metadata, bounds and id may or may not survive a write."""
+    values = draw(st.lists(st.floats(0, 10, width=32), min_size=1, max_size=4))
+    meta = draw(st.sampled_from([{}, {"norm_means": [0.1, 0.2, 0.3, 0.4], "norm_stds": [1, 2, 3, 4]}]))
+    meta.update(draw(st.dictionaries(_META_KEYS, _META_VALUES, max_size=2)))
+    ordered = st.lists(st.floats(-10, 10), min_size=8, max_size=8).map(
+        lambda v: tuple(tuple(sorted(v[i : i + 2])) for i in range(0, 8, 2))
+    )
+    return MipStack(
+        channels=np.resize(np.array(values, np.float32), (4, 2, 3)),
+        side=draw(st.sampled_from(SIDES)),
+        patient_id=draw(_ID_TEXT),
+        normalized=draw(st.booleans()),
+        norm_bounds=draw(st.none() | ordered | st.lists(_FLOAT_PAIRS, min_size=3, max_size=5)),
+        meta=meta,
+    )
+
+
+def _stack_fields(s: MipStack) -> tuple:
+    return (
+        s.channels.tobytes(), s.channels.shape, s.patient_id, s.side, s.normalized, s.norm_bounds,
+        s.meta,
+    )
+
+
+@st.composite
+def _fold_plans(draw) -> FoldPlan:
+    ids = draw(st.lists(_ID_TEXT, min_size=2, max_size=5, unique=True))
+    k = draw(st.integers(2, len(ids)))
+    labels = {p: draw(st.integers(0, 2)) for p in ids}
+    return FoldPlan(k, {p: i % k for i, p in enumerate(ids)}, labels)
+
+
+def _files_besides(root: Path, skip: Path) -> list[Path]:
+    return [p for p in root.rglob("*") if p.is_file() and skip not in p.parents]
+
+
+class TestRunDirFormats:
+    """Each RunDir writer writes what its reader gives back unchanged, and refuses,
+    writing nothing, whatever its reader would refuse or read back otherwise.
+
+    The oracle is the file a writer that checks nothing leaves, read back by
+    the reader, as in the manifest's TestManifestFormat.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(stack=_stacks())
+    def test_stack(self, stack):
+        breast = (stack.patient_id, stack.side)
+        with tempfile.TemporaryDirectory() as tmp:
+            unchecked, run = RunDir(Path(tmp) / "unchecked"), RunDir(Path(tmp) / "run")
+            faithful = plain_file_name(stack.patient_id)  # else the reader refuses its path
+            if faithful:
+                path = unchecked.root / "stacks" / f"{stack.patient_id}_{stack.side}.mct"
+                path.parent.mkdir(parents=True)
+                write_blob(stack_to_blob(stack), path)
+                try:
+                    faithful = _stack_fields(unchecked.read_stack(*breast)) == _stack_fields(stack)
+                except SchemaMismatch:
+                    faithful = False
+            if faithful:
+                run.write_stack(stack)
+                assert (run.root / "stacks" / path.name).read_bytes() == path.read_bytes()
+                assert _stack_fields(run.read_stack(*breast)) == _stack_fields(stack)
+            else:
+                with pytest.raises(SchemaMismatch, match="not a plain file name|cannot write"):
+                    run.write_stack(stack)
+                assert _files_besides(Path(tmp), unchecked.root) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(plan=_fold_plans(), seed=st.integers(0, 2**128 - 1))
+    def test_folds(self, plan, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            unchecked, run = RunDir(Path(tmp) / "unchecked"), RunDir(Path(tmp) / "run")
+            unchecked.root.mkdir()
+            text = json.dumps({**dataclasses.asdict(plan), "seed": seed}, indent=2, sort_keys=True)
+            (unchecked.root / "folds.json").write_text(text + "\n")
+            try:
+                faithful = unchecked.read_folds() == plan
+            except SchemaMismatch:
+                faithful = False
+            if faithful:
+                run.write_folds(plan, seed)
+                assert (run.root / "folds.json").read_text() == text + "\n"
+                assert run.read_folds() == plan
+            else:
+                with pytest.raises(SchemaMismatch, match="cannot write"):
+                    run.write_folds(plan, seed)
+                assert _files_besides(Path(tmp), unchecked.root) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        weighting=st.sampled_from(["natural", "inverse", "x"]),
+        fold=st.integers(-1, 9),
+        dim=st.sampled_from([feature_dim(), feature_dim() - 1, 1]),
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4),
+    )
+    def test_model(self, weighting, fold, dim, values):
+        params = HeadParams(W=np.resize(values, (dim, 3)), b=np.resize(values[::-1], 3))
+        fields = (params.W.tolist(), params.b.tolist())
+        model_id = f"{weighting}_fold{fold}"
+        record = {"model_id": model_id, "weighting": weighting, "fold": fold}
+        record.update(W=fields[0], b=fields[1])
+        with tempfile.TemporaryDirectory() as tmp:
+            unchecked, run = RunDir(Path(tmp) / "unchecked"), RunDir(Path(tmp) / "run")
+            (unchecked.root / "models").mkdir(parents=True)
+            # the reader looks at no other key of the record
+            (unchecked.root / "models" / f"{model_id}.json").write_text(json.dumps(record))
+            try:
+                back = unchecked.read_model(weighting, fold)
+                faithful = (back.W.tolist(), back.b.tolist()) == fields
+            except SchemaMismatch:
+                faithful = False
+            spec = HeadSpec(rows=[0], labels=[0], weights=uniform_weights(), seed=0)
+
+            def write():
+                result = TrainResult(params, np.array([0.5]))
+                return run.write_model(weighting, fold, spec, result, PipelineConfig())
+
+            if faithful:
+                write()
+                back = run.read_model(weighting, fold)
+                assert (back.W.tolist(), back.b.tolist()) == fields
+            else:
+                with pytest.raises(SchemaMismatch, match="cannot write"):
+                    write()
+                assert _files_besides(Path(tmp), unchecked.root) == []
