@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from pathlib import Path
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .errors import (
     TooFewPatients,
 )
 from .mipbuild import SIDES, check_fields
-from .tensorio import _write_file
+from .tensorio import _check_read_back, _make_dir, _write_file
 
 NO_LESION, BENIGN, MALIGNANT = 0, 1, 2
 CLASS_NAMES = ("nolesion", "benign", "malignant")
@@ -60,9 +60,18 @@ def read_manifest(path) -> list[ManifestRow]:
     """Parse a manifest CSV; every way it can be unreadable is a ManifestParse."""
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            return _parse_manifest(fh)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+            return _parse_manifest(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
         raise ManifestParse(f"cannot read manifest {path}: {exc}") from exc
+
+
+def _csv_rows(text: str, error: type[Exception]) -> Iterator[list[str]]:
+    """The records of CSV text read as from a file; text csv cannot split is an `error`."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise error(f"line {reader.line_num}: {exc}") from exc
 
 
 def plain_file_name(name: str) -> bool:
@@ -74,8 +83,8 @@ def plain_file_name(name: str) -> bool:
     return name not in ("", ".", "..") and not any(c in "/\\\x7f" or c < " " for c in name)
 
 
-def _parse_manifest(lines: Iterable[str]) -> list[ManifestRow]:
-    reader = csv.reader(lines)
+def _parse_manifest(text: str) -> list[ManifestRow]:
+    reader = _csv_rows(text, ManifestParse)
     if tuple(next(reader, ())) != MANIFEST_HEADER:
         raise ManifestParse(f"manifest header must be {','.join(MANIFEST_HEADER)}")
     rows = [_parse_manifest_row(row, n) for n, row in enumerate(reader, start=2)]
@@ -108,7 +117,7 @@ def write_manifest(rows: Iterable[ManifestRow], path) -> None:
     """Write rows in the format `read_manifest` parses, one atomic write.
 
     The text is parsed back first: rows the reader would refuse, or read
-    back as other rows, are a ValueError and nothing is written.
+    back as other rows, are a SchemaMismatch and nothing is written.
     """
     rows = list(rows)
     buffer = io.StringIO()
@@ -118,14 +127,9 @@ def write_manifest(rows: Iterable[ManifestRow], path) -> None:
     for r in rows:
         labels = [words.get(v, repr(v)) for v in (r.label_left, r.label_right)]
         writer.writerow([r.patient_id, r.pre_path, ";".join(r.post_paths), r.mask_path or "", *labels])
-    try:
-        back = _parse_manifest(io.StringIO(buffer.getvalue(), newline=""))
-    except (ManifestParse, csv.Error) as exc:
-        raise ValueError(f"the manifest reader would refuse these rows: {exc}") from None
-    for line, (row, read) in enumerate(itertools.zip_longest(rows, back), start=2):
-        if row != read:
-            raise ValueError(f"line {line}: {row} would read back as {read}")
-    _write_file(path, buffer.getvalue().encode("utf-8"))
+    text = buffer.getvalue()
+    _check_read_back(path, rows, lambda: _parse_manifest(text))
+    _write_file(path, text.encode("utf-8"))
 
 
 def max_label(left: int, right: int) -> int:
@@ -403,7 +407,7 @@ def write_predictions_csv(predictions: Sequence[Prediction], path) -> None:
     """Deterministic CSV: sorted by (patient, side, model), 17-digit floats.
 
     The text is parsed back first: predictions the reader would refuse, or
-    read back as others, are a ValueError and nothing is written.
+    read back as others, are a SchemaMismatch and not even the directory is made.
     """
     rows = sorted(predictions, key=lambda p: (p.patient_id, p.side, p.model_id))
     buffer = io.StringIO()
@@ -413,23 +417,18 @@ def write_predictions_csv(predictions: Sequence[Prediction], path) -> None:
         writer.writerow(
             [p.patient_id, p.side] + [f"{v:.17g}" for v in p.probs] + [p.model_id]
         )
-    try:
-        back = _parse_predictions(io.StringIO(buffer.getvalue(), newline=""))
-    except (SchemaMismatch, csv.Error) as exc:
-        raise ValueError(f"the prediction CSV reader would refuse these rows: {exc}") from None
+    text = buffer.getvalue()
 
-    def fields(p: Prediction) -> tuple:
-        return p.patient_id, p.side, p.probs.tolist(), p.model_id
+    def fields(predictions: Iterable[Prediction]) -> list[tuple]:
+        return [(p.patient_id, p.side, p.probs.tolist(), p.model_id) for p in predictions]
 
-    pairs = itertools.zip_longest(map(fields, rows), map(fields, back))
-    for line, (row, read) in enumerate(pairs, start=2):
-        if row != read:
-            raise ValueError(f"line {line}: {row} would read back as {read}")
-    _write_file(path, buffer.getvalue().encode("utf-8"))
+    _check_read_back(path, fields(rows), lambda: fields(_parse_predictions(text)))
+    _make_dir(Path(path).parent)
+    _write_file(path, text.encode("utf-8"))
 
 
-def _parse_predictions(lines: Iterable[str]) -> list[Prediction]:
-    reader = csv.reader(lines)
+def _parse_predictions(text: str) -> list[Prediction]:
+    reader = _csv_rows(text, SchemaMismatch)
     header = next(reader, None)
     if header is None or tuple(header) != CSV_HEADER:
         raise SchemaMismatch(f"unexpected prediction CSV header: {header}")
@@ -449,10 +448,10 @@ def read_predictions_csv(path) -> list[Prediction]:
     """Parse a prediction CSV; every way it can be unreadable is a typed error."""
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            return _parse_predictions(fh)
+            return _parse_predictions(fh.read())
     except FileNotFoundError as exc:
         raise MissingBlob(f"no prediction CSV at {path}") from exc
     except OSError as exc:
         raise IoFailure(f"cannot read prediction CSV {path}: {exc}") from exc
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except UnicodeDecodeError as exc:
         raise SchemaMismatch(f"unreadable prediction CSV {path}: {exc}") from exc

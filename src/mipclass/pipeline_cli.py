@@ -18,6 +18,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -77,7 +78,8 @@ from .mipbuild import (
     stack_from_blob,
     stack_to_blob,
 )
-from .tensorio import TensorBlob, _make_dir, _write_file, read_blob, read_nifti, write_blob
+from .tensorio import TensorBlob, _check_read_back, _make_dir, _write_file, read_blob, read_nifti
+from .tensorio import write_blob
 
 WEIGHTINGS = ("natural", "inverse")
 
@@ -283,24 +285,12 @@ def _params_of(raw: dict, path: Path, weighting: str, fold: int) -> HeadParams:
     return params
 
 
-def _json_and_back(payload: dict, path: Path, indent: int | None = None) -> tuple[str, Any]:
-    """`payload` as sorted-key JSON text, and what a reader parses from that text."""
+def _json_text(payload: dict, path: Path, indent: int | None = None) -> str:
+    """`payload` as sorted-key JSON text; a value JSON cannot hold is a typed error."""
     try:
-        text = json.dumps(payload, indent=indent, sort_keys=True)
+        return json.dumps(payload, indent=indent, sort_keys=True)
     except (TypeError, ValueError, RecursionError) as exc:
         raise SchemaMismatch(f"cannot write {path}: {exc}") from None
-    return text, json.loads(text)
-
-
-def _refuse_unless_read_back(path: Path, value, read: Callable[[], Any], key: Callable) -> None:
-    """Nothing may be written at `path` unless `read`, the reader's parse of the
-    bytes about to be written, gives back `value` (compared by `key`)."""
-    try:
-        back = read()
-    except SchemaMismatch as exc:
-        raise SchemaMismatch(f"cannot write {path}: its reader would refuse it: {exc}") from None
-    if key(back) != key(value):
-        raise SchemaMismatch(f"cannot write {path}: it would read back as {back}")
 
 
 def _model_id(weighting: str, fold: int) -> str:
@@ -316,10 +306,9 @@ class RunDir:
 
     root: Path
 
-    def _write_json(self, path: Path, payload: dict, value=None, decode=None, key=lambda v: v):
-        text, raw = _json_and_back(payload, path, indent=2)
-        if decode is not None:
-            _refuse_unless_read_back(path, value, lambda: decode(raw), key)
+    def _write_json(self, path: Path, payload: dict, value: Any, read: Callable) -> Path:
+        text = _json_text(payload, path, indent=2)
+        _check_read_back(path, value, lambda: read(json.loads(text)))
         _make_dir(path.parent)
         _write_file(path, (text + "\n").encode("utf-8"))
         return path
@@ -341,11 +330,11 @@ class RunDir:
         breast = (stack.patient_id, stack.side)
         path = self._stack_path(*breast)
         blob = stack_to_blob(stack)
-        # the channels are written as they are; the metadata must read back
-        meta = _json_and_back(blob.meta, path)[1]
-        _refuse_unless_read_back(
-            path, stack, lambda: _stack_of(TensorBlob(blob.data, meta), path, breast),
-            key=lambda s: (s.patient_id, s.side, s.normalized, s.norm_bounds, s.meta),
+        text = _json_text(blob.meta, path)  # as write_blob writes it; the channels go as they are
+        fields = attrgetter("patient_id", "side", "normalized", "norm_bounds", "meta")
+        _check_read_back(
+            path, fields(stack),
+            lambda: fields(_stack_of(TensorBlob(blob.data, json.loads(text)), path, breast)),
         )
         _make_dir(path.parent)
         write_blob(blob, path)
@@ -359,7 +348,7 @@ class RunDir:
     def write_report(self, ids: Sequence[str], failures: dict[str, str]) -> None:
         succeeded = sorted(set(ids) - set(failures))
         report = {"n_studies": len(ids), "succeeded": succeeded, "failed": failures}
-        self._write_json(self.root / "preprocess_report.json", report)
+        self._write_json(self.root / "preprocess_report.json", report, report, dict)
 
     def write_folds(self, plan: FoldPlan, seed: int) -> Path:
         payload = {**dataclasses.asdict(plan), "seed": seed}
@@ -389,9 +378,12 @@ class RunDir:
             "b": [float(v) for v in params.b],
         }
         path = self._model_path(weighting, fold)
+
+        def fields(p: HeadParams) -> tuple:
+            return p.W.tolist(), p.b.tolist()
+
         return self._write_json(
-            path, record, params, lambda raw: _params_of(raw, path, weighting, fold),
-            key=lambda p: (p.W.tolist(), p.b.tolist()),
+            path, record, fields(params), lambda raw: fields(_params_of(raw, path, weighting, fold))
         )
 
     def read_model(self, weighting: str, fold: int) -> HeadParams:
@@ -400,16 +392,12 @@ class RunDir:
 
     def write_predictions(self, model_id: str, predictions: Sequence[Prediction]) -> Path:
         path = self.root / "predictions" / f"{model_id}.csv"
-        _make_dir(path.parent)
-        try:
-            write_predictions_csv(predictions, path)
-        except ValueError as exc:
-            raise SchemaMismatch(f"cannot write {path}: {exc}") from None
+        write_predictions_csv(predictions, path)
         return path
 
     def write_metrics(self, report: MetricsReport, source: Path) -> None:
         payload = {**report.to_dict(), "source": source.name}
-        self._write_json(self.root / "metrics" / f"{source.stem}.json", payload)
+        self._write_json(self.root / "metrics" / f"{source.stem}.json", payload, payload, dict)
 
 
 def _selected_heads(
@@ -587,6 +575,10 @@ def _evaluate_csv(manifest: Manifest, csv_path: Path, run: RunDir) -> None:
                 f"{csv_path} scores patient/side {breast} twice; ensemble averages repeated rows"
             )
         seen.add(breast)
+    known = set(manifest.patient_ids)
+    for p in predictions:
+        if p.patient_id not in known:
+            raise SchemaMismatch(f"patient {p.patient_id!r} in {csv_path} is not in the manifest")
     probs = np.stack([p.probs for p in predictions])
     truths = np.asarray([manifest.labels_for(p.patient_id)[p.side] for p in predictions], np.int64)
     report = evaluate(probs, truths)

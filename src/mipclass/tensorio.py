@@ -17,7 +17,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import (
     HeaderError,
     IoFailure,
     LengthMismatch,
+    MipclassError,
     NonInvertibleAffine,
     SchemaMismatch,
     TruncatedPayload,
@@ -83,6 +84,17 @@ def _write_file(path: str | os.PathLike, payload: bytes) -> None:
         except OSError:
             pass
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def _check_read_back(path: str | os.PathLike, value: Any, read: Callable[[], Any]) -> None:
+    """Refuse to write `path` unless `read`, its reader run on the exact text or bytes
+    to be written, gives back `value`; called before anything is made on disk."""
+    try:
+        back = read()
+    except MipclassError as exc:
+        raise SchemaMismatch(f"cannot write {path}: its reader would refuse it: {exc}") from None
+    if back != value:
+        raise SchemaMismatch(f"cannot write {path}: it would read back as {back}")
 
 
 def _make_dir(path: str | os.PathLike) -> None:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mipclass.classhead import (
     ClassWeights,
     HeadParams,
+    LossValue,
     TrainConfig,
     HeadSpec,
     class_weights,
@@ -607,3 +608,39 @@ class TestTrainHeads:
         cfg = TrainConfig(epochs=25, batch=4, lr_max=1.7e308, warmup_epochs=2)
         with pytest.raises(Diverged, match=r"at epoch \d+: .*train\.lr_max"):
             train_heads(lambda epoch: feats, heads, cfg)
+
+
+_W = np.zeros((feature_dim(), 3))
+_NAN_W = np.full((2, 3), np.nan)
+_ONE_HEAD = [HeadSpec(rows=[0], labels=[0], weights=uniform_weights(), seed=0)]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ClassWeights((0.5, 0.5), (1, 1)), ValueError,
+         "weights and counts must have 3 classes"),
+        (lambda: ClassWeights((0.5, 0.75, -0.25), (1, 1, 1)), ValueError,
+         "weights must be positive, got (0.5, 0.75, -0.25)"),
+        (lambda: class_weights([1, 2]), DimMismatch, "need 3 class counts, got 2"),
+        (lambda: HeadParams(_W, np.zeros(2)), DimMismatch, "b must be (3,), got (2,)"),
+        (lambda: HeadParams(_NAN_W, np.zeros(3)), ValueError, "head parameters must be finite"),
+        (lambda: LossValue(-1.0), ValueError, "loss must be finite and >= 0, got -1.0"),
+        (lambda: extract_features(MipStack(np.ones((4, 2, 2)), "left", "p0", True), grid=0),
+         ValueError, "grid must be >= 1, got 0"),
+        (lambda: forward(np.zeros((1, 1, feature_dim())), HeadParams(_W, np.zeros(3))), DimMismatch,
+         f"features must be (D,) or (N, D), got shape (1, 1, {feature_dim()})"),
+        (lambda: train_heads(lambda epoch: np.zeros(3), _ONE_HEAD, TrainConfig()), DimMismatch,
+         "features must be (N, D), got shape (3,)"),
+    ],
+    ids=[
+        "weights_two_classes", "weights_negative", "counts_two_classes", "bias_shape",
+        "params_nan", "loss_negative", "features_grid_0", "forward_3d", "train_1d",
+    ],
+)
+def test_input_refusals(call, error, message):
+    """Each input refusal's exact type and message."""
+    with pytest.raises(error) as refused:
+        call()
+    assert type(refused.value) is error
+    assert str(refused.value) == message

@@ -8,6 +8,7 @@ the mean, and exhaustive properties for the round-robin fold dealer.
 import csv
 import dataclasses
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -611,7 +612,7 @@ class TestPredictionFormat:
                 assert path.read_bytes() == unchecked.read_bytes()
                 assert _prediction_fields(read_predictions_csv(path)) == _prediction_fields(rows)
             else:
-                with pytest.raises(ValueError, match=r"would (refuse|read back)"):
+                with pytest.raises(SchemaMismatch, match=r"would (refuse|read back)"):
                     write_predictions_csv(predictions, path)
                 assert not path.exists()
 
@@ -620,10 +621,28 @@ class TestPredictionFormat:
         would be read as two malformed rows."""
         path = tmp_path / "predictions.csv"
         bad = Prediction("p\r000", "left", np.array([1.0, 0.0, 0.0]), "m")
-        refusal = r"would refuse these rows: malformed prediction row: \['p'\]$"
-        with pytest.raises(ValueError, match=refusal):
+        refusal = r"its reader would refuse it: malformed prediction row: \['p'\]$"
+        with pytest.raises(SchemaMismatch, match=refusal):
             write_predictions_csv([bad], path)
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "model_id, message",
+        [
+            ("m" * 131_073, r"line 2: field larger than field limit \(131072\)"),
+            ("m\r0", r"malformed prediction row: \['0'\]"),
+        ],
+        ids=["model_id_over_field_limit", "carriage_return_in_model_id"],
+    )
+    def test_writer_refusals(self, tmp_path, model_id, message):
+        """A refused write names its file and the reader's refusal, and makes
+        no directory."""
+        path = tmp_path / "predictions" / "m.csv"
+        bad = Prediction("p0", "left", np.array([1.0, 0.0, 0.0]), model_id)
+        refusal = re.escape(f"cannot write {path}: its reader would refuse it: ") + message + "$"
+        with pytest.raises(SchemaMismatch, match=refusal):
+            write_predictions_csv([bad], path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestManifestFormat:
@@ -646,7 +665,7 @@ class TestManifestFormat:
                 assert path.read_bytes() == unchecked.read_bytes()
                 assert read_manifest(path) == rows
             else:
-                with pytest.raises(ValueError, match=r"would (refuse|read back)"):
+                with pytest.raises(SchemaMismatch, match=r"would (refuse|read back)"):
                     write_manifest(rows, path)
                 assert not path.exists()
 
@@ -660,17 +679,22 @@ class TestManifestFormat:
             (ManifestRow("a", "p", ("x", "y"), None, 3, 0), "label_left must be one of"),
             (ManifestRow("a", "p", ("x", "y"), None, 0, -1), "label_right must be one of"),
             (ManifestRow("p0", "q", ("x", "y"), None, 0, 0), "duplicate patient ids: \\['p0'\\]"),
+            (
+                ManifestRow("p" * 131_073, "p", ("x", "y"), None, 0, 0),
+                "field larger than field limit \\(131072\\)",
+            ),
         ],
         ids=[
             "id_path", "edge_whitespace", "semicolon_in_path", "one_post", "label_3", "label_-1",
-            "duplicate_id",
+            "duplicate_id", "id_over_field_limit",
         ],
     )
     def test_writer_refusals(self, tmp_path, row, message):
         ok = ManifestRow("p0", "p", ("x", "y"), None, 0, 0)
-        # a duplicate is refused once every row is read, so it names no line
-        where = "" if "duplicate" in message else "line 3: .*"
-        with pytest.raises(ValueError, match=f"{where}{message}"):
+        # the reader names the line it refuses; a duplicate is refused once every
+        # row is read, and a read-back mismatch is of the whole table
+        where = "" if "duplicate" in message or "back" in message else "line 3: .*"
+        with pytest.raises(SchemaMismatch, match=f"^cannot write .*: {where}.*{message}"):
             write_manifest([ok, row], tmp_path / "manifest.csv")
         assert not (tmp_path / "manifest.csv").exists()
 
@@ -694,3 +718,31 @@ class TestManifestFormat:
             "a,pre.nii,b.nii;c.nii,,no_lesion,benign\n"
             '"b,""q""",pre.nii,b.nii;c.nii,m.nii,malignant,no_lesion\n'
         )
+
+
+def _report(auc: float) -> MetricsReport:
+    return MetricsReport(auc, 0.5, 0.5, 0.5, np.eye(3, dtype=np.int64), 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: stratified_kfold(["a", "b"], [0]), "2 patients vs 1 labels"),
+        (lambda: stratified_kfold(["a", "b"], [0, 1], k=1), "k must be >= 2, got 1"),
+        (lambda: roc_auc_micro(np.full((2, 2), 0.5), np.zeros(2)),
+         "probs must be (N, 3), got (2, 2)"),
+        (lambda: roc_auc_micro(np.full((2, 3), 1 / 3), np.zeros(3)),
+         "truths shape (3,) does not match probs"),
+        (lambda: Prediction("p0", "left", np.full(2, 0.5)),
+         "probs must be length 3, got shape (2,)"),
+        (lambda: _report(1.5), "auc=1.5 outside [0, 1]"),
+    ],
+    ids=["folds_lengths", "folds_k_1", "auc_two_classes", "auc_truths_shape", "probs_two",
+         "report_auc"],
+)
+def test_input_refusals(call, message):
+    """Each input refusal's exact type and message."""
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == message

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mipclass import geometry
-from mipclass.errors import WidthTooSmall
+from mipclass.errors import NonInvertibleAffine, WidthTooSmall
 from mipclass.geometry import (
     ROW_TIE_RTOL,
     Interp,
@@ -27,7 +27,7 @@ from mipclass.geometry import (
     resample,
     resampled_shape,
 )
-from mipclass.volume import Volume, orientation_code
+from mipclass.volume import Volume, dominant_axes, orientation_code
 
 
 def _world(affine, index):
@@ -776,3 +776,50 @@ class TestCutHalves:
             cut_halves(vol, target, rows)
         assert type(refused.value) is error
         assert str(refused.value) == message
+
+
+def _affine(*diagonal: float, nan: bool = False) -> np.ndarray:
+    affine = np.diag([*diagonal, 1.0])
+    if nan:
+        affine[0, 1] = np.nan
+    return affine
+
+
+_CUBE = np.ones((2, 2, 2), np.float32)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Volume(np.ones((2, 2)), (1, 1, 1), np.eye(4)), ValueError,
+         "volume data must be 3D, got ndim=2"),
+        (lambda: Volume(np.ones((2, 0, 2)), (1, 1, 1), np.eye(4)), ValueError,
+         "all volume dims must be >= 1, got (2, 0, 2)"),
+        (lambda: Volume(_CUBE, (1, 0, 1), np.eye(4)), ValueError,
+         "spacing must be three positive numbers, got (1.0, 0.0, 1.0)"),
+        (lambda: Volume(_CUBE, (1, 1, 1), np.eye(3)), ValueError, "affine must be 4x4, got (3, 3)"),
+        (lambda: Volume(_CUBE, (1, 1, 1), _affine(1, 1, 1, nan=True)), NonInvertibleAffine,
+         "affine contains non-finite entries"),
+        (lambda: Volume(_CUBE, (1, 1, 1), _affine(1, 2, 0)), NonInvertibleAffine,
+         "affine is singular"),
+        (lambda: dominant_axes(_affine(1, 1, 1, nan=True)), NonInvertibleAffine,
+         "affine contains non-finite entries"),
+        (lambda: dominant_axes(_affine(1, 0, 1)), NonInvertibleAffine,
+         "affine has a zero direction column"),
+        (lambda: RowWindow(-1, 2), ValueError, "window start must be >= 0, got -1"),
+        (lambda: RowWindow(0, 0), ValueError, "window length must be >= 1, got 0"),
+        (lambda: localize_rows(Volume.from_array(_CUBE), 0), ValueError,
+         "window must be >= 1, got 0"),
+    ],
+    ids=[
+        "volume_ndim", "volume_empty_dim", "volume_spacing", "volume_affine_3x3",
+        "volume_affine_nan", "volume_affine_singular", "axes_nan", "axes_zero_column",
+        "window_start", "window_length", "localize_window",
+    ],
+)
+def test_input_refusals(call, error, message):
+    """Each input refusal's exact type and message."""
+    with pytest.raises(error) as refused:
+        call()
+    assert type(refused.value) is error
+    assert str(refused.value) == message

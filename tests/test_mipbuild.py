@@ -959,3 +959,28 @@ class TestStackBlobs:
         for key in ("channel_order", "norm_bounds", "row_window_start", "norm_means"):
             assert key in meta
         assert [p.name for p in tmp_path.iterdir()] == ["p0_right.mct"]
+
+
+_CHANNELS = np.ones((4, 2, 2), np.float32)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MipStack(np.ones((3, 2, 2)), "left", "p0"),
+         "stack must be (4, W, H), got (3, 2, 2)"),
+        (lambda: MipStack(np.ones((4, 2, 0)), "left", "p0"),
+         "stack spatial dims must be >= 1, got (4, 2, 0)"),
+        (lambda: denormalize_stack(MipStack(_CHANNELS, "left", "p0")),
+         "p0/left: stack is not normalized"),
+        (lambda: denormalize_stack(MipStack(_CHANNELS, "left", "p0", normalized=True)),
+         "cannot invert: per-channel min/max were not recorded"),
+    ],
+    ids=["stack_three_channels", "stack_empty_dim", "denormalize_raw", "denormalize_no_bounds"],
+)
+def test_input_refusals(call, message):
+    """Each input refusal's exact type and message."""
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == message

@@ -6,6 +6,7 @@ the training-time label-access audit.
 import ast
 import copy
 import dataclasses
+import fractions
 import gzip
 import inspect
 import json
@@ -29,6 +30,7 @@ from scipy_reference import scipy_blur, scipy_warp
 from mipclass import phantom
 from mipclass.augment2d import AugmentPolicy, augment, default_policy, derive_seed
 from mipclass.classhead import (
+    ClassWeights,
     HeadParams,
     HeadSpec,
     TrainConfig,
@@ -1123,8 +1125,7 @@ class TestPredictEvaluateEnsemble:
         capsys.readouterr()
         assert cmd_evaluate(predicted / "manifest.csv", predicted, [csv_path]) == 2
         assert capsys.readouterr().err == (
-            f"error: {csv_path}: patient 'zz9' is not in the manifest;"
-            " rerun split with this manifest\n"
+            f"error: {csv_path}: patient 'zz9' in {csv_path} is not in the manifest\n"
         )
 
     def test_evaluate_scores_every_csv_and_names_each_failure(self, predicted, tmp_path, capsys):
@@ -1194,6 +1195,11 @@ def _set_stack_meta(path: Path, meta) -> None:
     start, end = _meta_span(buf)
     text = json.dumps(meta).encode("utf-8")
     path.write_bytes(buf[:start] + struct.pack("<I", len(text)) + text + buf[end:])
+
+
+def _tree(root: Path) -> dict[Path, bytes | None]:
+    """Every file under `root` with its bytes, and every directory (None)."""
+    return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
 
 
 class TestCorruptRunDirectory:
@@ -1373,7 +1379,7 @@ class TestCorruptRunDirectory:
         argv = [command, "--out", str(run), "--weighting", "natural", "--fold", "0"]
         if command == "train":
             argv += ["--manifest", str(run / "manifest.csv"), "--config", str(config)]
-        before = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        before = sorted(tmp_path.rglob("*"))
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -1402,7 +1408,7 @@ class TestCorruptRunDirectory:
                 f"error: malformed model file {run}/models/natural_fold0.json: "
                 "W must hold finite numbers only, got '1.5'\n"
             )
-        assert sorted(p for p in tmp_path.rglob("*") if p.is_file()) == before
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize(
         "what, command",
@@ -1426,13 +1432,13 @@ class TestCorruptRunDirectory:
             argv += ["--manifest", str(run / "manifest.csv"), "--config", str(config)]
         if command != "split":
             argv += ["--weighting", "natural", "--fold", "0"]
-        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        before = _tree(tmp_path)
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {what} {path} is not valid JSON: maximum recursion depth")
         assert err.count("\n") == 1
-        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert _tree(tmp_path) == before
 
 
 _PREDICTION_HEADER = "patient_id,side,p_nolesion,p_benign,p_malignant,model_id\n"
@@ -1448,8 +1454,11 @@ _BAD_INPUT_ERRORS = {
         " would write the same metrics file"
     ),
     "ensemble_carriage_return_id": (
-        "cannot write {tmp}/run/predictions/ensemble.csv: the prediction CSV reader would refuse"
-        " these rows: malformed prediction row: ['p']"
+        "cannot write {tmp}/run/predictions/ensemble.csv: its reader would refuse it:"
+        " malformed prediction row: ['p']"
+    ),
+    "evaluate_unknown_patient": (
+        "{tmp}/bad.csv: patient 'zzz' in {tmp}/bad.csv is not in the manifest"
     ),
 }
 
@@ -1481,6 +1490,7 @@ class TestBadInput:
             "config_is_a_list",
             "evaluate_same_stem",
             "ensemble_carriage_return_id",
+            "evaluate_unknown_patient",
         ],
     )
     def test_exits_two_without_traceback(self, predicted, tmp_path, case, capsys):
@@ -1551,7 +1561,12 @@ class TestBadInput:
             # the reader gives back a quoted \r; the writer would leave it bare
             bad_csv.write_text(_PREDICTION_HEADER + '"p\r000",left,1,0,0,m\n', newline="")
             argv = ["ensemble", *base, str(bad_csv)]
-        before = sorted(p for p in run.rglob("*") if p.is_file())
+            shutil.rmtree(run / "predictions")  # a refused write must not make it
+        elif case == "evaluate_unknown_patient":
+            bad_csv.write_text(_PREDICTION_HEADER + "zzz,left,1,0,0,m\n")
+            argv = ["evaluate", *base, str(bad_csv)]
+        # nothing written: no file and no directory
+        before = sorted(run.rglob("*"))
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -1559,7 +1574,7 @@ class TestBadInput:
         assert "Traceback" not in err
         if case in _BAD_INPUT_ERRORS:
             assert err == f"error: {_BAD_INPUT_ERRORS[case].format(tmp=tmp_path)}\n"
-        assert sorted(p for p in run.rglob("*") if p.is_file()) == before
+        assert sorted(run.rglob("*")) == before
 
 
 @pytest.mark.parametrize(
@@ -2067,8 +2082,9 @@ def _fold_plans(draw) -> FoldPlan:
     return FoldPlan(k, {p: i % k for i, p in enumerate(ids)}, labels)
 
 
-def _files_besides(root: Path, skip: Path) -> list[Path]:
-    return [p for p in root.rglob("*") if p.is_file() and skip not in p.parents]
+def _paths_besides(root: Path, skip: Path) -> list[Path]:
+    """Every file and directory under `root` but `skip` and what it holds."""
+    return [p for p in root.rglob("*") if p != skip and skip not in p.parents]
 
 
 class TestRunDirFormats:
@@ -2101,7 +2117,7 @@ class TestRunDirFormats:
             else:
                 with pytest.raises(SchemaMismatch, match="not a plain file name|cannot write"):
                     run.write_stack(stack)
-                assert _files_besides(Path(tmp), unchecked.root) == []
+                assert _paths_besides(Path(tmp), unchecked.root) == []
 
     @settings(max_examples=300, deadline=None)
     @given(plan=_fold_plans(), seed=st.integers(0, 2**128 - 1))
@@ -2122,7 +2138,7 @@ class TestRunDirFormats:
             else:
                 with pytest.raises(SchemaMismatch, match="cannot write"):
                     run.write_folds(plan, seed)
-                assert _files_besides(Path(tmp), unchecked.root) == []
+                assert _paths_besides(Path(tmp), unchecked.root) == []
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -2160,4 +2176,34 @@ class TestRunDirFormats:
             else:
                 with pytest.raises(SchemaMismatch, match="cannot write"):
                     write()
-                assert _files_besides(Path(tmp), unchecked.root) == []
+                assert _paths_besides(Path(tmp), unchecked.root) == []
+
+
+def _write_exact_weights_model(run: RunDir) -> None:
+    """A head whose class weights are exact fractions, which JSON cannot hold."""
+    third = fractions.Fraction(1, 3)
+    spec = HeadSpec(rows=[0], labels=[0], weights=ClassWeights((third,) * 3, (1, 1, 1)), seed=0)
+    params = HeadParams(np.zeros((feature_dim(), 3)), np.zeros(3))
+    run.write_model("natural", 0, spec, TrainResult(params, np.array([0.5])), PipelineConfig())
+
+
+def _write_set_meta_stack(run: RunDir) -> None:
+    run.write_stack(MipStack(np.ones((4, 2, 2), np.float32), "left", "p0", meta={"ids": {1}}))
+
+
+@pytest.mark.parametrize(
+    "write, path, message",
+    [
+        (_write_exact_weights_model, "models/natural_fold0.json",
+         "Object of type Fraction is not JSON serializable"),
+        (_write_set_meta_stack, "stacks/p0_left.mct",
+         "Object of type set is not JSON serializable"),
+    ],
+    ids=["model_fraction_weights", "stack_set_meta"],
+)
+def test_run_dir_refuses_what_json_cannot_hold(tmp_path, write, path, message):
+    """A record JSON cannot serialize is refused by name, and nothing is made."""
+    with pytest.raises(SchemaMismatch) as refused:
+        write(RunDir(tmp_path / "run"))
+    assert str(refused.value) == f"cannot write {tmp_path}/run/{path}: {message}"
+    assert list(tmp_path.iterdir()) == []

@@ -414,3 +414,39 @@ class TestBlob:
         p.write_bytes(_blob_bytes((0xFFFFFFFF,) * 8, b"{}", bytes(8)))
         with pytest.raises(LengthMismatch):
             read_blob(p)
+
+
+_VOXELS = np.ones((2, 2, 2), np.float32)
+
+
+@pytest.mark.parametrize(
+    "read, data, error, message",
+    [
+        (lambda path: TensorBlob(np.zeros((1,) * 9, np.float32)), b"", HeaderError,
+         "blob ndim must be in 1..8, got 9"),
+        (read_blob, b"MCT2", TruncatedPayload, "{path}: too short for a blob header"),
+        (read_blob, b"MCT2\x03" + bytes(8), TruncatedPayload, "{path}: truncated dimension list"),
+        (
+            read_nifti,
+            reference_nifti_bytes(_VOXELS, sform_code=0, qform_code=1, quaternion=(np.nan, 0, 0)),
+            HeaderError,
+            "non-finite quaternion fields",
+        ),
+        (read_nifti, reference_nifti_bytes(_VOXELS, scl_slope=np.inf), HeaderError,
+         "{path}: non-finite scl_slope/scl_inter"),
+        (read_nifti, reference_nifti_bytes(_VOXELS, magic=b"ni1\x00", vox_offset=-4.0), HeaderError,
+         "{path}: negative vox_offset for a header/image pair"),
+    ],
+    ids=[
+        "blob_ndim_9", "blob_under_5_bytes", "blob_dims_truncated", "nifti_quaternion_nan",
+        "nifti_scale_inf", "nifti_pair_offset_negative",
+    ],
+)
+def test_input_refusals(tmp_path, read, data, error, message):
+    """Each input refusal's exact type and message."""
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    with pytest.raises(error) as refused:
+        read(path)
+    assert type(refused.value) is error
+    assert str(refused.value) == message.format(path=path)
