@@ -33,10 +33,11 @@ labels = np.repeat([0, 1, 2], [60, 30, 15])  # imbalanced on purpose
 features = centers[labels] + rng.normal(scale=0.5, size=(labels.size, 3))
 
 # One head on every row; its seed keys the Philox stream that shuffles
-# each epoch's minibatches.  The feature source maps an epoch to its
-# matrix: here the same one every epoch, as with augmentation off.
+# each epoch's minibatches.  train_heads takes an (E, N, D) array and
+# epoch e trains on matrix e % E: here one matrix for every epoch, as
+# with augmentation off.
 head = HeadSpec(np.arange(labels.size), labels, class_weights([60, 30, 15]), seed=0)
-(result,) = train_heads(lambda epoch: features, [head], cfg)
+(result,) = train_heads(features[None], [head], cfg)
 probs = forward(features, result.params)
 accuracy = (probs.argmax(axis=1) == labels).mean()
 print(f"loss {result.loss_trace[0]:.4f} -> {result.loss_trace[-1]:.4f}, "

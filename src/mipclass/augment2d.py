@@ -19,8 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mipbuild import PAPER_MEANS, PAPER_STDS, POSITIVE, MipStack, bounded, check_fields
-from .mipbuild import field_specs
+from .mipbuild import POSITIVE, MipStack, bounded, check_fields, field_specs, recorded_constants
 
 # fixed stream indices; changing these changes every sampled augmentation
 _STREAMS = {
@@ -103,9 +102,8 @@ def _fill_values(stack: MipStack) -> np.ndarray:
     """Per-channel value meaning "zero signal" in the stack's current scale."""
     if not stack.normalized:
         return np.zeros(4, dtype=np.float64)
-    means = stack.meta.get("norm_means", list(PAPER_MEANS))
-    stds = stack.meta.get("norm_stds", list(PAPER_STDS))
-    return (0.0 - np.asarray(means, dtype=np.float64)) / np.asarray(stds, dtype=np.float64)
+    constants = recorded_constants(stack)
+    return (0.0 - np.asarray(constants.means, np.float64)) / np.asarray(constants.stds, np.float64)
 
 
 def _warp_matrix(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -257,44 +257,43 @@ class HeadSpec:
 
 
 def train_heads(
-    features: Callable[[int], np.ndarray], heads: Sequence[HeadSpec], cfg: TrainConfig
+    features: np.ndarray, heads: Sequence[HeadSpec], cfg: TrainConfig
 ) -> list[TrainResult]:
-    """Momentum SGD for several heads over one per-epoch feature source.
+    """Momentum SGD for several heads over one ``(E, N, D)`` feature array.
 
-    ``features`` maps an epoch to its (N, D) matrix (e.g. freshly augmented
-    inputs) and is called once per epoch for all heads; every epoch's matrix
-    keeps epoch 0's shape.  All heads follow ``cfg``.  Each head trains on
-    its own rows, from zero-initialized params, with its own momentum and a
-    Philox permutation stream keyed by its ``seed``.  Heads with equal row
-    counts step together as one (G, ...) stack, running the float64
-    operations of training each alone in the same order, so every head's
-    result has the bytes of training it alone.  Raises ``Diverged`` at the
-    end of the first epoch that leaves a param or loss non-finite.
+    Epoch ``e`` of ``cfg`` trains every head on ``features[e % E]``, widened
+    to float64: E matrices of freshly augmented inputs, or E = 1 for one fixed
+    matrix.  Each head trains on its own rows, from zero-initialized params,
+    with its own momentum and a Philox permutation stream keyed by its
+    ``seed``.  Heads with equal row counts step together as one (G, ...)
+    stack, running the float64 operations of training each alone in the same
+    order, so every head's result has the bytes of training it alone.  Raises
+    ``Diverged`` at the end of the first epoch that leaves a param or loss
+    non-finite.
     """
-    first = np.asarray(features(0), dtype=np.float64)
-    if first.ndim != 2:
-        raise DimMismatch(f"features must be (N, D), got shape {first.shape}")
+    features = np.asarray(features)
+    if features.ndim != 3 or not len(features):
+        raise DimMismatch(f"features must be (E, N, D) with E >= 1, got shape {features.shape}")
+    n_rows, dim = features.shape[1:]
     # heads sorted by row count, so each group of equal counts is a slice of the stacks
     order = sorted(range(len(heads)), key=lambda i: heads[i].rows.size)
     specs = [heads[i] for i in order]
     sizes = [head.rows.size for head in specs]
     rngs = [np.random.Generator(np.random.Philox(key=head.seed)) for head in specs]
-    W, vW = np.zeros((2, len(specs), first.shape[1], N_CLASSES))
+    W, vW = np.zeros((2, len(specs), dim, N_CLASSES))
     b, vb = np.zeros((2, len(specs), N_CLASSES))
     traces = np.empty((len(specs), cfg.epochs))
     groups = []  # (slice of specs, rows, labels, their class weights), each (G, n)
     for n in sorted(set(sizes)):
         at = slice(sizes.index(n), sizes.index(n) + sizes.count(n))
         rows = np.stack([head.rows for head in specs[at]])
-        if not 0 <= rows.min() <= rows.max() < first.shape[0]:
-            raise DimMismatch(f"head rows outside the {first.shape[0]} feature rows")
+        if not 0 <= rows.min() <= rows.max() < n_rows:
+            raise DimMismatch(f"head rows outside the {n_rows} feature rows")
         labels = np.stack([head.labels for head in specs[at]])
         w = np.array([head.weights.w for head in specs[at]])
         groups.append((at, rows, labels, np.take_along_axis(w, labels, axis=1)))
     for epoch in range(cfg.epochs):
-        feats = np.asarray(features(epoch), dtype=np.float64) if epoch else first
-        if feats.shape != first.shape:
-            raise DimMismatch(f"epoch {epoch} features {feats.shape} != epoch 0's {first.shape}")
+        feats = np.asarray(features[epoch % len(features)], dtype=np.float64)
         lr = lr_schedule(epoch, cfg)
         # a diverging head is reported by the check below, not by numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):

@@ -415,19 +415,28 @@ def normalize_stack(stack: MipStack, constants: NormConstants = NormConstants())
     )
 
 
-def denormalize_stack(stack: MipStack, constants: NormConstants = NormConstants()) -> MipStack:
-    """Invert normalize_stack using the recorded per-channel bounds."""
+def recorded_constants(stack: MipStack) -> NormConstants:
+    """The normalization constants a stack records; the paper's where it records none."""
+    get = stack.meta.get
+    return NormConstants(get("norm_means", PAPER_MEANS), get("norm_stds", PAPER_STDS))
+
+
+def denormalize_stack(stack: MipStack, constants: NormConstants | None = None) -> MipStack:
+    """Invert normalize_stack with the stack's recorded bounds and constants."""
     if not stack.normalized:
         raise ValueError(f"{stack.patient_id}/{stack.side}: stack is not normalized")
     if stack.norm_bounds is None:
         raise ValueError("cannot invert: per-channel min/max were not recorded")
+    recorded = recorded_constants(stack)
+    if constants is not None and constants != recorded:
+        raise ValueError(f"the stack was normalized with {recorded}, not {constants}")
     data = stack.channels.astype(np.float64)
     out = np.empty_like(data)
     for c in range(4):
         lo, hi = stack.norm_bounds[c]
         # measured from the stored float32 of unit 0, so a channel's minimum comes back exact
-        zero = np.float32((0.0 - constants.means[c]) / constants.stds[c])
-        unit = np.clip((data[c] - zero) * constants.stds[c], 0.0, 1.0)
+        zero = np.float32((0.0 - recorded.means[c]) / recorded.stds[c])
+        unit = np.clip((data[c] - zero) * recorded.stds[c], 0.0, 1.0)
         out[c] = unit * (hi - lo) + lo
     meta = {k: v for k, v in stack.meta.items() if k not in ("norm_means", "norm_stds")}
     return replace(

@@ -468,6 +468,35 @@ def cmd_split(manifest_path: str | Path, config: PipelineConfig, out_dir: str | 
     return 0
 
 
+def _features(
+    run: RunDir, breasts: Sequence[tuple[str, str]], config: PipelineConfig | None = None
+) -> np.ndarray:
+    """The ``(E, len(breasts), D)`` float32 features of ``(patient, side)`` breasts,
+    reading each stack once and dropping it before the next is read.  Under a
+    config whose policy is active, each breast is augmented afresh for each of
+    the config's train epochs; otherwise E = 1 and nothing is augmented."""
+    augmenting = config is not None and config.policy.active
+    epochs = config.train.epochs if augmenting else 1
+    feats = np.empty((epochs, len(breasts), feature_dim()), dtype=np.float32)
+    for row, (patient_id, side) in enumerate(breasts):
+        stack = run.read_stack(patient_id, side)
+        for epoch in range(epochs):
+            view = stack
+            if augmenting:
+                # augmentations are redrawn every epoch, seeded per breast
+                seed = derive_seed(config.seed, patient_id, side, epoch)
+                try:
+                    view = augment(stack, seed, config.policy)
+                except (ValueError, OverflowError) as exc:
+                    raise SchemaMismatch(
+                        f"augmenting patient {patient_id} side {side} at epoch {epoch}"
+                        f" failed ({exc}); the config's augment magnitudes are out of range"
+                    ) from exc
+            feats[epoch, row] = extract_features(view)
+        del stack, view  # freed before the next breast is read
+    return feats
+
+
 def cmd_train(
     manifest_path: str | Path,
     config: PipelineConfig,
@@ -477,66 +506,31 @@ def cmd_train(
 ) -> int:
     """Train every selected (weighting, fold) head on one breast-major feature array.
 
-    Each training breast is loaded once, augmented and featurized for every
-    epoch (once when augmentation is off) into an ``(epochs, breasts, D)``
-    float32 array, and dropped before the next is loaded; every head then
-    steps on its own rows.  Labels are looked up per training patient
-    through Manifest.labels_for, so validation-fold labels are never touched.
+    Labels are looked up per training breast through Manifest.labels_for,
+    before any stack is read, so validation-fold labels are never touched.
     """
     manifest = Manifest.read(manifest_path)
     run = RunDir(Path(out_dir))
     plan = run.read_folds()
     weightings, folds = _selected_heads(plan, weighting, fold)
-
-    def breast_features(stack: MipStack, epoch: int) -> np.ndarray:
-        if config.policy.active:
-            # augmentations are redrawn every epoch, seeded per breast
-            seed = derive_seed(config.seed, stack.patient_id, stack.side, epoch)
-            try:
-                stack = augment(stack, seed, config.policy)
-            except (ValueError, OverflowError) as exc:
-                raise SchemaMismatch(
-                    f"augmenting patient {stack.patient_id} side {stack.side} at epoch {epoch}"
-                    f" failed ({exc}); the config's augment magnitudes are out of range"
-                ) from exc
-        return extract_features(stack)
-
-    # every breast a selected head trains on, once; row of (patient, side)
+    # every breast a selected head trains on, once, in row order
     patients = sorted({p for f in folds for p in plan.training_patients(f)})
-    epochs = config.train.epochs if config.policy.active else 1
-    feats = np.empty((epochs, len(patients) * len(SIDES), feature_dim()), dtype=np.float32)
-    row_of: dict[tuple[str, str], int] = {}
-    breast_labels: list[int] = []
-    for patient_id in patients:
-        sides = manifest.labels_for(patient_id)
-        for side in SIDES:
-            row_of[patient_id, side] = row = len(breast_labels)
-            stack = run.read_stack(patient_id, side)
-            for epoch in range(epochs):
-                feats[epoch, row] = breast_features(stack, epoch)
-            del stack  # freed before the next breast is loaded
-            breast_labels.append(sides[side])
-    labels = np.asarray(breast_labels, dtype=np.int64)
+    breasts = [(p, side) for p in patients for side in SIDES]
+    labels = np.asarray([manifest.labels_for(p)[side] for p, side in breasts], dtype=np.int64)
 
     heads: list[tuple[str, int, HeadSpec]] = []
     for w in weightings:
         for f in folds:
-            rows = [row_of[p, side] for p in plan.training_patients(f) for side in SIDES]
-            head_labels = labels[rows]
+            # a head's rows are its training breasts, in training order as both are sorted
+            rows = [row for row, (p, _) in enumerate(breasts) if plan.assignment[p] != f]
             # counts/weights come from the training folds only, by construction
-            counts = np.bincount(head_labels, minlength=N_CLASSES).tolist()
-            spec = HeadSpec(
-                rows=rows,
-                labels=head_labels,
-                weights=uniform_weights() if w == "natural" else class_weights(counts),
-                seed=derive_seed(config.seed, f"fold{f}", w, 0),
-            )
-            heads.append((w, f, spec))
+            counts = np.bincount(labels[rows], minlength=N_CLASSES)
+            weights = uniform_weights() if w == "natural" else class_weights(counts)
+            seed = derive_seed(config.seed, f"fold{f}", w, 0)
+            heads.append((w, f, HeadSpec(rows, labels[rows], weights, seed)))
 
     specs = [spec for _, _, spec in heads]
-    # without augmentation every epoch trains on epoch 0's features
-    results = train_heads(lambda epoch: feats[epoch % epochs], specs, config.train)
-
+    results = train_heads(_features(run, breasts, config), specs, config.train)
     for (w, f, spec), result in zip(heads, results):
         path = run.write_model(w, f, spec, result, config)
         print(f"trained {path.stem} -> {path}")
@@ -553,7 +547,7 @@ def cmd_predict(
         models = {_model_id(w, f): run.read_model(w, f) for w in weightings}
         # each validation stack is read and featurized once for every model of the fold
         breasts = [(p, side) for p in plan.patients_in_fold(f) for side in SIDES]
-        features = [extract_features(run.read_stack(p, side)) for p, side in breasts]
+        features = _features(run, breasts)[0]
         for model_id, params in models.items():
             predictions = [
                 Prediction(patient_id, side, forward(x, params), model_id)
@@ -564,27 +558,33 @@ def cmd_predict(
     return 0
 
 
-def _evaluate_csv(manifest: Manifest, csv_path: Path, run: RunDir) -> None:
+def _read_predictions(manifest: Manifest, csv_path: Path) -> list[Prediction]:
+    """The predictions in a CSV, each of a patient the manifest holds."""
     predictions = read_predictions_csv(csv_path)
-    if not predictions:
-        raise SchemaMismatch(f"no prediction rows in {csv_path}")
-    seen: set[tuple[str, str]] = set()
-    for breast in ((p.patient_id, p.side) for p in predictions):
-        if breast in seen:
-            raise SchemaMismatch(
-                f"{csv_path} scores patient/side {breast} twice; ensemble averages repeated rows"
-            )
-        seen.add(breast)
     known = set(manifest.patient_ids)
     for p in predictions:
         if p.patient_id not in known:
             raise SchemaMismatch(f"patient {p.patient_id!r} in {csv_path} is not in the manifest")
+    return predictions
+
+
+def _score(manifest: Manifest, predictions: list[Prediction], source: Path, run: RunDir) -> None:
+    """Score `source`'s predictions against the manifest into its metrics file."""
+    if not predictions:
+        raise SchemaMismatch(f"no prediction rows in {source}")
+    seen: set[tuple[str, str]] = set()
+    for breast in ((p.patient_id, p.side) for p in predictions):
+        if breast in seen:
+            raise SchemaMismatch(
+                f"{source} scores patient/side {breast} twice; ensemble averages repeated rows"
+            )
+        seen.add(breast)
     probs = np.stack([p.probs for p in predictions])
     truths = np.asarray([manifest.labels_for(p.patient_id)[p.side] for p in predictions], np.int64)
     report = evaluate(probs, truths)
-    run.write_metrics(report, csv_path)
+    run.write_metrics(report, source)
     print(
-        f"{csv_path.stem}: auc={report.auc:.4f} sens@90spec={report.sens_at_90spec:.4f} "
+        f"{source.stem}: auc={report.auc:.4f} sens@90spec={report.sens_at_90spec:.4f} "
         f"spec@90sens={report.spec_at_90sens:.4f} score={report.score:.4f}"
     )
 
@@ -607,7 +607,7 @@ def cmd_evaluate(
     failed = 0
     for csv_path in csv_paths:
         try:
-            _evaluate_csv(manifest, Path(csv_path), run)
+            _score(manifest, _read_predictions(manifest, Path(csv_path)), Path(csv_path), run)
         except MipclassError as exc:
             print(f"error: {csv_path}: {exc}", file=sys.stderr)
             failed += 1
@@ -617,18 +617,23 @@ def cmd_evaluate(
 def cmd_ensemble(
     manifest_path: str | Path, out_dir: str | Path, csv_paths: Sequence[str | Path]
 ) -> int:
-    """Average the listed prediction files per breast, then re-evaluate."""
+    """Average the listed prediction files per breast, then score the average."""
     manifest = Manifest.read(manifest_path)
     run = RunDir(Path(out_dir))
     members: list[Prediction] = []
+    # every member is read and checked before anything is written
     for csv_path in csv_paths:
-        members.extend(read_predictions_csv(csv_path))
+        try:
+            members.extend(_read_predictions(manifest, Path(csv_path)))
+        except MipclassError as exc:
+            print(f"error: {csv_path}: {exc}", file=sys.stderr)
+            return 2
     if not members:
         raise SchemaMismatch("no predictions to ensemble")
     merged = ensemble_all(members)
     csv_path = run.write_predictions("ensemble", merged)
     print(f"ensembled {len(csv_paths)} files over {len(merged)} breasts -> {csv_path}")
-    _evaluate_csv(manifest, csv_path, run)
+    _score(manifest, merged, csv_path, run)
     return 0
 
 

@@ -346,7 +346,7 @@ def _cluster_problem(n_per=20, dim=6, margin=10.0, seed=0):
 def _train_alone(feats, labels, cfg, weights, seed=0):
     """One head on every row of one fixed matrix."""
     head = HeadSpec(np.arange(len(feats)), labels, weights, seed)
-    return train_heads(lambda epoch: feats, [head], cfg)[0]
+    return train_heads(feats[None], [head], cfg)[0]
 
 
 class TestTrainHead:
@@ -367,17 +367,17 @@ class TestTrainHead:
         assert np.abs(result.params.W).max() < 1e-20
         assert np.abs(result.params.b).max() < 1e-20
 
-    @pytest.mark.parametrize("per_epoch", [False, True], ids=["matrix", "callable"])
+    @pytest.mark.parametrize("per_epoch", [False, True], ids=["matrix", "per_epoch"])
     def test_same_seed_bit_identical(self, per_epoch):
-        """A rerun, or the same matrix handed to train_heads per epoch, gives the same bytes."""
+        """A rerun, or the same matrix repeated once per epoch, gives the same bytes."""
         feats, labels = _cluster_problem(n_per=8, seed=3)
         cfg = TrainConfig(epochs=50, batch=7, lr_max=0.01, warmup_epochs=3)
         cw = class_weights([8, 8, 8])
         a = _train_alone(feats, labels, cfg, cw, seed=9)
         if per_epoch:
-            # a fresh copy each epoch, so no step can lean on seeing one array twice
+            # one copy per epoch, so no step can lean on seeing one array twice
             head = HeadSpec(rows=np.arange(labels.size), labels=labels, weights=cw, seed=9)
-            (b,) = train_heads(lambda epoch: feats.copy(), [head], cfg)
+            (b,) = train_heads(np.stack([feats] * cfg.epochs), [head], cfg)
         else:
             b = _train_alone(feats, labels, cfg, cw, seed=9)
         assert a.params.W.tobytes() == b.params.W.tobytes()
@@ -430,12 +430,12 @@ def _reference_train(features, rows, labels, cfg, weights, seed):
     forward, grad_weighted_ce and weighted_ce: zero init, one Philox
     permutation stream, momentum SGD, full-data loss per epoch."""
     labels = np.asarray(labels, dtype=np.int64)
-    W, b = np.zeros((features(0).shape[1], 3)), np.zeros(3)
+    W, b = np.zeros((features.shape[2], 3)), np.zeros(3)
     vW, vb = np.zeros_like(W), np.zeros_like(b)
     rng = np.random.Generator(np.random.Philox(key=seed))
     trace = np.empty(cfg.epochs)
     for epoch in range(cfg.epochs):
-        feats = np.asarray(features(epoch), dtype=np.float64)[rows]
+        feats = np.asarray(features[epoch % len(features)], dtype=np.float64)[rows]
         perm = rng.permutation(labels.shape[0])
         lr = lr_schedule(epoch, cfg)
         for start in range(0, perm.shape[0], cfg.batch):
@@ -451,8 +451,9 @@ def _reference_train(features, rows, labels, cfg, weights, seed):
 
 @st.composite
 def _head_sets(draw):
-    """A feature source and 1-5 heads over it: overlapping rows, two row
-    counts (one leaves a remainder batch of 1), both weightings."""
+    """An (E, N, D) feature array and 1-5 heads over it: overlapping rows, two
+    row counts (one leaves a remainder batch of 1), both weightings; E is 1,
+    or 1-3 matrices that the epochs cycle through."""
     n_feats = draw(st.integers(2, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base = rng.normal(0, 2, (n_feats, draw(st.integers(1, 6)))).astype(np.float32)
@@ -467,13 +468,11 @@ def _head_sets(draw):
         counts = np.maximum(np.bincount(labels, minlength=3), 1)
         weights = draw(st.sampled_from([uniform_weights(), class_weights(counts)]))
         heads.append(HeadSpec(rows, labels, weights, draw(st.integers(0, 2**64 - 1))))
-    if draw(st.booleans()):
-        def source(epoch):
-            return (base * np.float32(1.0 + 0.05 * epoch)).astype(np.float32)
-    else:
-        def source(epoch):
-            return base
     epochs = draw(st.integers(2, 5))
+    n_matrices = draw(st.sampled_from([1, epochs, draw(st.integers(1, 3))]))
+    source = np.stack(
+        [(base * np.float32(1.0 + 0.05 * e)).astype(np.float32) for e in range(n_matrices)]
+    )
     cfg = TrainConfig(
         epochs=epochs, batch=batch, lr_max=draw(st.sampled_from([0.01, 0.5])), warmup_epochs=1
     )
@@ -492,7 +491,7 @@ class TestHeadSpec:
     def test_largest_philox_key_accepted(self):
         head = HeadSpec(rows=[0], labels=[1], weights=uniform_weights(), seed=2**128 - 1)
         cfg = TrainConfig(epochs=2, warmup_epochs=1)
-        (result,) = train_heads(lambda epoch: np.ones((1, 2)), [head], cfg)
+        (result,) = train_heads(np.ones((1, 1, 2)), [head], cfg)
         assert result.loss_trace.shape == (2,)
 
     @pytest.mark.parametrize("labels", [[0, 1, 2, -1], [0, 3, 1, 1]], ids=["negative", "three"])
@@ -545,24 +544,18 @@ class TestTrainHeads:
             heads.append(HeadSpec(rows=rows, labels=labels[rows], weights=weights, seed=11 + i))
         return feats, heads
 
-    @pytest.mark.parametrize("per_epoch", [False, True], ids=["matrix", "callable"])
+    @pytest.mark.parametrize("per_epoch", [False, True], ids=["matrix", "per_epoch"])
     def test_each_head_matches_training_it_alone(self, per_epoch):
         """Redrawn per epoch, or one fixed matrix, every head gets the bytes of
         training it alone; a fixed matrix also matches training a head on just its rows."""
         feats, heads = self._problem()
-
-        def source(epoch):
+        if per_epoch:
             # a float32 matrix that changes every epoch, like augmented features
-            return (feats * (1.0 + 0.01 * epoch)).astype(np.float32) if per_epoch else feats
-
-        calls = []
-
-        def counted(epoch):
-            calls.append(epoch)
-            return source(epoch)
-
-        results = train_heads(counted, heads, self.CFG)
-        assert calls == list(range(25))
+            epochs = range(self.CFG.epochs)
+            source = np.stack([(feats * (1.0 + 0.01 * e)).astype(np.float32) for e in epochs])
+        else:
+            source = feats[None]
+        results = train_heads(source, heads, self.CFG)
         for head, result in zip(heads, results):
             W, b, trace = _reference_train(
                 source, head.rows, head.labels, self.CFG, head.weights, head.seed
@@ -581,12 +574,7 @@ class TestTrainHeads:
     def test_rows_outside_features_rejected(self):
         feats, heads = self._problem()
         with pytest.raises(DimMismatch):
-            train_heads(lambda epoch: feats[:10], heads, self.CFG)
-
-    def test_epoch_matrix_must_keep_epoch_zero_shape(self):
-        feats, heads = self._problem()
-        with pytest.raises(DimMismatch, match="epoch 3"):
-            train_heads(lambda epoch: feats[:, : 6 - (epoch == 3)], heads, self.CFG)
+            train_heads(feats[None, :10], heads, self.CFG)
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(_head_sets())
@@ -607,7 +595,7 @@ class TestTrainHeads:
         feats, heads = self._problem()
         cfg = TrainConfig(epochs=25, batch=4, lr_max=1.7e308, warmup_epochs=2)
         with pytest.raises(Diverged, match=r"at epoch \d+: .*train\.lr_max"):
-            train_heads(lambda epoch: feats, heads, cfg)
+            train_heads(feats[None], heads, cfg)
 
 
 _W = np.zeros((feature_dim(), 3))
@@ -630,12 +618,15 @@ _ONE_HEAD = [HeadSpec(rows=[0], labels=[0], weights=uniform_weights(), seed=0)]
          ValueError, "grid must be >= 1, got 0"),
         (lambda: forward(np.zeros((1, 1, feature_dim())), HeadParams(_W, np.zeros(3))), DimMismatch,
          f"features must be (D,) or (N, D), got shape (1, 1, {feature_dim()})"),
-        (lambda: train_heads(lambda epoch: np.zeros(3), _ONE_HEAD, TrainConfig()), DimMismatch,
-         "features must be (N, D), got shape (3,)"),
+        (lambda: train_heads(np.zeros(3), _ONE_HEAD, TrainConfig()), DimMismatch,
+         "features must be (E, N, D) with E >= 1, got shape (3,)"),
+        (lambda: train_heads(np.zeros((0, 1, 3)), _ONE_HEAD, TrainConfig()), DimMismatch,
+         "features must be (E, N, D) with E >= 1, got shape (0, 1, 3)"),
     ],
     ids=[
         "weights_two_classes", "weights_negative", "counts_two_classes", "bias_shape",
         "params_nan", "loss_negative", "features_grid_0", "forward_3d", "train_1d",
+        "train_no_epochs",
     ],
 )
 def test_input_refusals(call, error, message):

@@ -832,6 +832,17 @@ class TestNormalize:
         np.testing.assert_allclose(back.channels, channels, rtol=1e-5, atol=1e-4)
         assert back.normalized is False
 
+    def test_roundtrip_uses_the_recorded_constants(self):
+        """Without constants it once inverted with the paper's, whatever the stack
+        recorded: off by up to 2.36 here.  Other constants than the recorded are refused."""
+        channels = (np.random.default_rng(11).random((4, 6, 6)) * 3).astype(np.float32)
+        constants = NormConstants(means=(0.5,) * 4, stds=(2.0,) * 4)
+        normalized = normalize_stack(MipStack(channels, side="left", patient_id="p0"), constants)
+        for back in (denormalize_stack(normalized), denormalize_stack(normalized, constants)):
+            np.testing.assert_allclose(back.channels, channels, rtol=1e-5, atol=1e-6)
+        with pytest.raises(ValueError, match=r"^the stack was normalized with NormConstants\(means=\(0\.5,"):
+            denormalize_stack(normalized, NormConstants())
+
     @pytest.mark.parametrize("index", range(6))
     def test_roundtrip_gives_back_built_channels(self, index):
         """Zeros come back exact; other values within 1e-5 relative, or within

@@ -64,7 +64,7 @@ from mipclass.pipeline_cli import (
     Manifest,
     PipelineConfig,
     RunDir,
-    _evaluate_csv,
+    _read_predictions,
     cmd_ensemble,
     cmd_evaluate,
     cmd_predict,
@@ -901,6 +901,26 @@ class TestTrain:
         )
         assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
 
+    def test_patient_missing_from_manifest_is_reported_before_any_stack_is_read(
+        self, cohort, config, tmp_path, monkeypatch
+    ):
+        """Every training label is looked up before the first stack is read, so a
+        patient the manifest lacks, here the last in row order, costs no stack read."""
+        manifest = tmp_path / "manifest.csv"
+        lines = (cohort / "manifest.csv").read_text().splitlines(True)
+        manifest.write_text("".join(line for line in lines if not line.startswith("p011,")))
+        reads = []
+        read_stack = RunDir.read_stack
+
+        def tracking_read(self, patient_id, side):
+            reads.append((patient_id, side))
+            return read_stack(self, patient_id, side)
+
+        monkeypatch.setattr(RunDir, "read_stack", tracking_read)
+        with pytest.raises(SchemaMismatch, match="patient 'p011' is not in the manifest"):
+            cmd_train(manifest, config, cohort)  # refused before anything is written
+        assert reads == []
+
     @pytest.mark.parametrize("n_studies", [12, 7], ids=["one_group", "two_groups"])
     def test_selected_head_matches_all_heads(self, tmp_path, n_studies):
         """Which other heads train alongside it does not change a head's bytes,
@@ -1018,7 +1038,8 @@ class TestTrain:
                 seed = derive_seed(config.seed, f"fold{fold}", weighting, 0)
                 specs.append(HeadSpec([breasts.index(b) for b in head], labels, weights, seed))
                 names.append(f"{weighting}_fold{fold}.json")
-        for name, result in zip(names, train_heads(epoch_features, specs, config.train)):
+        feats = np.stack([epoch_features(epoch) for epoch in range(config.train.epochs)])
+        for name, result in zip(names, train_heads(feats, specs, config.train)):
             record = json.loads((run / "models" / name).read_text())
             assert record["W"] == result.params.W.tolist()
             assert record["b"] == result.params.b.tolist()
@@ -1121,7 +1142,7 @@ class TestPredictEvaluateEnsemble:
         csv_path = tmp_path / "rogue.csv"
         write_predictions_csv(rogue, csv_path)
         with pytest.raises(SchemaMismatch):
-            _evaluate_csv(Manifest.read(predicted / "manifest.csv"), csv_path, RunDir(tmp_path))
+            _read_predictions(Manifest.read(predicted / "manifest.csv"), csv_path)
         capsys.readouterr()
         assert cmd_evaluate(predicted / "manifest.csv", predicted, [csv_path]) == 2
         assert capsys.readouterr().err == (
@@ -1453,12 +1474,21 @@ _BAD_INPUT_ERRORS = {
         "{tmp}/run/predictions/natural_fold0.csv and {tmp}/other/natural_fold0.csv"
         " would write the same metrics file"
     ),
+    # every manifest id is a plain name, so the member is refused before the writer sees it
     "ensemble_carriage_return_id": (
-        "cannot write {tmp}/run/predictions/ensemble.csv: its reader would refuse it:"
-        " malformed prediction row: ['p']"
+        "{tmp}/bad.csv: patient 'p\\r000' in {tmp}/bad.csv is not in the manifest"
     ),
     "evaluate_unknown_patient": (
         "{tmp}/bad.csv: patient 'zzz' in {tmp}/bad.csv is not in the manifest"
+    ),
+    # ensemble once wrote predictions/ensemble.csv before refusing this member
+    "ensemble_unknown_patient": (
+        "{tmp}/bad.csv: patient 'zzz' in {tmp}/bad.csv is not in the manifest"
+    ),
+    # ensemble once left the member's name out
+    "side_not_a_side": (
+        "{tmp}/bad.csv: invalid prediction row ['p000', 'middle', '1', '0', '0', 'm']:"
+        " side must be one of ('right', 'left'), got 'middle'"
     ),
 }
 
@@ -1491,11 +1521,13 @@ class TestBadInput:
             "evaluate_same_stem",
             "ensemble_carriage_return_id",
             "evaluate_unknown_patient",
+            "ensemble_unknown_patient",
         ],
     )
     def test_exits_two_without_traceback(self, predicted, tmp_path, case, capsys):
         run = tmp_path / "run"
         shutil.copytree(predicted, run)
+        (run / "predictions" / "ensemble.csv").unlink(missing_ok=True)  # so none is left behind
         manifest = run / "manifest.csv"
         bad_csv = tmp_path / "bad.csv"
         base = ["--manifest", str(manifest), "--out", str(run)]
@@ -1562,9 +1594,12 @@ class TestBadInput:
             bad_csv.write_text(_PREDICTION_HEADER + '"p\r000",left,1,0,0,m\n', newline="")
             argv = ["ensemble", *base, str(bad_csv)]
             shutil.rmtree(run / "predictions")  # a refused write must not make it
-        elif case == "evaluate_unknown_patient":
+        elif case.endswith("unknown_patient"):
             bad_csv.write_text(_PREDICTION_HEADER + "zzz,left,1,0,0,m\n")
-            argv = ["evaluate", *base, str(bad_csv)]
+            command = case.split("_")[0]
+            # an ensemble member after a good one, whose rows ensemble.csv would hold
+            good = [str(run / "predictions" / "natural_fold0.csv")] * (command == "ensemble")
+            argv = [command, *base, *good, str(bad_csv)]
         # nothing written: no file and no directory
         before = sorted(run.rglob("*"))
         capsys.readouterr()
@@ -1575,6 +1610,7 @@ class TestBadInput:
         if case in _BAD_INPUT_ERRORS:
             assert err == f"error: {_BAD_INPUT_ERRORS[case].format(tmp=tmp_path)}\n"
         assert sorted(run.rglob("*")) == before
+        assert not (run / "predictions" / "ensemble.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -2006,16 +2042,19 @@ _FILE_CALLS = {
 }
 
 
+_STAGE_HELPERS = ("_preprocess_one", "_features", "_read_predictions", "_score")
+
+
 def test_stages_leave_the_run_directory_to_run_dir():
     """No stage function builds a run-directory path or opens a file there itself:
-    every cmd_* but augment-preview (whose --out is no run directory),
-    _preprocess_one and _evaluate_csv name artifacts to RunDir."""
+    every cmd_* but augment-preview (whose --out is no run directory) and the
+    helpers they featurize, read and score with name artifacts to RunDir."""
     stages = [
         node for node in ast.parse(Path(inspect.getfile(RunDir)).read_text()).body
         if isinstance(node, ast.FunctionDef) and node.name != "cmd_augment_preview"
-        and (node.name.startswith("cmd_") or node.name in ("_preprocess_one", "_evaluate_csv"))
+        and (node.name.startswith("cmd_") or node.name in _STAGE_HELPERS)
     ]
-    assert len(stages) == 9  # seven stages' cmd_* and two helpers
+    assert len(stages) == 11  # seven stages' cmd_* and four helpers
     leaks = []
     for node in stages:
         for sub in ast.walk(node):
@@ -2028,6 +2067,21 @@ def test_stages_leave_the_run_directory_to_run_dir():
                 if name in _FILE_CALLS:
                     leaks.append(f"{node.name}: {name}()")
     assert leaks == []
+
+
+def test_one_feature_path():
+    """train and predict featurize breasts only through _features: no other
+    function of pipeline_cli reads a stack or extracts features."""
+    callers = set()
+    for node in ast.parse(Path(inspect.getfile(RunDir)).read_text()).body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call):
+                func = sub.func
+                if (isinstance(func, ast.Name) and func.id == "extract_features") or (
+                    isinstance(func, ast.Attribute) and func.attr == "read_stack"
+                ):
+                    callers.add(node.name)
+    assert callers == {"_features"}
 
 
 # text for a patient id, weighted toward what no plain file name holds
