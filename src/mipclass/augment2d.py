@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mipbuild import POSITIVE, MipStack, bounded, check_fields, field_specs, recorded_constants
+from .mipbuild import POSITIVE, MipStack, _FieldError, bounded, check_fields, field_specs
+from .mipbuild import recorded_constants
 
 # fixed stream indices; changing these changes every sampled augmentation
 _STREAMS = {
@@ -69,7 +70,7 @@ class AugmentPolicy:
     def __post_init__(self) -> None:
         check_fields(self, field_specs(type(self)))
         if self.scale_range[1] < self.scale_range[0]:
-            raise ValueError(f"scale_range must be ordered, got {self.scale_range}")
+            raise _FieldError(type(self), "scale_range must be ordered", self.scale_range)
 
     @property
     def active(self) -> bool:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimMismatch, Diverged, EmptyClass
 from .evalkit import N_CLASSES
-from .mipbuild import PHILOX_MAX, MipStack, bounded, check_fields, field_specs
+from .mipbuild import PHILOX_MAX, MipStack, _FieldError, bounded, check_fields, field_specs
 
 LOG_FLOOR = 1e-12
 DEFAULT_POOL_GRID = 4
@@ -62,8 +62,7 @@ def class_weights(counts) -> ClassWeights:
 
 def uniform_weights() -> ClassWeights:
     """Natural weighting: plain cross-entropy, w_c = 1/3."""
-    third = 1.0 / 3.0
-    return ClassWeights(w=(third, third, third), counts=(1, 1, 1))
+    return class_weights((1,) * N_CLASSES)
 
 
 @dataclass(frozen=True)
@@ -111,9 +110,11 @@ class TrainConfig:
     def __post_init__(self) -> None:
         check_fields(self, field_specs(type(self)))
         if not self.epochs > self.warmup_epochs:
-            raise ValueError(f"need epochs > warmup_epochs, got {self.epochs}, {self.warmup_epochs}")
+            raise _FieldError(
+                type(self), "need epochs > warmup_epochs", (self.epochs, self.warmup_epochs)
+            )
         if not self.lr_max > self.lr_min:
-            raise ValueError(f"need lr_max > lr_min, got {self.lr_max}, {self.lr_min}")
+            raise _FieldError(type(self), "need lr_max > lr_min", (self.lr_max, self.lr_min))
 
 
 def feature_dim(grid: int = DEFAULT_POOL_GRID) -> int:

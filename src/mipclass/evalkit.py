@@ -21,7 +21,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -36,7 +35,7 @@ from .errors import (
     TooFewPatients,
 )
 from .mipbuild import SIDES, check_fields
-from .tensorio import _check_read_back, _make_dir, _write_file
+from .tensorio import _write_text
 
 NO_LESION, BENIGN, MALIGNANT = 0, 1, 2
 CLASS_NAMES = ("nolesion", "benign", "malignant")
@@ -113,6 +112,15 @@ def _parse_manifest_row(row: list[str], line: int) -> ManifestRow:
     return ManifestRow(patient_id, pre_path, post_paths, mask or None, *labels)
 
 
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+    """CSV text of a header and rows, each line ending in a bare newline."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
 def write_manifest(rows: Iterable[ManifestRow], path) -> None:
     """Write rows in the format `read_manifest` parses, one atomic write.
 
@@ -120,16 +128,13 @@ def write_manifest(rows: Iterable[ManifestRow], path) -> None:
     back as other rows, are a SchemaMismatch and nothing is written.
     """
     rows = list(rows)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(MANIFEST_HEADER)
     words = dict(enumerate(LABEL_STRINGS))  # any other label is written as its repr, refused
-    for r in rows:
-        labels = [words.get(v, repr(v)) for v in (r.label_left, r.label_right)]
-        writer.writerow([r.patient_id, r.pre_path, ";".join(r.post_paths), r.mask_path or "", *labels])
-    text = buffer.getvalue()
-    _check_read_back(path, rows, lambda: _parse_manifest(text))
-    _write_file(path, text.encode("utf-8"))
+    cells = (
+        [r.patient_id, r.pre_path, ";".join(r.post_paths), r.mask_path or ""]
+        + [words.get(v, repr(v)) for v in (r.label_left, r.label_right)]
+        for r in rows
+    )
+    _write_text(path, _csv_text(MANIFEST_HEADER, cells), rows, _parse_manifest)
 
 
 def max_label(left: int, right: int) -> int:
@@ -375,20 +380,17 @@ def evaluate(probs: np.ndarray, truths: np.ndarray) -> MetricsReport:
     auc = roc_auc_micro(probs, truths)
 
     per_class: dict[str, Any] = {}
-    headline: tuple[float, float] | None = None
     for cls, name in enumerate(CLASS_NAMES):
         positives = truths == cls
         if positives.any() and not positives.all():
             sens, spec, _ = _sweep(probs[:, cls], positives)
-            pair = (_best(sens, spec, 0.9), _best(spec, sens, 0.9))
-            per_class[f"sens_at_90spec_{name}"] = pair[0]
-            per_class[f"spec_at_90sens_{name}"] = pair[1]
-            if cls == MALIGNANT:
-                headline = pair
-    if headline is None:
+            per_class[f"sens_at_90spec_{name}"] = _best(sens, spec, 0.9)
+            per_class[f"spec_at_90sens_{name}"] = _best(spec, sens, 0.9)
+    headline = CLASS_NAMES[MALIGNANT]
+    if f"sens_at_90spec_{headline}" not in per_class:
         raise DegenerateLabels("malignant-vs-rest requires both classes present")
 
-    sens, spec = headline
+    sens, spec = per_class[f"sens_at_90spec_{headline}"], per_class[f"spec_at_90sens_{headline}"]
     return MetricsReport(
         auc=auc,
         sens_at_90spec=sens,
@@ -400,7 +402,7 @@ def evaluate(probs: np.ndarray, truths: np.ndarray) -> MetricsReport:
     )
 
 
-CSV_HEADER = ("patient_id", "side", "p_nolesion", "p_benign", "p_malignant", "model_id")
+CSV_HEADER = ("patient_id", "side", *(f"p_{name}" for name in CLASS_NAMES), "model_id")
 
 
 def write_predictions_csv(predictions: Sequence[Prediction], path) -> None:
@@ -410,21 +412,13 @@ def write_predictions_csv(predictions: Sequence[Prediction], path) -> None:
     read back as others, are a SchemaMismatch and not even the directory is made.
     """
     rows = sorted(predictions, key=lambda p: (p.patient_id, p.side, p.model_id))
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for p in rows:
-        writer.writerow(
-            [p.patient_id, p.side] + [f"{v:.17g}" for v in p.probs] + [p.model_id]
-        )
-    text = buffer.getvalue()
+    cells = ([p.patient_id, p.side] + [f"{v:.17g}" for v in p.probs] + [p.model_id] for p in rows)
+    text = _csv_text(CSV_HEADER, cells)
 
     def fields(predictions: Iterable[Prediction]) -> list[tuple]:
         return [(p.patient_id, p.side, p.probs.tolist(), p.model_id) for p in predictions]
 
-    _check_read_back(path, fields(rows), lambda: fields(_parse_predictions(text)))
-    _make_dir(Path(path).parent)
-    _write_file(path, text.encode("utf-8"))
+    _write_text(path, text, fields(rows), lambda back: fields(_parse_predictions(back)))
 
 
 def _parse_predictions(text: str) -> list[Prediction]:
@@ -437,8 +431,8 @@ def _parse_predictions(text: str) -> list[Prediction]:
         if len(row) != len(CSV_HEADER):
             raise SchemaMismatch(f"malformed prediction row: {row}")
         try:
-            probs = np.array([float(row[2]), float(row[3]), float(row[4])])
-            out.append(Prediction(row[0], row[1], probs, row[5]))
+            probs = np.array([float(v) for v in row[2:-1]])
+            out.append(Prediction(row[0], row[1], probs, row[-1]))
         except ValueError as exc:
             raise SchemaMismatch(f"invalid prediction row {row}: {exc}") from exc
     return out

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 import reprlib
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -76,13 +77,21 @@ _KINDS = {
 
 
 class _FieldError(TypeError, ValueError):
-    """A field of the wrong kind, length or range: a TypeError to callers that
-    test kinds and a ValueError to those that test values.  The message starts
-    with the field's name; ``owner`` is the type of the object checked."""
+    """A field of the wrong kind, length or range, or fields out of order with each
+    other: a TypeError to callers that test kinds and a ValueError to those that
+    test values.  The rule names the fields; ``owner`` is the type of the object
+    checked."""
 
     def __init__(self, owner: type, rule: str, value: Any):
         super().__init__(f"{rule}, got {reprlib.repr(value)}")
-        self.owner = owner
+        self.owner, self.rule, self.value = owner, rule, value
+
+    def keyed(self, prefix: str) -> str:
+        """The message with `prefix` before each name of a dataclass owner's field
+        in the rule, so it spells the fields as config keys do."""
+        names = "|".join(f.name for f in fields(self.owner))
+        rule = re.sub(rf"\b({names})\b", lambda m: prefix + m[1], self.rule)
+        return f"{rule}, got {reprlib.repr(self.value)}"
 
 
 def check_fields(obj: Any, spec: Mapping[str, tuple[type, int, float, float]]) -> None:

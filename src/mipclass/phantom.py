@@ -17,7 +17,7 @@ import numpy as np
 
 from .augment2d import derive_seed
 from .evalkit import BENIGN, MALIGNANT, NO_LESION, ManifestRow, write_manifest
-from .mipbuild import Study
+from .mipbuild import SIDES, Study
 from .tensorio import _make_dir, write_nifti
 from .volume import Volume
 
@@ -41,8 +41,6 @@ KINETICS = {
 # Background tissue enhances mildly and monotonically in every study.
 TISSUE_RAMP = (1.10, 1.25, 1.40)
 
-# Breast centers in voxel units; low-x blob is the anatomical right side.
-_SIDE_CENTERS = {"right": 16.0, "left": 48.0}
 _TISSUE_SEMI = (12.0, 18.0, 6.5)
 _LESION_SEMI = (3.5, 3.5, 1.8)
 _CENTER_Y = 32.0
@@ -98,13 +96,13 @@ def generate_study(patient_id: str, index: int, cohort_seed: int) -> Study:
     rng = np.random.Generator(
         np.random.Philox(key=derive_seed(cohort_seed, patient_id, "phantom", 0))
     )
-    label_right, label_left = cycle_labels(index)
-    labels = {"right": label_right, "left": label_left}
+    labels = dict(zip(SIDES, cycle_labels(index)))
 
     pedestal = np.zeros(NATIVE_SHAPE)
     lesions = {}
-    for side in ("right", "left"):
-        cx = _SIDE_CENTERS[side]
+    for i, side in enumerate(SIDES):
+        # each side's blob is centred in its share of x: SIDES holds the low-x side first
+        cx = (i + 0.5) * NATIVE_SHAPE[0] / len(SIDES)
         tissue_scale = rng.uniform(0.9, 1.1)
         jitter = rng.uniform(-1.0, 1.0, size=2)
         pedestal += (
@@ -126,7 +124,7 @@ def generate_study(patient_id: str, index: int, cohort_seed: int) -> Study:
     phases = [pedestal + rng.normal(0.0, NOISE_SIGMA, NATIVE_SHAPE)]
     for p in range(N_POSTS):
         signal = pedestal * TISSUE_RAMP[p]
-        for side in ("right", "left"):
+        for side in SIDES:
             signal = signal + lesions[side] * KINETICS[labels[side]][p]
         phases.append(signal + rng.normal(0.0, NOISE_SIGMA, NATIVE_SHAPE))
 
@@ -143,8 +141,8 @@ def generate_study(patient_id: str, index: int, cohort_seed: int) -> Study:
         pre=volumes[0],
         posts=tuple(volumes[1 : 1 + N_POSTS]),
         mask=volumes[-1],
-        label_left=label_left,
-        label_right=label_right,
+        label_left=labels["left"],
+        label_right=labels["right"],
     )
 
 

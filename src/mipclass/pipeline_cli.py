@@ -41,12 +41,14 @@ from .classhead import (
 )
 from .errors import (
     BadArgument,
+    EmptyClass,
     IoFailure,
     MipclassError,
     MissingBlob,
     SchemaMismatch,
 )
 from .evalkit import (
+    CLASS_NAMES,
     N_CLASSES,
     FoldPlan,
     ManifestRow,
@@ -78,7 +80,7 @@ from .mipbuild import (
     stack_from_blob,
     stack_to_blob,
 )
-from .tensorio import TensorBlob, _check_read_back, _make_dir, _write_file, read_blob, read_nifti
+from .tensorio import TensorBlob, _check_read_back, _make_dir, _write_text, read_blob, read_nifti
 from .tensorio import write_blob
 
 WEIGHTINGS = ("natural", "inverse")
@@ -206,7 +208,7 @@ def load_config(path: str | Path | None) -> PipelineConfig:
         )
     except _FieldError as exc:
         prefix = _KEY_PREFIX.get(exc.owner, "")
-        raise SchemaMismatch(f"invalid value in config {path}: {prefix}{exc}") from exc
+        raise SchemaMismatch(f"invalid value in config {path}: {exc.keyed(prefix)}") from exc
     except (TypeError, ValueError) as exc:
         raise SchemaMismatch(f"invalid value in config {path}: {exc}") from exc
 
@@ -307,10 +309,8 @@ class RunDir:
     root: Path
 
     def _write_json(self, path: Path, payload: dict, value: Any, read: Callable) -> Path:
-        text = _json_text(payload, path, indent=2)
-        _check_read_back(path, value, lambda: read(json.loads(text)))
-        _make_dir(path.parent)
-        _write_file(path, (text + "\n").encode("utf-8"))
+        text = _json_text(payload, path, indent=2) + "\n"
+        _write_text(path, text, value, lambda back: read(json.loads(back)))
         return path
 
     def _stack_path(self, patient_id: str, side: str) -> Path:
@@ -390,8 +390,11 @@ class RunDir:
         path = self._model_path(weighting, fold)
         return _params_of(_read_json(path, "model", "; run train first"), path, weighting, fold)
 
+    def predictions_path(self, model_id: str) -> Path:
+        return self.root / "predictions" / f"{model_id}.csv"
+
     def write_predictions(self, model_id: str, predictions: Sequence[Prediction]) -> Path:
-        path = self.root / "predictions" / f"{model_id}.csv"
+        path = self.predictions_path(model_id)
         write_predictions_csv(predictions, path)
         return path
 
@@ -525,7 +528,15 @@ def cmd_train(
             rows = [row for row, (p, _) in enumerate(breasts) if plan.assignment[p] != f]
             # counts/weights come from the training folds only, by construction
             counts = np.bincount(labels[rows], minlength=N_CLASSES)
-            weights = uniform_weights() if w == "natural" else class_weights(counts)
+            try:
+                weights = uniform_weights() if w == "natural" else class_weights(counts)
+            except EmptyClass as exc:
+                missing = " or ".join(c for c, n in zip(CLASS_NAMES, counts) if n == 0)
+                raise EmptyClass(
+                    f"head {_model_id(w, f)} has no {missing} breast in its training folds, so"
+                    f" inverse weighting is undefined ({exc}); train with --weighting natural"
+                    " or split the cohort again with another seed or k"
+                ) from exc
             seed = derive_seed(config.seed, f"fold{f}", w, 0)
             heads.append((w, f, HeadSpec(rows, labels[rows], weights, seed)))
 
@@ -568,8 +579,8 @@ def _read_predictions(manifest: Manifest, csv_path: Path) -> list[Prediction]:
     return predictions
 
 
-def _score(manifest: Manifest, predictions: list[Prediction], source: Path, run: RunDir) -> None:
-    """Score `source`'s predictions against the manifest into its metrics file."""
+def _score(manifest: Manifest, predictions: list[Prediction], source: Path) -> MetricsReport:
+    """`source`'s predictions scored against the manifest."""
     if not predictions:
         raise SchemaMismatch(f"no prediction rows in {source}")
     seen: set[tuple[str, str]] = set()
@@ -581,7 +592,11 @@ def _score(manifest: Manifest, predictions: list[Prediction], source: Path, run:
         seen.add(breast)
     probs = np.stack([p.probs for p in predictions])
     truths = np.asarray([manifest.labels_for(p.patient_id)[p.side] for p in predictions], np.int64)
-    report = evaluate(probs, truths)
+    return evaluate(probs, truths)
+
+
+def _write_score(run: RunDir, report: MetricsReport, source: Path) -> None:
+    """Write `source`'s metrics file and print its headline numbers."""
     run.write_metrics(report, source)
     print(
         f"{source.stem}: auc={report.auc:.4f} sens@90spec={report.sens_at_90spec:.4f} "
@@ -607,7 +622,8 @@ def cmd_evaluate(
     failed = 0
     for csv_path in csv_paths:
         try:
-            _score(manifest, _read_predictions(manifest, Path(csv_path)), Path(csv_path), run)
+            predictions = _read_predictions(manifest, Path(csv_path))
+            _write_score(run, _score(manifest, predictions, Path(csv_path)), Path(csv_path))
         except MipclassError as exc:
             print(f"error: {csv_path}: {exc}", file=sys.stderr)
             failed += 1
@@ -617,7 +633,8 @@ def cmd_evaluate(
 def cmd_ensemble(
     manifest_path: str | Path, out_dir: str | Path, csv_paths: Sequence[str | Path]
 ) -> int:
-    """Average the listed prediction files per breast, then score the average."""
+    """Average the listed prediction files per breast, then score the average.  The
+    average is scored before anything is written, so a failure leaves no file."""
     manifest = Manifest.read(manifest_path)
     run = RunDir(Path(out_dir))
     members: list[Prediction] = []
@@ -631,9 +648,10 @@ def cmd_ensemble(
     if not members:
         raise SchemaMismatch("no predictions to ensemble")
     merged = ensemble_all(members)
+    report = _score(manifest, merged, run.predictions_path("ensemble"))
     csv_path = run.write_predictions("ensemble", merged)
     print(f"ensembled {len(csv_paths)} files over {len(merged)} breasts -> {csv_path}")
-    _score(manifest, merged, csv_path, run)
+    _write_score(run, report, csv_path)
     return 0
 
 
@@ -664,24 +682,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *names: str) -> None:
-        if "manifest" in names:
-            p.add_argument("--manifest", required=True, help="manifest CSV path")
-        if "config" in names:
-            p.add_argument("--config", default=None, help="config JSON (defaults if omitted)")
-        if "out" in names:
-            p.add_argument("--out", required=True, help="run directory")
-        if "seed" in names:
-            p.add_argument("--seed", type=int, default=None, help="override config seed")
-        if "weighting" in names:
-            p.add_argument(
-                "--weighting",
-                choices=WEIGHTINGS + ("both",),
-                default="both",
-                help="class weighting strategy (default: both)",
-            )
-        if "fold" in names:
-            p.add_argument("--fold", type=int, default=None, help="restrict to one fold")
+    def flag(*names: str, **kwargs: Any) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*names, **kwargs)
+        return parent
+
+    # each flag that several subcommands share, declared once as a parent parser
+    manifest = flag("--manifest", required=True, help="manifest CSV path")
+    config = flag("--config", default=None, help="config JSON (defaults if omitted)")
+    out = flag("--out", required=True, help="run directory")
+    seed = flag("--seed", type=int, default=None, help="override config seed")
+    weighting = flag(
+        "--weighting", choices=WEIGHTINGS + ("both",), default="both",
+        help="class weighting strategy (default: both)",
+    )
+    fold = flag("--fold", type=int, default=None, help="restrict to one fold")
 
     p = sub.add_parser("phantom", help="generate a synthetic cohort + manifest")
     p.add_argument("--n", type=int, required=True, help="number of studies")
@@ -689,32 +704,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(run=lambda a: cmd_phantom(a.n, a.seed, a.out))
 
-    p = sub.add_parser("preprocess", help="standardize studies into stack blobs")
-    common(p, "manifest", "config", "out")
+    p = sub.add_parser("preprocess", parents=[manifest, config, out],
+                       help="standardize studies into stack blobs")
     p.add_argument("--jobs", type=int, default=1, help="parallel studies (default 1)")
     p.set_defaults(run=lambda a: cmd_preprocess(a.manifest, _config_from_args(a), a.out, a.jobs))
 
-    p = sub.add_parser("split", help="write a stratified patient-level fold plan")
-    common(p, "manifest", "config", "out", "seed")
+    p = sub.add_parser("split", parents=[manifest, config, out, seed],
+                       help="write a stratified patient-level fold plan")
     p.set_defaults(run=lambda a: cmd_split(a.manifest, _config_from_args(a), a.out))
 
-    p = sub.add_parser("train", help="train linear heads per fold and weighting")
-    common(p, "manifest", "config", "out", "seed", "weighting", "fold")
+    p = sub.add_parser("train", parents=[manifest, config, out, seed, weighting, fold],
+                       help="train linear heads per fold and weighting")
     p.set_defaults(
         run=lambda a: cmd_train(a.manifest, _config_from_args(a), a.out, a.weighting, a.fold)
     )
 
-    p = sub.add_parser("predict", help="predict each fold's validation patients")
-    common(p, "config", "out", "weighting", "fold")
+    p = sub.add_parser("predict", parents=[config, out, weighting, fold],
+                       help="predict each fold's validation patients")
     p.set_defaults(run=lambda a: cmd_predict(a.out, a.weighting, a.fold))
 
-    p = sub.add_parser("evaluate", help="score prediction CSVs against the manifest")
-    common(p, "manifest", "out")
+    p = sub.add_parser("evaluate", parents=[manifest, out],
+                       help="score prediction CSVs against the manifest")
     p.add_argument("csvs", nargs="+", help="prediction CSV files")
     p.set_defaults(run=lambda a: cmd_evaluate(a.manifest, a.out, a.csvs))
 
-    p = sub.add_parser("ensemble", help="average prediction CSVs and re-evaluate")
-    common(p, "manifest", "out")
+    p = sub.add_parser("ensemble", parents=[manifest, out],
+                       help="average prediction CSVs and re-evaluate")
     p.add_argument("csvs", nargs="+", help="prediction CSV files to average")
     p.set_defaults(run=lambda a: cmd_ensemble(a.manifest, a.out, a.csvs))
 

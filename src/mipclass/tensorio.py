@@ -105,6 +105,14 @@ def _make_dir(path: str | os.PathLike) -> None:
         raise IoFailure(f"cannot create directory {path}: {exc}") from exc
 
 
+def _write_text(path: str | os.PathLike, text: str, value: Any, parse: Callable) -> None:
+    """Write `text` to `path` atomically, making its directory, once `parse` reads the
+    text back as `value`; text it refuses or reads as something else writes nothing."""
+    _check_read_back(path, value, lambda: parse(text))
+    _make_dir(os.path.dirname(path) or ".")
+    _write_file(path, text.encode("utf-8"))
+
+
 def _quaternion_affine(header: bytes, spacing: tuple[float, float, float]) -> np.ndarray:
     b, c, d = struct.unpack_from("<3f", header, 256)
     ox, oy, oz = struct.unpack_from("<3f", header, 268)

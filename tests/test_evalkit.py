@@ -706,6 +706,12 @@ class TestManifestFormat:
             write_manifest(rows, path)
             assert read_manifest(path) == rows
 
+    def test_write_makes_the_directory(self, tmp_path):
+        rows = [ManifestRow("a", "pre.nii", ("b.nii", "c.nii"), None, NO_LESION, BENIGN)]
+        path = tmp_path / "new" / "manifest.csv"
+        write_manifest(rows, path)
+        assert read_manifest(path) == rows
+
     def test_every_label_is_spelled_out(self, tmp_path):
         rows = [
             ManifestRow("a", "pre.nii", ("b.nii", "c.nii"), None, NO_LESION, BENIGN),

@@ -3,6 +3,7 @@ subcommand end to end on small synthetic cohorts, rerun determinism, and
 the training-time label-access audit.
 """
 
+import argparse
 import ast
 import copy
 import dataclasses
@@ -12,6 +13,7 @@ import inspect
 import json
 import math
 import re
+import shlex
 import shutil
 import struct
 import tempfile
@@ -64,6 +66,7 @@ from mipclass.pipeline_cli import (
     Manifest,
     PipelineConfig,
     RunDir,
+    _build_parser,
     _read_predictions,
     cmd_ensemble,
     cmd_evaluate,
@@ -286,6 +289,13 @@ KEYED_REFUSALS = [
     ({"augment": {"hflip_p": 2}}, "hflip_p_two", "augment.hflip_p must be in [0.0, 1.0], got 2"),
     ({"spacing": [0.7, 0, 3]}, "spacing_zero", "spacing[1] must be in (0, inf], got 0"),
     ({"seed": -3}, "seed_negative", "seed must be in [0, 2**128), got -3"),
+    # refusals that compare two fields name both as config keys
+    ({"train": {"epochs": 5, "warmup_epochs": 5}}, "epochs_not_above_warmup",
+     "need train.epochs > train.warmup_epochs, got (5, 5)"),
+    ({"train": {"lr_max": 0.1, "lr_min": 0.2}}, "lr_max_not_above_lr_min",
+     "need train.lr_max > train.lr_min, got (0.1, 0.2)"),
+    ({"augment": {"scale_range": [1.2, 0.8]}}, "scale_range_unordered",
+     "augment.scale_range must be ordered, got (1.2, 0.8)"),
 ]
 
 
@@ -921,6 +931,36 @@ class TestTrain:
             cmd_train(manifest, config, cohort)  # refused before anything is written
         assert reads == []
 
+    def test_inverse_head_lacking_a_class_exits_two(self, tmp_path, capsys):
+        """With malignant in one patient only and k=2, the inverse head of that
+        patient's fold trains on no malignant breast: one error line names the
+        head and the class and points to the remedies, and no model is written."""
+        run = tmp_path / "run"
+        phantom.write_cohort(6, seed=1, out_dir=run)
+        manifest = run / "manifest.csv"
+        # p002 keeps its malignant left side; every other malignant side turns benign
+        lines = manifest.read_text().splitlines(True)
+        lines[1:] = [line if line.startswith("p002,") else line.replace("malignant", "benign")
+                     for line in lines[1:]]
+        manifest.write_text("".join(lines))
+        config = _write_config(tmp_path, k=2)
+        argv = ["--manifest", str(manifest), "--config", str(config), "--out", str(run)]
+        assert main(["preprocess", *argv]) == 0
+        assert main(["split", *argv]) == 0
+        fold = json.loads((run / "folds.json").read_text())["assignment"]["p002"]
+        before = {p: p.read_bytes() for p in run.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(["train", *argv]) == 2
+        assert re.fullmatch(
+            rf"error: head inverse_fold{fold} has no malignant breast in its training folds,"
+            r" so inverse weighting is undefined \(every class needs >= 1 sample, got counts"
+            r" \(\d+, \d+, 0\)\); train with --weighting natural or split the cohort again"
+            r" with another seed or k\n",
+            capsys.readouterr().err,
+        )
+        assert {p: p.read_bytes() for p in run.rglob("*") if p.is_file()} == before
+        assert main(["train", *argv, "--weighting", "natural"]) == 0
+
     @pytest.mark.parametrize("n_studies", [12, 7], ids=["one_group", "two_groups"])
     def test_selected_head_matches_all_heads(self, tmp_path, n_studies):
         """Which other heads train alongside it does not change a head's bytes,
@@ -1485,6 +1525,8 @@ _BAD_INPUT_ERRORS = {
     "ensemble_unknown_patient": (
         "{tmp}/bad.csv: patient 'zzz' in {tmp}/bad.csv is not in the manifest"
     ),
+    # ensemble once wrote predictions/ensemble.csv before scoring it
+    "ensemble_no_malignant": "malignant-vs-rest requires both classes present",
     # ensemble once left the member's name out
     "side_not_a_side": (
         "{tmp}/bad.csv: invalid prediction row ['p000', 'middle', '1', '0', '0', 'm']:"
@@ -1522,6 +1564,7 @@ class TestBadInput:
             "ensemble_carriage_return_id",
             "evaluate_unknown_patient",
             "ensemble_unknown_patient",
+            "ensemble_no_malignant",
         ],
     )
     def test_exits_two_without_traceback(self, predicted, tmp_path, case, capsys):
@@ -1594,6 +1637,10 @@ class TestBadInput:
             bad_csv.write_text(_PREDICTION_HEADER + '"p\r000",left,1,0,0,m\n', newline="")
             argv = ["ensemble", *base, str(bad_csv)]
             shutil.rmtree(run / "predictions")  # a refused write must not make it
+        elif case == "ensemble_no_malignant":
+            # p000 has no lesion on either side, so the average cannot be scored
+            bad_csv.write_text(_PREDICTION_HEADER + "p000,left,1,0,0,m\np000,right,1,0,0,m\n")
+            argv = ["ensemble", *base, str(bad_csv)]
         elif case.endswith("unknown_patient"):
             bad_csv.write_text(_PREDICTION_HEADER + "zzz,left,1,0,0,m\n")
             command = case.split("_")[0]
@@ -1833,6 +1880,38 @@ class TestMainDispatch:
         names = [re.match(r"[\w.-]+", dep).group() for dep in pyproject["project"]["dependencies"]]
         assert names == ["numpy"]
 
+    def test_readme_quickstart_parses(self):
+        """Every ``mipclass`` line of the README's quickstart is a command the parser takes."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command-line quickstart", 1)[1].split("```bash\n", 1)[1]
+        lines = [line for line in block.split("```", 1)[0].splitlines() if line]
+        assert len(lines) == 8 and all(line.startswith("mipclass ") for line in lines)
+        for line in lines:
+            argv = shlex.split(line, comments=True)[1:]
+            assert _build_parser().parse_args(argv).command == argv[0]
+
+    def test_each_subcommand_takes_its_own_flags(self):
+        """The option strings, and positionals by name, of every subcommand."""
+        sub = next(
+            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        taken = {
+            name: [s for a in p._actions for s in a.option_strings or [a.dest]]
+            for name, p in sub.choices.items()
+        }
+        run = ["--config", "--out"]
+        heads = ["--weighting", "--fold"]
+        assert taken == {
+            "phantom": ["-h", "--help", "--n", "--seed", "--out"],
+            "preprocess": ["-h", "--help", "--manifest", *run, "--jobs"],
+            "split": ["-h", "--help", "--manifest", *run, "--seed"],
+            "train": ["-h", "--help", "--manifest", *run, "--seed", *heads],
+            "predict": ["-h", "--help", *run, *heads],
+            "evaluate": ["-h", "--help", "--manifest", "--out", "csvs"],
+            "ensemble": ["-h", "--help", "--manifest", "--out", "csvs"],
+            "augment-preview": ["-h", "--help", "--stack", "--seed", "--out"],
+        }
+
     def test_error_exit_code_is_two(self, tmp_path):
         rc = main(
             [
@@ -2038,11 +2117,12 @@ class TestSchemaProperties:
 # which only RunDir may use in pipeline_cli's stages
 _RUN_DIR_NAMES = {"stacks", "models", "predictions", "metrics", "folds.json", "preprocess_report.json"}
 _FILE_CALLS = {
-    "_make_dir", "_write_file", "_read_json", "read_blob", "write_blob", "write_predictions_csv",
+    "_make_dir", "_write_file", "_write_text", "_read_json", "read_blob", "write_blob",
+    "write_predictions_csv",
 }
 
 
-_STAGE_HELPERS = ("_preprocess_one", "_features", "_read_predictions", "_score")
+_STAGE_HELPERS = ("_preprocess_one", "_features", "_read_predictions", "_score", "_write_score")
 
 
 def test_stages_leave_the_run_directory_to_run_dir():
@@ -2054,7 +2134,7 @@ def test_stages_leave_the_run_directory_to_run_dir():
         if isinstance(node, ast.FunctionDef) and node.name != "cmd_augment_preview"
         and (node.name.startswith("cmd_") or node.name in _STAGE_HELPERS)
     ]
-    assert len(stages) == 11  # seven stages' cmd_* and four helpers
+    assert len(stages) == 12  # seven stages' cmd_* and five helpers
     leaks = []
     for node in stages:
         for sub in ast.walk(node):
