@@ -37,7 +37,7 @@ class ClassWeights:
 
     def __post_init__(self) -> None:
         if len(self.w) != N_CLASSES or len(self.counts) != N_CLASSES:
-            raise ValueError("weights and counts must have 3 classes")
+            raise ValueError(f"weights and counts must have {N_CLASSES} classes")
         if any(wc <= 0 for wc in self.w):
             raise ValueError(f"weights must be positive, got {self.w}")
         if abs(sum(self.w) - 1.0) > 1e-12:
@@ -52,7 +52,7 @@ def class_weights(counts) -> ClassWeights:
     """Inverse-frequency weights: w_c = (1/N_c) / Σ_i (1/N_i)."""
     counts = tuple(int(n) for n in counts)
     if len(counts) != N_CLASSES:
-        raise DimMismatch(f"need 3 class counts, got {len(counts)}")
+        raise DimMismatch(f"need {N_CLASSES} class counts, got {len(counts)}")
     if any(n < 1 for n in counts):
         raise EmptyClass(f"every class needs >= 1 sample, got counts {counts}")
     inv = [1.0 / n for n in counts]
@@ -76,9 +76,9 @@ class HeadParams:
         W = np.asarray(self.W, dtype=np.float64)
         b = np.asarray(self.b, dtype=np.float64)
         if W.ndim != 2 or W.shape[1] != N_CLASSES:
-            raise DimMismatch(f"W must be (D, 3), got {W.shape}")
+            raise DimMismatch(f"W must be (D, {N_CLASSES}), got {W.shape}")
         if b.shape != (N_CLASSES,):
-            raise DimMismatch(f"b must be (3,), got {b.shape}")
+            raise DimMismatch(f"b must be ({N_CLASSES},), got {b.shape}")
         if not (np.all(np.isfinite(W)) and np.all(np.isfinite(b))):
             raise ValueError("head parameters must be finite")
         object.__setattr__(self, "W", W)

@@ -96,7 +96,7 @@ def _parse_manifest(text: str) -> list[ManifestRow]:
 
 def _parse_manifest_row(row: list[str], line: int) -> ManifestRow:
     if len(row) != len(MANIFEST_HEADER):
-        raise ManifestParse(f"line {line}: expected 6 fields, got {len(row)}")
+        raise ManifestParse(f"line {line}: expected {len(MANIFEST_HEADER)} fields, got {len(row)}")
     patient_id, pre_path, posts, mask, left, right = (cell.strip() for cell in row)
     if not patient_id or not pre_path:
         raise ManifestParse(f"line {line}: patient_id and pre_path are required")
@@ -300,7 +300,7 @@ class Prediction:
             raise ValueError(f"side must be one of {SIDES}, got {self.side!r}")
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.shape != (N_CLASSES,):
-            raise ValueError(f"probs must be length 3, got shape {probs.shape}")
+            raise ValueError(f"probs must be length {N_CLASSES}, got shape {probs.shape}")
         if not (np.isfinite(probs).all() and probs.min() >= 0):
             raise ValueError(f"probs must be finite and >= 0, got {probs}")
         if abs(probs.sum() - 1.0) > 1e-9:
@@ -337,6 +337,10 @@ def ensemble_all(predictions: Iterable[Prediction]) -> list[Prediction]:
     return [ensemble(groups[key]) for key in sorted(groups)]
 
 
+# MetricsReport's headline metrics, each in [0, 1], in their metrics-JSON order
+_METRIC_NAMES = ("auc", "sens_at_90spec", "spec_at_90sens", "score")
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     auc: float
@@ -348,7 +352,7 @@ class MetricsReport:
     extras: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in ("auc", "sens_at_90spec", "spec_at_90sens", "score"):
+        for name in _METRIC_NAMES:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
@@ -359,10 +363,7 @@ class MetricsReport:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "auc": self.auc,
-            "sens_at_90spec": self.sens_at_90spec,
-            "spec_at_90sens": self.spec_at_90sens,
-            "score": self.score,
+            **{name: getattr(self, name) for name in _METRIC_NAMES},
             "confusion": self.confusion.tolist(),
             "n": self.n,
             **self.extras,

@@ -91,19 +91,14 @@ def reorient_canonical(volume: Volume) -> Volume:
     return Volume(np.ascontiguousarray(data), spacing, affine)
 
 
-# Output x-rows per pass of trilinear resampling: each slab is lerped in float64
-# while it fits in cache.  Per-voxel arithmetic does not depend on it, so neither
-# do the bytes; 4, 8 and 16 rows time within 10% of each other.
-RESAMPLE_SLAB_ROWS = 8
-
 # Largest output grid `resample` makes, in voxels: the published 512x512x32 grid
 # is 2**23, and any breast MRI at 0.7 mm fits with wide headroom.
 MAX_RESAMPLE_VOXELS = 2**30
 
 
-def _taps(n_in: int, n_out: int, box: slice, ratio: float, axis: int):
+def _taps(n_in: int, n_out: int, box: slice, ratio: float):
     """For samples at ``pos = j*ratio``, j in `box`: the source slice they reach, and low/high
-    indices into it and weights that broadcast along `axis` (None on an identity axis)."""
+    indices into it with their weights (None on an identity axis)."""
     if n_out == n_in and ratio == 1.0:
         return box, None
     pos = np.arange(box.start, box.stop, dtype=np.float64) * ratio
@@ -112,9 +107,7 @@ def _taps(n_in: int, n_out: int, box: slice, ratio: float, axis: int):
     # clamp-to-edge: once both taps hit the same voxel, the blend must be
     # an exact copy, not a*(1-f)+a*f (which can differ by an ulp)
     frac = np.where(hi == lo, 0.0, pos - lo)
-    shape = (len(pos),) + (1,) * (2 - axis)
-    taps = lo - lo[0], hi - lo[0], (1.0 - frac).reshape(shape), frac.reshape(shape)
-    return slice(lo[0], hi[-1] + 1), taps
+    return slice(lo[0], hi[-1] + 1), (lo - lo[0], hi - lo[0], 1.0 - frac, frac)
 
 
 def _lerp(low: np.ndarray, high: np.ndarray, w_low: np.ndarray, w_high: np.ndarray):
@@ -160,9 +153,12 @@ def resample(
     before anything is allocated.  Samples that fall outside the source grid
     take the edge value.  Trilinear interpolation runs separably in float64
     (axis 0, then 1, then 2) and is exact when the target equals the source
-    spacing.  It works in slabs of ``RESAMPLE_SLAB_ROWS`` output x-rows and
-    never holds a whole-volume float64 array.  `box`, three slices inside the
-    output grid, makes only that box of it, with the bytes of slicing the whole.
+    spacing.  It works plane by plane: each source z-plane it reads is lerped
+    along x and y once, and each output z-plane is the z-lerp of the two it
+    reads, so it never holds a whole-volume float64 array.  Its output is
+    z-slowest (``order="F"``), each z-plane one contiguous block.  `box`, three
+    slices inside the output grid, makes only that box of it, with the bytes of
+    slicing the whole.
     """
     target = tuple(float(t) for t in target)
     source = volume.spacing
@@ -179,28 +175,38 @@ def resample(
             pos = np.arange(box[i].start, box[i].stop, dtype=np.float64) * ratios[i]
             data = data.take(np.clip(np.rint(pos).astype(np.int64), 0, shape[i] - 1), axis=i)
     else:
-        reach, taps = zip(*(_taps(shape[i], n_out[i], b, ratios[i], i) for i, b in enumerate(box)))
+        reach, (tx, ty, tz) = zip(*map(_taps, shape, n_out, box, ratios))
         src = volume.data[reach]
-        data = np.empty([b.stop - b.start for b in box], dtype=np.float32)
-        for x0 in range(0, data.shape[0], RESAMPLE_SLAB_ROWS):
-            rows = slice(x0, x0 + RESAMPLE_SLAB_ROWS)
-            if taps[0] is None:
-                slab = src[rows].astype(np.float64)
-            else:
-                lo, hi, w_lo, w_hi = taps[0]
-                slab = _lerp(
-                    src[lo[rows]].astype(np.float64),
-                    src[hi[rows]].astype(np.float64),
-                    w_lo[rows],
-                    w_hi[rows],
-                )
-            for axis in (1, 2):
-                if taps[axis] is not None:
-                    lo, hi, w_lo, w_hi = taps[axis]
-                    slab = _lerp(
-                        np.take(slab, lo, axis=axis), np.take(slab, hi, axis=axis), w_lo, w_hi
-                    )
-            data[rows] = slab  # the same float64 -> float32 rounding as astype
+        data = np.empty([b.stop - b.start for b in box], dtype=np.float32, order="F")
+        out = data.T  # out[k] is output z-plane k, a C-ordered (y, x) array
+        ny, nx = out.shape[1:]
+        # x and y weights spread over a whole (y, x) plane, so every lerp runs on contiguous arrays
+        wx = tx and [np.broadcast_to(w, (src.shape[1], nx)).copy() for w in tx[2:]]
+        wy = ty and [np.broadcast_to(w[:, None], (ny, nx)).copy() for w in ty[2:]]
+
+        def plane(z: int) -> np.ndarray:
+            """Source z-plane `z` of the reach as (y, x) float64, lerped along x, then y."""
+            p = np.array(src[:, :, z].T, dtype=np.float64, order="C")
+            if tx is not None:
+                p = _lerp(p.take(tx[0], axis=1), p.take(tx[1], axis=1), *wx)
+            if ty is not None:
+                p = _lerp(p.take(ty[0], axis=0), p.take(ty[1], axis=0), *wy)
+            return p
+
+        if tz is None:
+            for k in range(len(out)):
+                out[k] = plane(k)  # the same float64 -> float32 rounding as astype
+        else:
+            low, high, planes = np.empty((ny, nx)), np.empty((ny, nx)), {}
+            for k, (z_lo, z_hi, w_lo, w_hi) in enumerate(zip(*tz)):
+                # taps only move up, so a plane below z_lo is read by no later output plane:
+                # drop it before making the next, to hold only the planes this one reads
+                planes = {z: p for z, p in planes.items() if z >= z_lo}
+                for z in {z_lo, z_hi} - planes.keys():
+                    planes[z] = plane(z)
+                np.multiply(planes[z_lo], w_lo, out=low)
+                np.multiply(planes[z_hi], w_hi, out=high)
+                out[k] = np.add(low, high, out=low)  # rounded per operation, as in _lerp
     return Volume(data, target, resampled_affine(volume, target, [b.start for b in box]))
 
 

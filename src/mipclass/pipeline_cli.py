@@ -107,7 +107,7 @@ class Manifest:
         return [r.patient_id for r in self.rows]
 
     def labels_for(self, patient_id: str) -> dict[str, int]:
-        """Per-side labels, keyed 'right'/'left'.
+        """Per-side labels, keyed by ``SIDES``.
 
         The single label access point: training-time leakage audits wrap
         this method and assert it is never called for validation patients.
@@ -117,7 +117,7 @@ class Manifest:
             raise SchemaMismatch(
                 f"patient {patient_id!r} is not in the manifest; rerun split with this manifest"
             )
-        return {"right": row.label_right, "left": row.label_left}
+        return {side: getattr(row, f"label_{side}") for side in SIDES}
 
     def load_study(self, patient_id: str) -> Study:
         row = self._by_id[patient_id]

@@ -53,8 +53,8 @@ class Volume:
     """3D scalar grid with spacing and a voxel-index -> world-mm affine.
 
     ``data`` is float32 with shape ``(nx, ny, nz)`` indexed ``data[x, y, z]``;
-    its memory layout is not part of the contract (resampled volumes are
-    C-ordered, cut boxes z-slowest).
+    its memory layout is not part of the contract (trilinear-resampled
+    volumes and cut boxes are z-slowest).
     Instances are value objects: nothing in this package mutates a volume
     after construction, so they are safe to share across threads.
     """

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mipclass import geometry
 from mipclass.errors import NonInvertibleAffine, WidthTooSmall
 from mipclass.geometry import (
     ROW_TIE_RTOL,
@@ -188,7 +187,7 @@ class TestResample:
 
 
 def _reference_lerp_axis(data, axis, n_out, ratio):
-    """The whole-volume float64 lerp that resample used before it worked in slabs."""
+    """One axis of the whole-volume float64 lerp: the oracle for resample's plane-wise path."""
     n_in = data.shape[axis]
     pos = np.arange(n_out, dtype=np.float64) * ratio
     lo = np.clip(np.floor(pos).astype(np.int64), 0, n_in - 1)
@@ -223,18 +222,29 @@ def _nan_canonical(data):
 _SPECIAL_VALUES = [-0.0, 0.0, np.nan, np.inf, -np.inf, 1e29, -1e29, 3.4e38, -3.4e38, 1e-45]
 
 
-class TestResampleSlabs:
-    """The slab-wise trilinear path against the whole-volume formula it replaced."""
+def _laid_out(values: np.ndarray, order: str) -> np.ndarray:
+    """`values` in C or F order, or as a strided view with one reversed axis."""
+    if order == "strided":
+        nx, ny, nz = values.shape
+        backing = np.zeros((2 * nx, ny, nz + 3), np.float32)
+        view = backing[::2, ::-1, 1 : nz + 1]
+        view[...] = values
+        return view
+    return np.array(values, order=order)
+
+
+class TestTrilinearBytes:
+    """The plane-wise trilinear path against the whole-volume formula."""
 
     @settings(max_examples=300)
     @given(data=st.data())
     def test_bytes_match_whole_volume_reference(self, data):
-        """Output x-extents land on, and one either side of, slab multiples;
-        each axis goes up, down or stays; values include -0.0, NaN, +-inf and
-        huge magnitudes.  Every non-NaN byte must match, and NaN where the
-        reference has NaN: numpy's SIMD add keeps one operand's NaN inside
-        full vector blocks and the other's in the tail, so a NaN's sign bit
-        depends on where the voxel falls in the array, in the reference too."""
+        """Any input memory order; each axis goes up, down or stays; values
+        include -0.0, NaN, +-inf and huge magnitudes; the whole grid or a box
+        of it.  Every non-NaN byte must match, and NaN where the reference has
+        NaN: numpy's SIMD add keeps one operand's NaN inside full vector blocks
+        and the other's in the tail, so a NaN's sign bit depends on where the
+        voxel falls in the array, in the reference too."""
         shape = (
             data.draw(st.integers(1, 40), label="nx"),
             data.draw(st.integers(1, 6), label="ny"),
@@ -249,22 +259,40 @@ class TestResampleSlabs:
             target.append(spacing[axis] if kind == "same" else spacing[axis] * shape[axis] / n_out)
         elements = st.floats(width=32) | st.sampled_from(_SPECIAL_VALUES)
         values = data.draw(arrays(np.float32, shape, elements=elements), label="values")
-        rows = data.draw(st.sampled_from([1, 3, 8]), label="slab rows")
-        vol = Volume.from_array(values, spacing=spacing)
-        with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore", over="ignore"):
-            mp.setattr(geometry, "RESAMPLE_SLAB_ROWS", rows, raising=False)
-            out = resample(vol, tuple(target), Interp.TRILINEAR)
+        order = data.draw(st.sampled_from(["C", "F", "strided"]), label="order")
+        vol = Volume.from_array(_laid_out(values, order), spacing=spacing)
+        with np.errstate(invalid="ignore", over="ignore"):
             expected = _reference_trilinear(vol, tuple(target))
+            box = None
+            if data.draw(st.booleans(), label="boxed"):
+                box = []
+                for i, n in enumerate(expected.shape):
+                    start = data.draw(st.integers(0, n - 1), label=f"start{i}")
+                    box.append(slice(start, data.draw(st.integers(start + 1, n), label=f"stop{i}")))
+                expected = expected[tuple(box)]
+            out = resample(vol, tuple(target), Interp.TRILINEAR, box=box)
         assert out.shape == expected.shape
         assert _nan_canonical(out.data).tobytes() == _nan_canonical(expected).tobytes()
 
     def test_finite_bytes_match_at_the_acceptance_grid(self):
+        """C and F order, the whole grid and the box `cut_plan` gives a row window."""
         rng = np.random.default_rng(9)
-        vol = Volume.from_array(
-            rng.gamma(2.0, 300.0, (64, 64, 16)).astype(np.float32), spacing=(2.8, 2.8, 12.0)
-        )
-        out = resample(vol, (1.4, 1.4, 6.0), Interp.TRILINEAR)
-        assert out.data.tobytes() == _reference_trilinear(vol, (1.4, 1.4, 6.0)).tobytes()
+        values = rng.gamma(2.0, 300.0, (64, 64, 16)).astype(np.float32)
+        target = (1.4, 1.4, 6.0)
+        source = Volume.from_array(values, (2.8, 2.8, 12.0))
+        expected = _reference_trilinear(source, target)
+        _, box, _ = cut_plan(source, target, (128, 128, 32), RowWindow(34, 64), None)
+        assert box[1] == slice(34, 98)
+        for order in ("C", "F"):
+            vol = Volume.from_array(np.array(values, order=order), spacing=(2.8, 2.8, 12.0))
+            out = resample(vol, target, Interp.TRILINEAR)
+            assert out.data.tobytes() == expected.tobytes()
+            out = resample(vol, target, Interp.TRILINEAR, box=box)
+            assert out.data.tobytes() == expected[box].tobytes()
+
+
+class TestResampleSlabs:
+    """Memory bounds and refusals of resample."""
 
     def test_peak_memory_below_twice_the_output(self):
         """No whole-volume float64 temporary: the float32 output dominates."""
@@ -745,10 +773,10 @@ class TestCutHalves:
             assert kept[0][:, 0].max() < kept[1][:, 0].min()
 
     def test_halves_are_plane_contiguous(self):
-        """Each z-plane of a half is one block, while resample keeps C order."""
+        """Each z-plane of a half is one block, as is each of the trilinear resample."""
         data = np.random.default_rng(3).random((9, 7, 5)).astype(np.float32)
         vol = resample(Volume.from_array(data, (1.0, 1.0, 2.0)), (0.9, 1.0, 2.5), Interp.TRILINEAR)
-        assert vol.data.flags.c_contiguous
+        assert vol.data.flags.f_contiguous
         for half in cut_halves(vol, (8, 9, 4), RowWindow(1, 6)):
             for z in range(half.shape[2]):
                 assert half.data[:, :, z].flags.f_contiguous
